@@ -1,16 +1,19 @@
 """Exact-arithmetic Terracini oracle.
 
 Secant dimensions, generic finiteness of tangential and osculating
-projections, and limit hyperplane coefficients, all computed from jets of
-explicit polynomial parametrizations.  Arithmetic runs over a fixed large
-prime field by default: a full-rank specialization proves a lower bound on
-the generic rank, so agreement with the expected dimension is a
-certificate, while a deficient rank is evidence of defectivity but not a
-proof.  A rational trial can be requested for exact cross-checks.
+projections, and limit hyperplane coefficients.  Tangent spaces of
+Grassmannians come from cofactor minors at points of the standard chart;
+the other shapes, and every higher-order jet, come from explicit polynomial
+parametrizations.  Arithmetic runs over a fixed large prime field by
+default: a full-rank specialization proves a lower bound on the generic
+rank, so agreement with the expected dimension is a certificate, while a
+deficient rank is evidence of defectivity but not a proof.  A rational
+trial can be requested for exact cross-checks.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import random
@@ -34,7 +37,10 @@ DEFAULT_SEED = 1729
 
 _COORD_RANGE = 1 << 20  # sample point coordinates uniformly in [1, 2^20]
 _MAX_RESAMPLES = 8
-_MINOR_CAP = 5  # permutation expansion of (r+1) x (r+1) minors stops here
+# largest r whose (r+1) x (r+1) minors build_parametrization expands into
+# permutations; the cap guards only the jet paths (jet_matrix,
+# osculating_rank_sweep), since Grassmannian tangent rows use chart minors
+_MINOR_CAP = 5
 
 CERTIFIED = "CertifiedNonDefective"
 DEFECT_EVIDENCE = "DefectEvidence"
@@ -363,7 +369,10 @@ def build_parametrization(shape: OracleShape) -> Parametrization:
     shape, with coordinates in enumerate_indices order.
 
     Grassmannians use the maximal minors of an (r+1) x (n+1) matrix of
-    indeterminates; the expansion refuses r above a hard cap.
+    indeterminates, expanded into (r+1)! monomials each; the expansion
+    refuses r above a hard cap.  Only the jet paths (jet_matrix,
+    osculating_rank_sweep) need it for a Grassmannian: the secant and
+    projection tests take tangent rows from chart minors instead.
     Segre-Veronese varieties use one monomial per coordinate.
     """
     if isinstance(shape, GrassShape):
@@ -407,16 +416,9 @@ class JetMatrix:
     def row_count(self) -> int:
         return comb(self.domain_dim + self.order, self.order)
 
-    @property
-    def nonzero_row_count(self) -> int:
-        return len(self.rows)
-
     def iter_rows(self):
         for key in sorted(self.rows):
             yield key, self.rows[key]
-
-    def level_rows(self, s: int) -> list[dict[int, int]]:
-        return [row for key, row in sorted(self.rows.items()) if sum(key) == s]
 
 
 def _emit_jets(rows, col, value, alpha, free, point, budget, modulus) -> None:
@@ -537,6 +539,99 @@ def _sample_point(P: Parametrization, dim_x: int, rng: random.Random, field: Pri
     raise RuntimeError("could not sample a smooth point with full tangent rank")
 
 
+def _maximal_minors(rows, cols) -> dict[tuple[int, ...], int]:
+    """All maximal minors of the integer rows restricted to the columns
+    cols, keyed by increasing column tuples.  Built from the bottom row up
+    by Laplace expansion along the top row, so the arithmetic stays
+    fraction-free."""
+    minors = {(): 1}
+    for k, row in enumerate(reversed(rows), 1):
+        level = {}
+        for K in itertools.combinations(cols, k):
+            total = 0
+            for pos, c in enumerate(K):
+                if row[c]:
+                    term = row[c] * minors[K[:pos] + K[pos + 1 :]]
+                    total += -term if pos & 1 else term
+            level[K] = total
+        minors = level
+    return minors
+
+
+def _chart_rows(matrix, column: dict) -> list[dict[int, int]]:
+    """Tangent rows of the affine cone over G(r, n) at the Pluecker vector
+    of matrix = [I | A], an (r+1) x (n+1) point of the standard chart.
+
+    The first row is the Pluecker vector itself.  Then, for each row i and
+    non-pivot column j, the Pluecker vector of matrix with row i replaced
+    by e_j, which is the derivative in the direction of A_ij since maximal
+    minors are linear in each row.  Its coordinate at J is zero unless j
+    lies in J, and otherwise (-1)^(i + position of j in J) times the r x r
+    minor of matrix without row i on the columns J - {j}.  column maps each
+    index tuple to its coordinate position.  Entries are exact integers;
+    RankAccumulator reduces them when it works modulo p.
+
+    These are dim X + 1 rows, and they always have full rank: the rows for
+    (i, j) have a coefficient of +-1 at the index {0, ..., r} - {i} + {j}
+    where every other (i', j') row vanishes, and the first row is the only
+    one nonzero at {0, ..., r}, where it is 1.  No smoothness check is
+    needed.
+
+    Soundness for Terracini's lemma: the chart map A -> [I | A] is an open
+    immersion onto a dense open subset of G(r, n), so these rows span the
+    affine tangent space of the cone at a point of G, and their entries are
+    integer polynomials in A.  Stacking them at h points gives a matrix
+    whose rank over Q(A_1, ..., A_h) is the generic rank, that is the
+    dimension of the h-secant variety plus one.  Specializing the A_k to
+    integers and reducing modulo p can only lower that rank, so a full-rank
+    specialization certifies the expected dimension.  Conversely the rank is
+    lower semicontinuous in (A_1, ..., A_h) and the chart is dense, so a
+    general choice of points reaches the generic rank.
+    """
+    size, width = len(matrix), len(matrix[0])
+    first = _maximal_minors(matrix, range(width))
+    rows = [{column[J]: v for J, v in first.items() if v}]
+    for i in range(size):
+        others = matrix[:i] + matrix[i + 1 :]
+        # the pivot column i vanishes on the other rows
+        minors = _maximal_minors(others, [c for c in range(width) if c != i])
+        for j in range(size, width):
+            row = {}
+            for K, v in minors.items():
+                if v and j not in K:
+                    pos = bisect.bisect(K, j)
+                    row[column[K[:pos] + (j,) + K[pos:]]] = -v if (i + pos) & 1 else v
+            rows.append(row)
+    return rows
+
+
+def _tangent_sampler(shape):
+    """A function (rng, field) -> rows spanning the affine tangent space of
+    the cone over the shape at a fresh random point.  Grassmannians draw a
+    chart point [I | A] with entries of A in [1, _COORD_RANGE] and take
+    _chart_rows; every other shape samples its parametrization."""
+    if isinstance(shape, GrassShape):
+        column = {J: pos for pos, J in enumerate(enumerate_indices(shape))}
+        size, width = shape.r + 1, shape.n + 1
+
+        def draw(rng: random.Random, field: PrimeField | None) -> list[dict[int, int]]:
+            matrix = [
+                [int(c == i) for c in range(size)]
+                + [rng.randint(1, _COORD_RANGE) for _ in range(size, width)]
+                for i in range(size)
+            ]
+            return _chart_rows(matrix, column)
+
+        return draw
+    P = build_parametrization(shape)
+
+    def draw(rng: random.Random, field: PrimeField | None) -> list[dict[int, int]]:
+        _, rows = _sample_point(P, shape.dim, rng, field)
+        return [row for _, row in sorted(rows.items())]
+
+    return draw
+
+
 @dataclass
 class DefectivityCertificate:
     """Outcome of a secant dimension computation.
@@ -577,12 +672,10 @@ class DefectivityCertificate:
         return json.dumps(self.to_dict(with_timing), sort_keys=True, separators=(",", ":"))
 
 
-def _secant_rank(shape, h: int, rng: random.Random, field: PrimeField | None) -> int:
-    P = build_parametrization(shape)
-    acc = RankAccumulator(P.ncols, field)
+def _secant_rank(shape, draw, h: int, rng: random.Random, field: PrimeField | None) -> int:
+    acc = RankAccumulator(shape.num_coords, field)
     for _ in range(h):
-        _, rows = _sample_point(P, shape.dim, rng, field)
-        for _, row in sorted(rows.items()):
+        for row in draw(rng, field):
             acc.add_row(row)
             if acc.saturated:
                 return acc.rank
@@ -596,8 +689,11 @@ def secant_dimension(
     prime: int | str = DEFAULT_PRIME,
     seed: int = DEFAULT_SEED,
 ) -> DefectivityCertificate:
-    """Dimension of the h-secant variety of the shape, by stacking order 1
-    jets at h random points (the tangent star of the secant variety).
+    """Dimension of the h-secant variety of the shape, by stacking the
+    affine tangent spaces of the cone at h random points (Terracini's
+    lemma).  Grassmannian tangent spaces are chart rows of cofactor minors
+    (_chart_rows); the other shapes stack order 1 jets of their
+    parametrization.
 
     The expected dimension is min(h (dim X + 1), N + 1) - 1.  Each trial is
     deterministic in (seed, trial index); if the trials disagree one extra
@@ -606,17 +702,17 @@ def secant_dimension(
     _check_oracle_params(h, trials)
     field = _resolve_field(prime)
     start = time.perf_counter()
-    P = build_parametrization(shape)
+    draw = _tangent_sampler(shape)
     dim_x, ambient = shape.dim, shape.ambient_dim
     expected = min(h * (dim_x + 1), ambient + 1) - 1
     results = []
     for t in range(trials):
         rng = random.Random(f"{seed}:{t}")
-        results.append(_secant_rank(shape, h, rng, field) - 1)
+        results.append(_secant_rank(shape, draw, h, rng, field) - 1)
     note = ""
     if len(set(results)) > 1:
         rng = random.Random(f"{seed}:rational")
-        results.append(_secant_rank(shape, h, rng, None) - 1)
+        results.append(_secant_rank(shape, draw, h, rng, None) - 1)
         note = "trials disagreed; escalated to one exact rational trial. "
     computed = max(results)
     defect = expected - computed
@@ -679,19 +775,17 @@ def tangential_projection_finite(
     """
     _check_oracle_params(h, trials)
     field = _resolve_field(prime)
-    P = build_parametrization(shape)
+    draw = _tangent_sampler(shape)
     dim_x, ambient = shape.dim, shape.ambient_dim
     best: tuple[int, int] | None = None
     for t in range(trials):
         rng = random.Random(f"{seed}:{t}")
-        acc = RankAccumulator(P.ncols, field)
+        acc = RankAccumulator(shape.num_coords, field)
         for _ in range(h):
-            _, rows = _sample_point(P, dim_x, rng, field)
-            for _, row in sorted(rows.items()):
+            for row in draw(rng, field):
                 acc.add_row(row)
         center = acc.rank
-        _, rows = _sample_point(P, dim_x, rng, field)
-        for _, row in sorted(rows.items()):
+        for row in draw(rng, field):
             acc.add_row(row)
         joint = acc.rank
         if best is None or (center, joint) > best:
@@ -837,14 +931,13 @@ def osculating_projection_finite(
     if not survivors:
         base.note = "every coordinate lies in the span of the osculating centers"
         return base
-    P = build_parametrization(shape)
+    draw = _tangent_sampler(shape)
     column_of = {col: pos for pos, col in enumerate(survivors)}
     best = 0
     for t in range(trials):
         rng = random.Random(f"{seed}:{t}")
-        _, rows = _sample_point(P, dim_x, rng, field)
         acc = RankAccumulator(len(survivors), field)
-        for _, row in sorted(rows.items()):
+        for row in draw(rng, field):
             restricted = {column_of[c]: v for c, v in row.items() if c in column_of}
             if restricted:
                 acc.add_row(restricted)

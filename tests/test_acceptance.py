@@ -128,9 +128,9 @@ def test_grass_bound_dominates_linear_projection_bound():
 
 def test_certified_nondefective_small_cases():
     assert DEFAULT_PRIME.bit_length() == 62
-    cases = []
-    for n in (4, 5):
-        cases.extend((GrassShape(1, n), h) for h in (1, 2))
+    # G(1,5) h=2 is classically defective; test_defect_evidence_reported_cases
+    # asserts it
+    cases = [(GrassShape(1, 4), 1), (GrassShape(1, 4), 2), (GrassShape(1, 5), 1)]
     cases.extend((GrassShape(2, 6), h) for h in range(1, grass_bound(2, 6).max_h + 1))
     cases.append((SegreVeroneseShape((1, 1), (2, 2)), 2))
     ok = True
@@ -149,18 +149,25 @@ def test_certified_nondefective_small_cases():
 
 
 def test_defect_evidence_reported_cases():
+    # G(r,n) is r-planes in P^n.  The defective Grassmannians are the
+    # classical list (Baur-Draisma-de Graaf 2007); the same triples with n
+    # one larger reach the expected dimension and are certified.
     cases = [
-        (GrassShape(2, 7), 3),
-        (GrassShape(3, 8), 3),
-        (GrassShape(3, 8), 4),
-        (GrassShape(2, 9), 4),
-        (SegreVeroneseShape((1, 1), (2, 2)), 3),
-        (SegreVeroneseShape((1, 1, 1), (1, 1, 2)), 3),
-        (SegreVeroneseShape((1, 1, 1, 1), (1, 1, 1, 1)), 3),
-        (SegreVeroneseShape((2, 2, 2), (1, 1, 1)), 4),
+        (GrassShape(2, 6), 3, DEFECT_EVIDENCE),
+        (GrassShape(3, 7), 3, DEFECT_EVIDENCE),
+        (GrassShape(3, 7), 4, DEFECT_EVIDENCE),
+        (GrassShape(2, 8), 4, DEFECT_EVIDENCE),
+        (GrassShape(2, 7), 3, CERTIFIED),
+        (GrassShape(3, 8), 3, CERTIFIED),
+        (GrassShape(3, 8), 4, CERTIFIED),
+        (GrassShape(2, 9), 4, CERTIFIED),
+        (SegreVeroneseShape((1, 1), (2, 2)), 3, DEFECT_EVIDENCE),
+        (SegreVeroneseShape((1, 1, 1), (1, 1, 2)), 3, DEFECT_EVIDENCE),
+        (SegreVeroneseShape((1, 1, 1, 1), (1, 1, 1, 1)), 3, DEFECT_EVIDENCE),
+        (SegreVeroneseShape((2, 2, 2), (1, 1, 1)), 4, DEFECT_EVIDENCE),
     ]
     ok = True
-    for shape, h in cases:
+    for shape, h, verdict in cases:
         start = time.perf_counter()
         certs = [
             secant_dimension(shape, h, trials=1, prime=DEFAULT_PRIME, seed=seed)
@@ -169,9 +176,10 @@ def test_defect_evidence_reported_cases():
         elapsed = time.perf_counter() - start
         computed = [c.computed_dim for c in certs]
         stable = len(set(computed)) == 1
-        evidence = all(c.verdict == DEFECT_EVIDENCE and c.defect >= 1 for c in certs)
-        sub = stable and evidence
-        if shape.label == "G(2,9)":
+        defective = verdict == DEFECT_EVIDENCE
+        agree = all(c.verdict == verdict and (c.defect >= 1) == defective for c in certs)
+        sub = stable and agree
+        if shape.label == "G(2,8)":
             sub = sub and elapsed < 120.0
         ok = ok and sub
         print(
@@ -179,6 +187,18 @@ def test_defect_evidence_reported_cases():
             f" expected={certs[0].expected_dim:>3} defect={certs[0].defect}"
             f"  {certs[0].verdict:<22} {elapsed * 1000:7.1f} ms  {'ok' if sub else 'MISMATCH'}"
         )
+    # second secants of lines in P^5: three trials at the default seed
+    start = time.perf_counter()
+    cert = secant_dimension(GrassShape(1, 5), 2, trials=3, prime=DEFAULT_PRIME)
+    elapsed = time.perf_counter() - start
+    sub = cert.verdict == DEFECT_EVIDENCE and cert.defect == 1 and len(cert.trials) <= 3
+    sub = sub and elapsed < 5.0
+    ok = ok and sub
+    print(
+        f"  {cert.shape:>18} h=2  computed={cert.computed_dim}"
+        f" expected={cert.expected_dim:>3} defect={cert.defect}"
+        f"  {cert.verdict:<22} {elapsed * 1000:7.1f} ms  {'ok' if sub else 'MISMATCH'}"
+    )
     assert _verdict_line("defect evidence on the reported cases", ok)
 
 

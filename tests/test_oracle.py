@@ -30,6 +30,7 @@ from grassdef import (
     SegreVeroneseShape,
     TangentDevelopable,
     build_parametrization,
+    enumerate_indices,
     is_probable_prime,
     jet_matrix,
     limit_hyperplane_coeffs,
@@ -42,6 +43,7 @@ from grassdef import (
     tangential_projection_finite,
 )
 from grassdef.bounds import grass_bound
+from grassdef.oracle import _chart_rows
 
 
 def grass_coord_point(shape, I):
@@ -164,6 +166,51 @@ def test_rank_sweep_matches_individual_jet_matrices():
         assert sweep[s] == rank(jet_matrix(P, pt, s))
 
 
+def chart_point(shape, seed):
+    rng = random.Random(seed)
+    size, width = shape.r + 1, shape.n + 1
+    return [
+        [int(c == i) for c in range(size)] + [rng.randint(-99, 99) for _ in range(size, width)]
+        for i in range(size)
+    ]
+
+
+def chart_rows(shape, matrix):
+    column = {J: pos for pos, J in enumerate(enumerate_indices(shape))}
+    return _chart_rows(matrix, column)
+
+
+@pytest.mark.parametrize("field", [PrimeField(DEFAULT_PRIME), None], ids=["modp", "rational"])
+def test_chart_rows_span_the_order_one_jets(field):
+    for r, n in ((1, 3), (1, 4), (1, 5), (2, 5), (2, 6), (3, 7)):
+        shape = GrassShape(r, n)
+        matrix = chart_point(shape, 10 * r + n)
+        rows = chart_rows(shape, matrix)
+        assert len(rows) == shape.dim + 1
+        assert rank(rows, field) == shape.dim + 1
+        flat = tuple(v for row in matrix for v in row)
+        jets = jet_matrix(build_parametrization(shape), flat, 1, field)
+        stacked = rows + [row for _, row in jets.iter_rows()]
+        assert rank(stacked, field) == shape.dim + 1
+
+
+def test_chart_point_row_is_pluecker():
+    shape = GrassShape(1, 3)
+    for seed in range(20):
+        row = chart_rows(shape, chart_point(shape, seed))[0]
+        p01, p02, p03, p12, p13, p23 = (row.get(c, 0) for c in range(6))
+        assert p01 == 1
+        assert p01 * p23 - p02 * p13 + p03 * p12 == 0
+
+
+def test_grassmannian_oracle_builds_no_parametrization():
+    build_parametrization.cache_clear()
+    secant_dimension(GrassShape(2, 6), 2, trials=1)
+    tangential_projection_finite(GrassShape(2, 6), 1, trials=1)
+    osculating_projection_finite(GrassShape(2, 5), [((0, 1, 2), 1)], trials=1)
+    assert build_parametrization.cache_info().misses == 0
+
+
 def test_rnc_jets_at_origin():
     P = build_parametrization(RationalNormalCurve(6))
     assert osculating_rank_sweep(P, (0,), 4) == [1, 2, 3, 4, 5]
@@ -245,6 +292,10 @@ def test_secant_rational_prime_agrees():
     a = secant_dimension(SegreVeroneseShape((2,), (2,)), 2, trials=1, prime="rational")
     assert a.computed_dim == 4
     assert a.prime == "rational"
+    for shape, computed in ((GrassShape(2, 6), 33), (GrassShape(3, 7), 49)):
+        exact = secant_dimension(shape, 3, trials=1, prime="rational")
+        assert exact.computed_dim == computed
+        assert secant_dimension(shape, 3, trials=1).computed_dim == computed
 
 
 def test_secant_saturates_at_ambient():

@@ -7,7 +7,7 @@ output; the JSON is byte deterministic (sorted keys, no whitespace,
 elapsed_ms always null).
 
 Exit codes: 0 on success, 2 on invalid arguments or violated preconditions,
-3 when a computation is refused because it exceeds the size caps.
+3 when a computation is refused because it exceeds the oracle's size cap.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import os
 import random
 import sys
 from dataclasses import dataclass
-from math import factorial
 
 from .bounds import aop_bound, grass_bound, linear_bound, sv_bound
 from .birational import (
@@ -61,8 +60,6 @@ class RunConfig:
     trials: int = DEFAULT_TRIALS
     seed: int = DEFAULT_SEED
     output: str = "text"
-    max_coords: int = 4000
-    max_terms: int = 500_000
 
 
 def _dump(payload) -> str:
@@ -134,23 +131,6 @@ def _make_config(args) -> RunConfig:
     )
 
 
-def _check_caps(shape, config: RunConfig) -> None:
-    coords = shape.num_coords
-    if coords > config.max_coords:
-        raise CapExceeded(
-            f"{shape.label} has {coords} coordinates, above the cap of "
-            f"{config.max_coords}"
-        )
-    terms = coords
-    if isinstance(shape, GrassShape):
-        terms = coords * factorial(shape.r + 1)
-    if terms > config.max_terms:
-        raise CapExceeded(
-            f"the parametrization of {shape.label} has about {terms} terms, "
-            f"above the cap of {config.max_terms}"
-        )
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -180,7 +160,6 @@ def cmd_bound(args, config: RunConfig) -> int:
 
 def cmd_secant(args, config: RunConfig) -> int:
     shape = _resolve_shape(args)
-    _check_caps(shape, config)
     cert = secant_dimension(
         shape, args.h, trials=config.trials, prime=config.prime, seed=config.seed
     )
@@ -195,7 +174,6 @@ def cmd_secant(args, config: RunConfig) -> int:
 
 def cmd_oscproj(args, config: RunConfig) -> int:
     shape = _resolve_shape(args)
-    _check_caps(shape, config)
     orders = _parse_ints(args.orders)
     if isinstance(shape, GrassShape):
         centers = [_parse_ints(part) for part in args.centers.split(";")]
@@ -233,7 +211,6 @@ def cmd_oscproj(args, config: RunConfig) -> int:
 
 def cmd_tangproj(args, config: RunConfig) -> int:
     shape = _resolve_shape(args)
-    _check_caps(shape, config)
     report = tangential_projection_finite(
         shape, args.h, trials=config.trials, prime=config.prime, seed=config.seed
     )

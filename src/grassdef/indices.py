@@ -166,20 +166,29 @@ def sv_distance(I, J) -> int:
     return total
 
 
-def distance(shape: Shape, I, J) -> int:
-    """Coordinate distance on the index family of the shape."""
+def _metric(shape: Shape):
+    """The index check and the distance function of the shape's family."""
     if isinstance(shape, GrassShape):
-        return grass_distance(_check_grass_index(shape, I), _check_grass_index(shape, J))
+        return _check_grass_index, grass_distance
     if isinstance(shape, SegreVeroneseShape):
-        return sv_distance(_check_sv_index(shape, I), _check_sv_index(shape, J))
+        return _check_sv_index, sv_distance
     raise TypeError(f"unsupported shape {shape!r}")
 
 
+def distance(shape: Shape, I, J) -> int:
+    """Coordinate distance on the index family of the shape."""
+    check, dist = _metric(shape)
+    return dist(check(shape, I), check(shape, J))
+
+
 def ball(shape: Shape, I, s: int) -> list:
-    """Indices at distance at most s from I."""
+    """Indices at distance at most s from I.  I is checked once; the
+    enumerated indices are valid by construction."""
     if s < 0:
         raise ValueError("radius must be nonnegative")
-    return [J for J in enumerate_indices(shape) if distance(shape, I, J) <= s]
+    check, dist = _metric(shape)
+    I = check(shape, I)
+    return [J for J in enumerate_indices(shape) if dist(I, J) <= s]
 
 
 def _canonical_pair(shape: GrassShape) -> tuple[tuple[int, ...], tuple[int, ...]]:

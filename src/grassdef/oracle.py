@@ -21,13 +21,14 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, lcm
+from math import comb, factorial, gcd, lcm
 
 from .indices import (
     GrassShape,
     SegreVeroneseShape,
     _check_grass_index,
-    distance,
+    ball,
+    distance,  # noqa: F401  (bench/test_bench.py looks it up as grassdef.oracle.distance)
     enumerate_indices,
 )
 
@@ -37,10 +38,9 @@ DEFAULT_SEED = 1729
 
 _COORD_RANGE = 1 << 20  # sample point coordinates uniformly in [1, 2^20]
 _MAX_RESAMPLES = 8
-# largest r whose (r+1) x (r+1) minors build_parametrization expands into
-# permutations; the cap guards only the jet paths (jet_matrix,
-# osculating_rank_sweep), since Grassmannian tangent rows use chart minors
-_MINOR_CAP = 5
+# the one size cap: entries of the largest pivot store or monomial list a
+# request may build, that is 4000 coordinates at full rank
+_MAX_ENTRIES = 4000 * 4000
 
 CERTIFIED = "CertifiedNonDefective"
 DEFECT_EVIDENCE = "DefectEvidence"
@@ -57,8 +57,15 @@ _EVIDENCE_NOTE = (
 
 
 class CapExceeded(RuntimeError):
-    """Raised when a request exceeds a hard size cap instead of silently
-    taking unbounded time or memory."""
+    """Raised when a request would build more than _MAX_ENTRIES entries,
+    instead of silently taking unbounded time or memory."""
+
+
+def _check_size(label: str, entries: int) -> None:
+    if entries > _MAX_ENTRIES:
+        raise CapExceeded(
+            f"{label} needs about {entries} entries, above the cap of {_MAX_ENTRIES}"
+        )
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -207,23 +214,20 @@ def rank(matrix, field: PrimeField | None = None) -> int:
     if isinstance(matrix, JetMatrix):
         if field is None:
             field = matrix.field
-        acc = RankAccumulator(matrix.ncols, field)
-        for _, row in sorted(matrix.rows.items()):
-            acc.add_row(row)
-            if acc.saturated:
-                break
-        return acc.rank
-    rows = []
-    ncols = 0
-    for row in matrix:
-        if isinstance(row, dict):
-            d = dict(row)
-            if d:
-                ncols = max(ncols, max(d) + 1)
-        else:
-            d = {i: v for i, v in enumerate(row) if v}
-            ncols = max(ncols, len(row))
-        rows.append(d)
+        ncols = matrix.ncols
+        rows = [row for _, row in matrix.iter_rows()]
+    else:
+        rows = []
+        ncols = 0
+        for row in matrix:
+            if isinstance(row, dict):
+                d = dict(row)
+                if d:
+                    ncols = max(ncols, max(d) + 1)
+            else:
+                d = {i: v for i, v in enumerate(row) if v}
+                ncols = max(ncols, len(row))
+            rows.append(d)
     acc = RankAccumulator(ncols, field)
     for d in rows:
         acc.add_row(d)
@@ -310,11 +314,6 @@ class Parametrization:
 
 def _grass_parametrization(shape: GrassShape) -> Parametrization:
     r, n = shape.r, shape.n
-    if r > _MINOR_CAP:
-        raise CapExceeded(
-            f"minor expansion for G({r},{n}) needs ({r + 1})! terms per "
-            f"coordinate; the cap is r <= {_MINOR_CAP}"
-        )
     width = n + 1
     dom = (r + 1) * width
     coords = []
@@ -369,12 +368,21 @@ def build_parametrization(shape: OracleShape) -> Parametrization:
     shape, with coordinates in enumerate_indices order.
 
     Grassmannians use the maximal minors of an (r+1) x (n+1) matrix of
-    indeterminates, expanded into (r+1)! monomials each; the expansion
-    refuses r above a hard cap.  Only the jet paths (jet_matrix,
-    osculating_rank_sweep) need it for a Grassmannian: the secant and
-    projection tests take tangent rows from chart minors instead.
-    Segre-Veronese varieties use one monomial per coordinate.
+    indeterminates, expanded into (r+1)! monomials each.  Only the jet
+    paths (jet_matrix, osculating_rank_sweep) need it for a Grassmannian:
+    the secant and projection tests take tangent rows from chart minors
+    instead.  Segre-Veronese varieties use one monomial per coordinate.
+    The monomial count, N (r+1)! on a Grassmannian with N coordinates and
+    N otherwise, is checked against _MAX_ENTRIES before anything is
+    expanded, which refuses every Grassmannian with r >= 6.
     """
+    if isinstance(shape, GrassShape):
+        count = shape.num_coords * factorial(shape.r + 1)
+    elif isinstance(shape, (SegreVeroneseShape, RationalNormalCurve, TangentDevelopable)):
+        count = shape.num_coords
+    else:
+        raise TypeError(f"unsupported shape {shape!r}")
+    _check_size(f"the parametrization of {shape.label}", count)
     if isinstance(shape, GrassShape):
         return _grass_parametrization(shape)
     if isinstance(shape, SegreVeroneseShape):
@@ -382,14 +390,12 @@ def build_parametrization(shape: OracleShape) -> Parametrization:
     if isinstance(shape, RationalNormalCurve):
         coords = tuple(((1, (k,)),) for k in range(shape.n + 1))
         return Parametrization(1, coords, shape.label)
-    if isinstance(shape, TangentDevelopable):
-        coords = [((1, (0, 0)),)]
-        for k in range(1, shape.n + 1):
-            monomials = [(1, (k, 0))]
-            monomials.append((k, (k - 1, 1)))
-            coords.append(tuple(monomials))
-        return Parametrization(2, tuple(coords), shape.label)
-    raise TypeError(f"unsupported shape {shape!r}")
+    coords = [((1, (0, 0)),)]
+    for k in range(1, shape.n + 1):
+        monomials = [(1, (k, 0))]
+        monomials.append((k, (k - 1, 1)))
+        coords.append(tuple(monomials))
+    return Parametrization(2, tuple(coords), shape.label)
 
 
 # ---------------------------------------------------------------------------
@@ -517,25 +523,30 @@ def _resolve_field(prime) -> PrimeField | None:
     raise ValueError('prime must be an integer prime, a PrimeField, or "rational"')
 
 
-def _check_oracle_params(h: int, trials: int) -> None:
-    if not isinstance(h, int) or h < 1:
-        raise ValueError("h must be a positive integer")
+def _check_trials(trials: int) -> None:
     if not isinstance(trials, int) or not 1 <= trials <= 64:
         raise ValueError("trials must lie in [1, 64]")
 
 
+def _check_oracle_params(h: int, trials: int) -> None:
+    if not isinstance(h, int) or h < 1:
+        raise ValueError("h must be a positive integer")
+    _check_trials(trials)
+
+
 def _sample_point(P: Parametrization, dim_x: int, rng: random.Random, field: PrimeField | None):
-    """A random point of the domain whose order 1 jet has full rank
-    dim_x + 1; degenerate samples are redrawn a bounded number of times."""
+    """The order 1 jet rows of P at a random point of the domain where they
+    have full rank dim_x + 1; degenerate samples are redrawn a bounded
+    number of times."""
     modulus = field.p if field is not None else None
     for _ in range(_MAX_RESAMPLES):
         point = tuple(rng.randint(1, _COORD_RANGE) for _ in range(P.domain_dim))
-        rows = _jet_rows(P, point, 1, modulus)
+        rows = [row for _, row in sorted(_jet_rows(P, point, 1, modulus).items())]
         acc = RankAccumulator(P.ncols, field)
-        for _, row in sorted(rows.items()):
+        for row in rows:
             acc.add_row(row)
         if acc.rank == dim_x + 1:
-            return point, rows
+            return rows
     raise RuntimeError("could not sample a smooth point with full tangent rank")
 
 
@@ -605,11 +616,20 @@ def _chart_rows(matrix, column: dict) -> list[dict[int, int]]:
     return rows
 
 
-def _tangent_sampler(shape):
+def _tangent_sampler(shape, k: int):
     """A function (rng, field) -> rows spanning the affine tangent space of
     the cone over the shape at a fresh random point.  Grassmannians draw a
     chart point [I | A] with entries of A in [1, _COORD_RANGE] and take
-    _chart_rows; every other shape samples its parametrization."""
+    _chart_rows; every other shape samples its parametrization.
+
+    A caller stacks the tangent spaces at k points, so its RankAccumulator
+    holds at most N min(k (dim X + 1), N) entries for N coordinates; that
+    count is checked against _MAX_ENTRIES before anything is built."""
+    N = shape.num_coords
+    _check_size(
+        f"the Terracini matrix of {shape.label} at {k} point(s)",
+        N * min(k * (shape.dim + 1), N),
+    )
     if isinstance(shape, GrassShape):
         column = {J: pos for pos, J in enumerate(enumerate_indices(shape))}
         size, width = shape.r + 1, shape.n + 1
@@ -624,12 +644,7 @@ def _tangent_sampler(shape):
 
         return draw
     P = build_parametrization(shape)
-
-    def draw(rng: random.Random, field: PrimeField | None) -> list[dict[int, int]]:
-        _, rows = _sample_point(P, shape.dim, rng, field)
-        return [row for _, row in sorted(rows.items())]
-
-    return draw
+    return lambda rng, field: _sample_point(P, shape.dim, rng, field)
 
 
 @dataclass
@@ -702,7 +717,7 @@ def secant_dimension(
     _check_oracle_params(h, trials)
     field = _resolve_field(prime)
     start = time.perf_counter()
-    draw = _tangent_sampler(shape)
+    draw = _tangent_sampler(shape, h)
     dim_x, ambient = shape.dim, shape.ambient_dim
     expected = min(h * (dim_x + 1), ambient + 1) - 1
     results = []
@@ -775,7 +790,7 @@ def tangential_projection_finite(
     """
     _check_oracle_params(h, trials)
     field = _resolve_field(prime)
-    draw = _tangent_sampler(shape)
+    draw = _tangent_sampler(shape, h + 1)
     dim_x, ambient = shape.dim, shape.ambient_dim
     best: tuple[int, int] | None = None
     for t in range(trials):
@@ -820,78 +835,68 @@ def _diagonal_sv_index(shape: SegreVeroneseShape, value: int):
     return tuple((value,) * dj for dj in shape.d)
 
 
+def _center_index(shape, index):
+    """The coordinate index of one osculating center, validated."""
+    if isinstance(shape, GrassShape):
+        return _check_grass_index(shape, tuple(index))
+    if isinstance(shape, SegreVeroneseShape):
+        if isinstance(index, int):
+            value = index
+        else:
+            index = tuple(tuple(part) for part in index)
+            values = {part[0] for part in index} | {a for part in index for a in part}
+            if len(values) != 1:
+                raise ValueError(
+                    "Segre-Veronese osculating centers must be diagonal "
+                    "coordinate points, constant across all factors"
+                )
+            value = next(iter(values))
+        n1 = shape.n[0]
+        if not isinstance(value, int) or not 0 <= value <= n1:
+            raise ValueError(f"diagonal value must lie in [0, {n1}]")
+        return _diagonal_sv_index(shape, value)
+    if isinstance(shape, RationalNormalCurve):
+        if index not in (0, shape.n):
+            raise ValueError(
+                "rational normal curve centers must be the coordinate "
+                "points with index 0 or n"
+            )
+        return index
+    raise TypeError(f"unsupported shape {shape!r}")
+
+
 def _osculating_centers(shape, centers) -> list[tuple[object, int]]:
     checked = []
-    if isinstance(shape, GrassShape):
-        supports: list[set] = []
-        for index, order in centers:
-            index = _check_grass_index(shape, tuple(index))
-            if not isinstance(order, int) or order < 0:
-                raise ValueError("orders must be nonnegative integers")
-            for other in supports:
-                if other & set(index):
+    for index, order in centers:
+        index = _center_index(shape, index)
+        if not isinstance(order, int) or order < 0:
+            raise ValueError("orders must be nonnegative integers")
+        for other, _ in checked:
+            if isinstance(shape, GrassShape):
+                if set(other) & set(index):
                     raise ValueError(
                         "osculating centers on a Grassmannian must have "
                         "pairwise disjoint index supports"
                     )
-            supports.append(set(index))
-            checked.append((index, order))
-        return checked
-    if isinstance(shape, SegreVeroneseShape):
-        seen = set()
-        n1 = shape.n[0]
-        for index, order in centers:
-            if isinstance(index, int):
-                value = index
-            else:
-                index = tuple(tuple(part) for part in index)
-                values = {part[0] for part in index} | {a for part in index for a in part}
-                if len(values) != 1:
-                    raise ValueError(
-                        "Segre-Veronese osculating centers must be diagonal "
-                        "coordinate points, constant across all factors"
-                    )
-                value = next(iter(values))
-            if not isinstance(value, int) or not 0 <= value <= n1:
-                raise ValueError(f"diagonal value must lie in [0, {n1}]")
-            if value in seen:
+            elif other == index:
                 raise ValueError("osculating centers must be distinct")
-            seen.add(value)
-            if not isinstance(order, int) or order < 0:
-                raise ValueError("orders must be nonnegative integers")
-            checked.append((_diagonal_sv_index(shape, value), order))
-        return checked
-    if isinstance(shape, RationalNormalCurve):
-        seen = set()
-        for index, order in centers:
-            if index not in (0, shape.n):
-                raise ValueError(
-                    "rational normal curve centers must be the coordinate "
-                    "points with index 0 or n"
-                )
-            if index in seen:
-                raise ValueError("osculating centers must be distinct")
-            seen.add(index)
-            if not isinstance(order, int) or order < 0:
-                raise ValueError("orders must be nonnegative integers")
-            checked.append((index, order))
-        return checked
-    raise TypeError(f"unsupported shape {shape!r}")
+        checked.append((index, order))
+    return checked
 
 
 def _survivor_columns(shape, checked) -> list[int]:
+    """Positions of the coordinates outside every ball of radius s_i around
+    the i-th center."""
     if isinstance(shape, RationalNormalCurve):
         return [
             j
             for j in range(shape.n + 1)
             if all(abs(j - c) > s for c, s in checked)
         ]
-    indices = enumerate_indices(shape)
-    return [
-        pos
-        for pos, J in enumerate(indices)
-        if all(distance(shape, I, J) > s for I, s in checked)
-    ]
+    killed = set()
+    for I, s in checked:
+        killed.update(ball(shape, I, s))
+    return [pos for pos, J in enumerate(enumerate_indices(shape)) if J not in killed]
 
 
 def osculating_projection_finite(
@@ -912,11 +917,12 @@ def osculating_projection_finite(
     ConstantMap when no coordinate survives or the restricted rank is at
     most 1, and FiberEvidence otherwise.
     """
-    if not isinstance(trials, int) or not 1 <= trials <= 64:
-        raise ValueError("trials must lie in [1, 64]")
+    _check_trials(trials)
     if not centers:
         raise ValueError("at least one center is required")
     field = _resolve_field(prime)
+    # sized before the balls around the centers enumerate the coordinates
+    draw = _tangent_sampler(shape, 1)
     checked = _osculating_centers(shape, centers)
     survivors = _survivor_columns(shape, checked)
     dim_x, ambient = shape.dim, shape.ambient_dim
@@ -931,7 +937,6 @@ def osculating_projection_finite(
     if not survivors:
         base.note = "every coordinate lies in the span of the osculating centers"
         return base
-    draw = _tangent_sampler(shape)
     column_of = {col: pos for pos, col in enumerate(survivors)}
     best = 0
     for t in range(trials):
@@ -990,7 +995,10 @@ def limit_hyperplane_coeffs(D: int, s: int, sbar: int, k1: int, k2: int) -> Limi
     if s < D - k2:
         return LimitHyperplane((1,) + (0,) * s, trivial=True)
     q = s - D + k2 + 1
-    assert q < D - k1  # the support never meets the forced zero range
+    if q >= D - k1:
+        raise ArithmeticError(
+            f"the support {{0, ..., {q}}} meets the forced zero range [{D - k1}, {s}]"
+        )
     rows = list(range(D - k2, s + 1))
     # comb vanishes for a negative lower index
     matrix = [
@@ -1010,7 +1018,8 @@ def limit_hyperplane_coeffs(D: int, s: int, sbar: int, k1: int, k2: int) -> Limi
         ints = [-v for v in ints]
     for j in rows:
         residual = sum(comb(sbar + j, j - k) * ints[k] for k in range(0, min(j, s) + 1))
-        assert residual == 0
+        if residual:
+            raise ArithmeticError(f"the collision relation for j = {j} leaves residual {residual}")
     return LimitHyperplane(tuple(ints), trivial=False)
 
 
@@ -1019,7 +1028,8 @@ def _solve_square(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fra
     m = [row[:] + [b] for row, b in zip(matrix, rhs)]
     for c in range(size):
         pivot = next((i for i in range(c, size) if m[i][c]), None)
-        assert pivot is not None, "the collision system is always nonsingular"
+        if pivot is None:
+            raise ArithmeticError(f"the collision system is singular at column {c}")
         m[c], m[pivot] = m[pivot], m[c]
         inv = 1 / m[c][c]
         m[c] = [v * inv for v in m[c]]

@@ -152,7 +152,8 @@ def _int_det(matrix: list[list[int]]) -> int:
                 continue
             for j in range(c, size):
                 m[i][j] -= f * m[c][j]
-    assert det.denominator == 1
+    if det.denominator != 1:
+        raise ArithmeticError(f"the determinant of an integer matrix came out as {det}")
     return det.numerator
 
 
@@ -169,7 +170,8 @@ def grass_degree(r: int, n: int) -> int:
         for j in range(cols):
             hooks *= (rows - i) + (cols - j) - 1
     degree, remainder = divmod(factorial(rows * cols), hooks)
-    assert remainder == 0
+    if remainder:
+        raise ArithmeticError(f"the hook product {hooks} does not divide ({rows * cols})!")
     return degree
 
 

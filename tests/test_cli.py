@@ -1,5 +1,5 @@
 """End-to-end tests for the grassdef command line: text and JSON output,
-exit codes, seeding, and the work caps."""
+exit codes, seeding, and the size cap."""
 
 import json
 
@@ -95,13 +95,24 @@ def test_secant_trials_flag(capsys):
 
 
 def test_secant_cap_exceeded(capsys):
-    code, out, err = run(capsys, "secant", "--grass", "6", "13", "--h", "2")
+    code, out, err = run(capsys, "secant", "--grass", "7", "15", "--h", "20")
     assert code == 3
     assert out == ""
     assert err.strip() == (
-        "cap exceeded: the parametrization of G(6,13) has about 17297280"
-        " terms, above the cap of 500000"
+        "cap exceeded: the Terracini matrix of G(7,15) at 20 point(s) needs"
+        " about 16731000 entries, above the cap of 16000000"
     )
+
+
+@pytest.mark.parametrize("r, n, computed", [(5, 11, 73), (6, 13, 99)])
+def test_secant_large_grassmannians_under_the_cap(capsys, r, n, computed):
+    code, out, _ = run(
+        capsys, "--json", "secant", "--grass", str(r), str(n), "--h", "2", "--trials", "1"
+    )
+    assert code == 0
+    cert = json.loads(out)
+    assert cert["computed"] == computed
+    assert cert["verdict"] == "CertifiedNonDefective"
 
 
 def test_oscproj_grass(capsys):

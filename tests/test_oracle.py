@@ -142,6 +142,31 @@ def test_grass_parametrization_cap():
         build_parametrization(GrassShape(6, 13))
 
 
+def test_jet_parametrization_cap_counts_monomials():
+    with pytest.raises(CapExceeded) as exc:
+        build_parametrization(GrassShape(5, 18))
+    assert str(exc.value) == (
+        "the parametrization of G(5,18) needs about 19535040 entries,"
+        " above the cap of 16000000"
+    )
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: secant_dimension(GrassShape(7, 15), 20),
+        lambda: secant_dimension(SegreVeroneseShape((1,), (4999,)), 2000),
+        lambda: tangential_projection_finite(GrassShape(7, 15), 19),
+        lambda: tangential_projection_finite(SegreVeroneseShape((1,), (4999,)), 1999),
+    ],
+)
+def test_terracini_cap_refuses_before_sampling(call):
+    build_parametrization.cache_clear()
+    with pytest.raises(CapExceeded, match="above the cap of 16000000"):
+        call()
+    assert build_parametrization.cache_info().misses == 0
+
+
 def test_jet_matrix_row_count_is_nominal():
     shape = GrassShape(1, 3)
     P = build_parametrization(shape)

@@ -38,8 +38,8 @@ DEFAULT_SEED = 1729
 
 _COORD_RANGE = 1 << 20  # sample point coordinates uniformly in [1, 2^20]
 _MAX_RESAMPLES = 8
-# the one size cap: entries of the largest pivot store or monomial list a
-# request may build, that is 4000 coordinates at full rank
+# the one size cap: entries of the largest pivot store, index list or
+# monomial list a request may build, that is 4000 coordinates at full rank
 _MAX_ENTRIES = 4000 * 4000
 
 CERTIFIED = "CertifiedNonDefective"
@@ -217,17 +217,8 @@ def rank(matrix, field: PrimeField | None = None) -> int:
         ncols = matrix.ncols
         rows = [row for _, row in matrix.iter_rows()]
     else:
-        rows = []
-        ncols = 0
-        for row in matrix:
-            if isinstance(row, dict):
-                d = dict(row)
-                if d:
-                    ncols = max(ncols, max(d) + 1)
-            else:
-                d = {i: v for i, v in enumerate(row) if v}
-                ncols = max(ncols, len(row))
-            rows.append(d)
+        rows = [row if isinstance(row, dict) else dict(enumerate(row)) for row in matrix]
+        ncols = max((max(d) + 1 for d in rows if d), default=0)
     acc = RankAccumulator(ncols, field)
     for d in rows:
         acc.add_row(d)
@@ -372,17 +363,12 @@ def build_parametrization(shape: OracleShape) -> Parametrization:
     paths (jet_matrix, osculating_rank_sweep) need it for a Grassmannian:
     the secant and projection tests take tangent rows from chart minors
     instead.  Segre-Veronese varieties use one monomial per coordinate.
-    The monomial count, N (r+1)! on a Grassmannian with N coordinates and
-    N otherwise, is checked against _MAX_ENTRIES before anything is
-    expanded, which refuses every Grassmannian with r >= 6.
+    The size, N (r+1)! monomials on a Grassmannian with N coordinates and
+    N times _coord_degree otherwise, is checked against _MAX_ENTRIES before
+    anything is built, which refuses every Grassmannian with r >= 6.
     """
-    if isinstance(shape, GrassShape):
-        count = shape.num_coords * factorial(shape.r + 1)
-    elif isinstance(shape, (SegreVeroneseShape, RationalNormalCurve, TangentDevelopable)):
-        count = shape.num_coords
-    else:
-        raise TypeError(f"unsupported shape {shape!r}")
-    _check_size(f"the parametrization of {shape.label}", count)
+    per_coord = factorial(shape.r + 1) if isinstance(shape, GrassShape) else _coord_degree(shape)
+    _check_size(f"the parametrization of {shape.label}", shape.num_coords * per_coord)
     if isinstance(shape, GrassShape):
         return _grass_parametrization(shape)
     if isinstance(shape, SegreVeroneseShape):
@@ -390,12 +376,27 @@ def build_parametrization(shape: OracleShape) -> Parametrization:
     if isinstance(shape, RationalNormalCurve):
         coords = tuple(((1, (k,)),) for k in range(shape.n + 1))
         return Parametrization(1, coords, shape.label)
-    coords = [((1, (0, 0)),)]
-    for k in range(1, shape.n + 1):
-        monomials = [(1, (k, 0))]
-        monomials.append((k, (k - 1, 1)))
-        coords.append(tuple(monomials))
-    return Parametrization(2, tuple(coords), shape.label)
+    if isinstance(shape, TangentDevelopable):
+        coords = [((1, (0, 0)),)]
+        for k in range(1, shape.n + 1):
+            monomials = [(1, (k, 0))]
+            monomials.append((k, (k - 1, 1)))
+            coords.append(tuple(monomials))
+        return Parametrization(2, tuple(coords), shape.label)
+    raise TypeError(f"unsupported shape {shape!r}")
+
+
+def _coord_degree(shape: OracleShape) -> int:
+    """The degree of each coordinate of the shape's parametrization, which
+    is also the length of its index tuples; listing the N indices or one
+    jet of the N coordinates takes N times this."""
+    if isinstance(shape, GrassShape):
+        return shape.r + 1
+    if isinstance(shape, SegreVeroneseShape):
+        return shape.d_total
+    if isinstance(shape, (RationalNormalCurve, TangentDevelopable)):
+        return shape.n
+    raise TypeError(f"unsupported shape {shape!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -616,20 +617,21 @@ def _chart_rows(matrix, column: dict) -> list[dict[int, int]]:
     return rows
 
 
-def _tangent_sampler(shape, k: int):
+def _check_terracini_size(shape: OracleShape, k: int) -> None:
+    """Refuse stacking the tangent spaces at k points of the shape when it
+    builds more than _MAX_ENTRIES entries: for N coordinates the
+    RankAccumulator holds at most N min(k (dim X + 1), N) of them, and the
+    indices and jets behind the rows take N times _coord_degree."""
+    N = shape.num_coords
+    entries = N * max(min(k * (shape.dim + 1), N), _coord_degree(shape))
+    _check_size(f"the Terracini matrix of {shape.label} at {k} point(s)", entries)
+
+
+def _tangent_sampler(shape):
     """A function (rng, field) -> rows spanning the affine tangent space of
     the cone over the shape at a fresh random point.  Grassmannians draw a
     chart point [I | A] with entries of A in [1, _COORD_RANGE] and take
-    _chart_rows; every other shape samples its parametrization.
-
-    A caller stacks the tangent spaces at k points, so its RankAccumulator
-    holds at most N min(k (dim X + 1), N) entries for N coordinates; that
-    count is checked against _MAX_ENTRIES before anything is built."""
-    N = shape.num_coords
-    _check_size(
-        f"the Terracini matrix of {shape.label} at {k} point(s)",
-        N * min(k * (shape.dim + 1), N),
-    )
+    _chart_rows; every other shape samples its parametrization."""
     if isinstance(shape, GrassShape):
         column = {J: pos for pos, J in enumerate(enumerate_indices(shape))}
         size, width = shape.r + 1, shape.n + 1
@@ -716,8 +718,9 @@ def secant_dimension(
     """
     _check_oracle_params(h, trials)
     field = _resolve_field(prime)
+    _check_terracini_size(shape, h)
     start = time.perf_counter()
-    draw = _tangent_sampler(shape, h)
+    draw = _tangent_sampler(shape)
     dim_x, ambient = shape.dim, shape.ambient_dim
     expected = min(h * (dim_x + 1), ambient + 1) - 1
     results = []
@@ -790,7 +793,8 @@ def tangential_projection_finite(
     """
     _check_oracle_params(h, trials)
     field = _resolve_field(prime)
-    draw = _tangent_sampler(shape, h + 1)
+    _check_terracini_size(shape, h + 1)
+    draw = _tangent_sampler(shape)
     dim_x, ambient = shape.dim, shape.ambient_dim
     best: tuple[int, int] | None = None
     for t in range(trials):
@@ -831,10 +835,6 @@ def tangential_projection_finite(
     )
 
 
-def _diagonal_sv_index(shape: SegreVeroneseShape, value: int):
-    return tuple((value,) * dj for dj in shape.d)
-
-
 def _center_index(shape, index):
     """The coordinate index of one osculating center, validated."""
     if isinstance(shape, GrassShape):
@@ -854,7 +854,7 @@ def _center_index(shape, index):
         n1 = shape.n[0]
         if not isinstance(value, int) or not 0 <= value <= n1:
             raise ValueError(f"diagonal value must lie in [0, {n1}]")
-        return _diagonal_sv_index(shape, value)
+        return tuple((value,) * dj for dj in shape.d)
     if isinstance(shape, RationalNormalCurve):
         if index not in (0, shape.n):
             raise ValueError(
@@ -921,8 +921,7 @@ def osculating_projection_finite(
     if not centers:
         raise ValueError("at least one center is required")
     field = _resolve_field(prime)
-    # sized before the balls around the centers enumerate the coordinates
-    draw = _tangent_sampler(shape, 1)
+    _check_terracini_size(shape, 1)
     checked = _osculating_centers(shape, centers)
     survivors = _survivor_columns(shape, checked)
     dim_x, ambient = shape.dim, shape.ambient_dim
@@ -937,6 +936,7 @@ def osculating_projection_finite(
     if not survivors:
         base.note = "every coordinate lies in the span of the osculating centers"
         return base
+    draw = _tangent_sampler(shape)
     column_of = {col: pos for pos, col in enumerate(survivors)}
     best = 0
     for t in range(trials):
@@ -1010,9 +1010,7 @@ def limit_hyperplane_coeffs(D: int, s: int, sbar: int, k1: int, k2: int) -> Limi
     coeffs = [Fraction(1)] + solution + [Fraction(0)] * (s - q)
     scale = lcm(*(c.denominator for c in coeffs))
     ints = [int(c * scale) for c in coeffs]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
+    g = gcd(*ints)
     ints = [v // g for v in ints]
     if ints[0] < 0:
         ints = [-v for v in ints]

@@ -104,6 +104,17 @@ def test_secant_cap_exceeded(capsys):
     )
 
 
+def test_secant_sv_cap_counts_index_length(capsys):
+    # 100001 coordinates with index tuples of length 100000
+    code, out, err = run(capsys, "secant", "--sv", "1:100000", "--h", "1")
+    assert code == 3
+    assert out == ""
+    assert err.strip() == (
+        "cap exceeded: the Terracini matrix of SV(1;100000) at 1 point(s) needs"
+        " about 10000100000 entries, above the cap of 16000000"
+    )
+
+
 @pytest.mark.parametrize("r, n, computed", [(5, 11, 73), (6, 13, 99)])
 def test_secant_large_grassmannians_under_the_cap(capsys, r, n, computed):
     code, out, _ = run(

@@ -152,15 +152,38 @@ def test_jet_parametrization_cap_counts_monomials():
 
 
 @pytest.mark.parametrize(
+    "shape, entries",
+    [(SegreVeroneseShape((1,), (4000,)), 16004000), (RationalNormalCurve(5000), 25005000)],
+)
+def test_parametrization_cap_counts_coordinate_degrees(shape, entries):
+    # N coordinates of degree 4000 and 5000: N times the index length
+    with pytest.raises(CapExceeded) as exc:
+        build_parametrization(shape)
+    assert str(exc.value) == (
+        f"the parametrization of {shape.label} needs about {entries} entries,"
+        " above the cap of 16000000"
+    )
+
+
+def _refuse_enumeration(*args):
+    raise AssertionError("indices enumerated before the size check")
+
+
+@pytest.mark.parametrize(
     "call",
     [
         lambda: secant_dimension(GrassShape(7, 15), 20),
         lambda: secant_dimension(SegreVeroneseShape((1,), (4999,)), 2000),
+        lambda: secant_dimension(SegreVeroneseShape((1,), (4000,)), 1),
+        lambda: secant_dimension(RationalNormalCurve(5000), 1),
         lambda: tangential_projection_finite(GrassShape(7, 15), 19),
         lambda: tangential_projection_finite(SegreVeroneseShape((1,), (4999,)), 1999),
+        lambda: osculating_projection_finite(SegreVeroneseShape((1,), (4000,)), [(0, 1)]),
     ],
 )
-def test_terracini_cap_refuses_before_sampling(call):
+def test_terracini_cap_refuses_before_sampling(call, monkeypatch):
+    monkeypatch.setattr("grassdef.oracle.enumerate_indices", _refuse_enumeration)
+    monkeypatch.setattr("grassdef.oracle.ball", _refuse_enumeration)
     build_parametrization.cache_clear()
     with pytest.raises(CapExceeded, match="above the cap of 16000000"):
         call()

@@ -200,7 +200,7 @@ def delta_set(shape: GrassShape, I, l: int, origin=None, target=None) -> list:
     """Indices obtained from I by moving |l| entries between the two blocks
     of the canonical disjoint pair.
 
-    With I1 = (0, ..., r) and I2 = (r+1, ..., 2r+2), a positive step l
+    With I1 = (0, ..., r) and I2 = (r+1, ..., 2r+1), a positive step l
     replaces l entries i of I lying in I1 by i + r + 1; a negative step
     undoes such moves.  Every J returned satisfies d(J, I) = |l| and
     d(J, I1) = d(I, I1) + l.  Steps that cannot be realized give the empty

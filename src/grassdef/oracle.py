@@ -26,6 +26,7 @@ from math import comb, factorial, gcd, lcm
 from .indices import (
     GrassShape,
     SegreVeroneseShape,
+    _canonical_pair,
     _check_grass_index,
     ball,
     distance,  # noqa: F401  (bench/test_bench.py looks it up as grassdef.oracle.distance)
@@ -117,11 +118,17 @@ class PrimeField:
 class RankAccumulator:
     """Incremental rank of a growing list of sparse rows.
 
-    Rows are {column: value} dicts.  Over a prime field the elimination is
-    ordinary Gaussian reduction with modular inverses; over the rationals a
-    fraction-free integer elimination with per-row gcd reduction keeps the
-    entries small.  The rank never exceeds ncols, so callers can stop
-    feeding rows once ``saturated`` is true.
+    Rows are {column: value} dicts.  Over a prime field each pivot is a
+    dense segment normalized to 1 at its lead column and trimmed at its
+    last nonzero column; the dict of pivots by lead column holds the
+    entries after the lead, and a sorted list holds the leads.  An incoming
+    row is scattered into one dense list and reduced against the pivots in
+    increasing lead order, from the first lead at or after its first column
+    until a lead passes its last possibly-nonzero column; entries are
+    reduced modulo p only to take each multiplier and on the final segment.
+    Over the rationals a fraction-free sparse integer elimination with
+    per-row gcd reduction keeps the entries small.  The rank never exceeds
+    ncols, so callers can stop feeding rows once ``saturated`` is true.
     """
 
     def __init__(self, ncols: int, field: PrimeField | None = None) -> None:
@@ -129,7 +136,9 @@ class RankAccumulator:
             raise ValueError("ncols must be nonnegative")
         self.ncols = ncols
         self.field = field
-        self._pivots: dict[int, dict[int, int]] = {}
+        # lead column -> pivot: the segment after the lead modulo p, a sparse row otherwise
+        self._pivots: dict[int, list[int] | dict[int, int]] = {}
+        self._leads: list[int] = []
 
     @property
     def rank(self) -> int:
@@ -150,26 +159,39 @@ class RankAccumulator:
         return len(self._pivots)
 
     def _add_mod(self, row: dict) -> None:
+        if not row:
+            return
         p = self.field.p
-        r = {}
+        first = min(row)
+        dense = [0] * (max(row) + 1 - first)
         for c, v in row.items():
-            v %= p
-            if v:
-                r[c] = v
-        while r:
-            c = min(r)
-            piv = self._pivots.get(c)
-            if piv is None:
-                inv = pow(r[c], p - 2, p)
-                self._pivots[c] = {cc: vv * inv % p for cc, vv in r.items()}
-                return
-            f = r[c]
-            for cc, vv in piv.items():
-                nv = (r.get(cc, 0) - f * vv) % p
-                if nv:
-                    r[cc] = nv
-                else:
-                    r.pop(cc, None)
+            dense[c - first] = v
+        leads, pivots = self._leads, self._pivots
+        for k in range(bisect.bisect_left(leads, first), len(leads)):
+            lead = leads[k]
+            at = lead - first
+            if at >= len(dense):
+                break
+            f = dense[at] % p
+            if f:
+                dense[at] = 0
+                tail = pivots[lead]
+                if tail:
+                    at += 1
+                    end = at + len(tail)
+                    if end > len(dense):
+                        dense.extend([0] * (end - len(dense)))
+                    dense[at:end] = [a - f * b for a, b in zip(dense[at:end], tail)]
+        end = len(dense)
+        while end and not dense[end - 1] % p:
+            end -= 1
+        if end:
+            at = 0
+            while not dense[at] % p:
+                at += 1
+            inv = pow(dense[at], -1, p)
+            bisect.insort(leads, first + at)
+            pivots[first + at] = [v * inv % p for v in dense[at + 1 : end]]
 
     def _add_exact(self, row: dict) -> None:
         scale = 1
@@ -363,11 +385,15 @@ def build_parametrization(shape: OracleShape) -> Parametrization:
     paths (jet_matrix, osculating_rank_sweep) need it for a Grassmannian:
     the secant and projection tests take tangent rows from chart minors
     instead.  Segre-Veronese varieties use one monomial per coordinate.
-    The size, N (r+1)! monomials on a Grassmannian with N coordinates and
-    N times _coord_degree otherwise, is checked against _MAX_ENTRIES before
-    anything is built, which refuses every Grassmannian with r >= 6.
+    The size is checked against _MAX_ENTRIES before anything is built: on
+    a Grassmannian with N coordinates, N (r+1)! monomials each store an
+    exponent vector of length (r+1)(n+1), which refuses every Grassmannian
+    with r >= 5; otherwise N times _coord_degree.
     """
-    per_coord = factorial(shape.r + 1) if isinstance(shape, GrassShape) else _coord_degree(shape)
+    if isinstance(shape, GrassShape):
+        per_coord = factorial(shape.r + 1) * (shape.r + 1) * (shape.n + 1)
+    else:
+        per_coord = _coord_degree(shape)
     _check_size(f"the parametrization of {shape.label}", shape.num_coords * per_coord)
     if isinstance(shape, GrassShape):
         return _grass_parametrization(shape)
@@ -649,6 +675,52 @@ def _tangent_sampler(shape):
     return lambda rng, field: _sample_point(P, shape.dim, rng, field)
 
 
+def _coordinate_points(shape, h: int) -> list[tuple[object, int]]:
+    """(index, 1) for the first min(h, 2) of two coordinate points of the
+    shape: (0, ..., r) and (r+1, ..., 2r+1) on G(r, n), the diagonal points
+    0 and 1 on a Segre-Veronese variety, 0 and n on RNC(n); a tangent
+    developable has none.  The affine tangent space of the cone at such a
+    point is spanned by the unit vectors of the radius 1 ball around its
+    index, so the rank of a stack is the number of columns in the balls plus
+    the rank of the other points' rows on the remaining columns (_stack).
+
+    Soundness for Terracini's lemma: the stacked rank is invariant under the
+    linear group of the embedding (GL_{n+1}, a product of GL_{n_j+1}, GL_2)
+    and lower semicontinuous in the points, so the h-tuples that reach the
+    generic rank form a dense open invariant set U.  The group is transitive
+    on pairs of complementary (r+1)-subspaces (n >= 2r + 1 after
+    normalization), of points that differ in every factor, and of distinct
+    points of P^1, so the orbit of the coordinate pair is dense, meets the
+    open image of U among pairs, and by invariance lies in it.  A general
+    choice of the other points then reaches the generic rank, and an integer
+    specialization reduced modulo p only lowers it: a full rank still
+    certifies the expected dimension.
+    """
+    if isinstance(shape, GrassShape):
+        pair = _canonical_pair(shape)
+    elif isinstance(shape, SegreVeroneseShape):
+        pair = [_center_index(shape, value) for value in (0, 1)]
+    elif isinstance(shape, RationalNormalCurve):
+        pair = [0, shape.n]
+    else:
+        pair = []
+    return [(index, 1) for index in pair[:h]]
+
+
+def _stack(acc: RankAccumulator, draw, rng: random.Random, points: int, column_of: dict) -> int:
+    """Add to acc the tangent rows at the given number of fresh points from
+    draw, restricted to the columns in column_of and renumbered by it, until
+    acc saturates; returns the rank of acc."""
+    for _ in range(points):
+        for row in draw(rng, acc.field):
+            if acc.saturated:
+                return acc.rank
+            restricted = {column_of[c]: v for c, v in row.items() if c in column_of}
+            if restricted:
+                acc.add_row(restricted)
+    return acc.rank
+
+
 @dataclass
 class DefectivityCertificate:
     """Outcome of a secant dimension computation.
@@ -689,16 +761,6 @@ class DefectivityCertificate:
         return json.dumps(self.to_dict(with_timing), sort_keys=True, separators=(",", ":"))
 
 
-def _secant_rank(shape, draw, h: int, rng: random.Random, field: PrimeField | None) -> int:
-    acc = RankAccumulator(shape.num_coords, field)
-    for _ in range(h):
-        for row in draw(rng, field):
-            acc.add_row(row)
-            if acc.saturated:
-                return acc.rank
-    return acc.rank
-
-
 def secant_dimension(
     shape: OracleShape,
     h: int,
@@ -707,10 +769,11 @@ def secant_dimension(
     seed: int = DEFAULT_SEED,
 ) -> DefectivityCertificate:
     """Dimension of the h-secant variety of the shape, by stacking the
-    affine tangent spaces of the cone at h random points (Terracini's
-    lemma).  Grassmannian tangent spaces are chart rows of cofactor minors
-    (_chart_rows); the other shapes stack order 1 jets of their
-    parametrization.
+    affine tangent spaces of the cone at h points (Terracini's lemma): the
+    first min(h, 2) are coordinate points whose tangent spaces drop columns
+    (_coordinate_points), the others random.  Grassmannian tangent spaces
+    are chart rows of cofactor minors (_chart_rows); the other shapes stack
+    order 1 jets of their parametrization.
 
     The expected dimension is min(h (dim X + 1), N + 1) - 1.  Each trial is
     deterministic in (seed, trial index); if the trials disagree one extra
@@ -721,16 +784,20 @@ def secant_dimension(
     _check_terracini_size(shape, h)
     start = time.perf_counter()
     draw = _tangent_sampler(shape)
+    coordinate = _coordinate_points(shape, h)
+    column_of = _survivor_columns(shape, coordinate)
+    dropped = shape.num_coords - len(column_of)
     dim_x, ambient = shape.dim, shape.ambient_dim
     expected = min(h * (dim_x + 1), ambient + 1) - 1
-    results = []
-    for t in range(trials):
-        rng = random.Random(f"{seed}:{t}")
-        results.append(_secant_rank(shape, draw, h, rng, field) - 1)
+
+    def trial(rng: random.Random, field: PrimeField | None) -> int:
+        acc = RankAccumulator(len(column_of), field)
+        return dropped + _stack(acc, draw, rng, h - len(coordinate), column_of) - 1
+
+    results = [trial(random.Random(f"{seed}:{t}"), field) for t in range(trials)]
     note = ""
     if len(set(results)) > 1:
-        rng = random.Random(f"{seed}:rational")
-        results.append(_secant_rank(shape, draw, h, rng, None) - 1)
+        results.append(trial(random.Random(f"{seed}:rational"), None))
         note = "trials disagreed; escalated to one exact rational trial. "
     computed = max(results)
     defect = expected - computed
@@ -790,23 +857,23 @@ def tangential_projection_finite(
     otherwise the report status is HypothesisViolated.  Finiteness holds
     exactly when a fresh general tangent space meets the span only in the
     expected way, so the joint rank exceeds the center rank by dim X + 1.
+    The first min(h, 2) centers are coordinate points, as in
+    secant_dimension.
     """
     _check_oracle_params(h, trials)
     field = _resolve_field(prime)
     _check_terracini_size(shape, h + 1)
     draw = _tangent_sampler(shape)
+    coordinate = _coordinate_points(shape, h)
+    column_of = _survivor_columns(shape, coordinate)
+    dropped = shape.num_coords - len(column_of)
     dim_x, ambient = shape.dim, shape.ambient_dim
     best: tuple[int, int] | None = None
     for t in range(trials):
         rng = random.Random(f"{seed}:{t}")
-        acc = RankAccumulator(shape.num_coords, field)
-        for _ in range(h):
-            for row in draw(rng, field):
-                acc.add_row(row)
-        center = acc.rank
-        for row in draw(rng, field):
-            acc.add_row(row)
-        joint = acc.rank
+        acc = RankAccumulator(len(column_of), field)
+        center = dropped + _stack(acc, draw, rng, h - len(coordinate), column_of)
+        joint = dropped + _stack(acc, draw, rng, 1, column_of)
         if best is None or (center, joint) > best:
             best = (center, joint)
     center, joint = best
@@ -884,19 +951,19 @@ def _osculating_centers(shape, centers) -> list[tuple[object, int]]:
     return checked
 
 
-def _survivor_columns(shape, checked) -> list[int]:
-    """Positions of the coordinates outside every ball of radius s_i around
-    the i-th center."""
-    if isinstance(shape, RationalNormalCurve):
-        return [
-            j
-            for j in range(shape.n + 1)
-            if all(abs(j - c) > s for c, s in checked)
-        ]
-    killed = set()
-    for I, s in checked:
-        killed.update(ball(shape, I, s))
-    return [pos for pos, J in enumerate(enumerate_indices(shape)) if J not in killed]
+def _survivor_columns(shape, checked) -> dict[int, int]:
+    """The positions of the coordinates outside every ball of radius s_i
+    around the i-th center, each mapped to its place among them.  Curve
+    coordinates are indexed by position; a tangent developable takes no
+    centers."""
+    if isinstance(shape, (RationalNormalCurve, TangentDevelopable)):
+        survivors = [j for j in range(shape.n + 1) if all(abs(j - c) > s for c, s in checked)]
+    else:
+        killed = set()
+        for I, s in checked:
+            killed.update(ball(shape, I, s))
+        survivors = [pos for pos, J in enumerate(enumerate_indices(shape)) if J not in killed]
+    return {col: place for place, col in enumerate(survivors)}
 
 
 def osculating_projection_finite(
@@ -937,16 +1004,10 @@ def osculating_projection_finite(
         base.note = "every coordinate lies in the span of the osculating centers"
         return base
     draw = _tangent_sampler(shape)
-    column_of = {col: pos for pos, col in enumerate(survivors)}
     best = 0
     for t in range(trials):
-        rng = random.Random(f"{seed}:{t}")
         acc = RankAccumulator(len(survivors), field)
-        for row in draw(rng, field):
-            restricted = {column_of[c]: v for c, v in row.items() if c in column_of}
-            if restricted:
-                acc.add_row(restricted)
-        best = max(best, acc.rank)
+        best = max(best, _stack(acc, draw, random.Random(f"{seed}:{t}"), 1, survivors))
     base.restricted_rank = best
     if best == dim_x + 1:
         base.status = GENERICALLY_FINITE

@@ -29,6 +29,7 @@ from grassdef import (
     RationalNormalCurve,
     SegreVeroneseShape,
     TangentDevelopable,
+    ball,
     build_parametrization,
     enumerate_indices,
     is_probable_prime,
@@ -143,12 +144,20 @@ def test_grass_parametrization_cap():
 
 
 def test_jet_parametrization_cap_counts_monomials():
+    # 27132 coordinates of 720 monomials, each with 114 exponents
     with pytest.raises(CapExceeded) as exc:
         build_parametrization(GrassShape(5, 18))
     assert str(exc.value) == (
-        "the parametrization of G(5,18) needs about 19535040 entries,"
+        "the parametrization of G(5,18) needs about 2226994560 entries,"
         " above the cap of 16000000"
     )
+
+
+def test_jet_parametrization_cap_counts_exponent_storage():
+    # 13.4M monomials, under the cap by count, but 108 exponents each
+    assert GrassShape(5, 17).num_coords * 720 < 16_000_000
+    with pytest.raises(CapExceeded, match="G\\(5,17\\) needs about 1443536640 entries"):
+        build_parametrization(GrassShape(5, 17))
 
 
 @pytest.mark.parametrize(
@@ -249,6 +258,61 @@ def test_chart_point_row_is_pluecker():
         p01, p02, p03, p12, p13, p23 = (row.get(c, 0) for c in range(6))
         assert p01 == 1
         assert p01 * p23 - p02 * p13 + p03 * p12 == 0
+
+
+@pytest.mark.parametrize("r, n", [(1, 3), (1, 5), (2, 5), (2, 7), (3, 8)])
+def test_chart_rows_at_the_origin_span_the_coordinate_ball(r, n):
+    # A = 0 is the coordinate point e_{0..r}: its tangent rows are supported
+    # exactly on the radius 1 ball around (0, ..., r)
+    shape = GrassShape(r, n)
+    origin = [[int(c == i) for c in range(n + 1)] for i in range(r + 1)]
+    rows = chart_rows(shape, origin)
+    support = {c for row in rows for c in row}
+    column = {J: pos for pos, J in enumerate(enumerate_indices(shape))}
+    assert support == {column[J] for J in ball(shape, tuple(range(r + 1)), 1)}
+    assert all(len(row) == 1 for row in rows)
+    assert rank(rows) == shape.dim + 1
+
+
+def stacked_rank(shape, h, seed, field):
+    """Rank of the tangent spaces at h random points, none of them a
+    coordinate point: chart rows on a Grassmannian, order 1 jets otherwise."""
+    rng = random.Random(f"stack:{seed}")
+    rows = []
+    for _ in range(h):
+        if isinstance(shape, GrassShape):
+            rows += chart_rows(shape, chart_point(shape, rng.random()))
+        else:
+            P = build_parametrization(shape)
+            point = [rng.randint(1, 1 << 20) for _ in range(P.domain_dim)]
+            rows += [row for _, row in jet_matrix(P, point, 1, field).iter_rows()]
+    return rank(rows, field)
+
+
+COORDINATE_POINT_CASES = [
+    (GrassShape(1, 5), 2),
+    (GrassShape(2, 6), 3),
+    (GrassShape(3, 7), 3),
+    (GrassShape(3, 7), 4),
+    (GrassShape(2, 8), 4),
+    (GrassShape(3, 8), 4),
+    (GrassShape(3, 9), 5),
+    (SegreVeroneseShape((2, 2, 2), (1, 1, 1)), 4),
+    (SegreVeroneseShape((1, 1), (2, 2)), 3),
+    (RationalNormalCurve(8), 4),
+    (RationalNormalCurve(7), 5),
+]
+
+
+@pytest.mark.parametrize("prime", [DEFAULT_PRIME, "rational"])
+@pytest.mark.parametrize("shape, h", COORDINATE_POINT_CASES, ids=lambda v: getattr(v, "label", v))
+def test_coordinate_points_keep_the_stacked_rank(shape, h, prime):
+    # two of the h points are coordinate points in secant_dimension; the
+    # rank must be the one of h general points stacked in full
+    field = None if prime == "rational" else PrimeField(prime)
+    for seed in (3, 11):
+        cert = secant_dimension(shape, h, trials=1, prime=prime, seed=seed)
+        assert cert.computed_dim == stacked_rank(shape, h, seed, field) - 1
 
 
 def test_grassmannian_oracle_builds_no_parametrization():

@@ -9,22 +9,13 @@ polynomial in alpha = (n + 1) / (r + 1).
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 sys.path.insert(0, "src")
 
 from grassdef import aop_bound, grass_bound, linear_bound
 
 
-@dataclass(frozen=True)
-class Config:
-    r_min: int
-    r_max: int
-    n_max: int
-    only_ties: bool
-
-
-def parse_args(argv=None) -> Config:
+def parse_args(argv=None) -> argparse.Namespace:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--r-min", type=int, default=2)
     ap.add_argument("--r-max", type=int, default=8)
@@ -34,19 +25,18 @@ def parse_args(argv=None) -> Config:
         action="store_true",
         help="show only rows where the aop bound is not strictly smaller",
     )
-    args = ap.parse_args(argv)
-    return Config(args.r_min, args.r_max, args.n_max, args.only_ties)
+    return ap.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    cfg = parse_args(argv)
+    args = parse_args(argv)
     print(f"{'shape':>10} {'grass':>6} {'linear':>7} {'aop':>5} {'branch':>8}")
-    for r in range(cfg.r_min, cfg.r_max + 1):
-        for n in range(2 * r + 1, cfg.n_max + 1):
+    for r in range(args.r_min, args.r_max + 1):
+        for n in range(2 * r + 1, args.n_max + 1):
             grass = grass_bound(r, n)
             lin = linear_bound(r, n)
             aop = aop_bound(r, n)
-            if cfg.only_ties and grass.max_h > aop.max_h:
+            if args.only_ties and grass.max_h > aop.max_h:
                 continue
             marker = " *" if n == r * r + 3 * r + 1 else ""
             print(

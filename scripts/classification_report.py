@@ -9,7 +9,6 @@ Grassmannian of lines.
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 sys.path.insert(0, "src")
 
@@ -24,48 +23,38 @@ from grassdef import (
 )
 
 
-@dataclass(frozen=True)
-class Config:
-    kind: str
-    r: int
-    n: int
-    k_max: int
-    chambers: bool
-
-
-def parse_args(argv=None) -> Config:
+def parse_args(argv=None) -> argparse.Namespace:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--kind", choices=("grass", "quadric", "proj"), default="grass")
     ap.add_argument("--r", type=int, default=1)
     ap.add_argument("--n", type=int, default=4)
     ap.add_argument("--k-max", type=int, default=8)
     ap.add_argument("--chambers", action="store_true")
-    args = ap.parse_args(argv)
-    return Config(args.kind, args.r, args.n, args.k_max, args.chambers)
+    return ap.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    cfg = parse_args(argv)
-    if cfg.kind == "grass":
-        ambient = Ambient.grassmannian(cfg.r, cfg.n)
-    elif cfg.kind == "quadric":
-        ambient = Ambient.quadric(cfg.n)
+    args = parse_args(argv)
+    if args.kind == "grass":
+        ambient = Ambient.grassmannian(args.r, args.n)
+    elif args.kind == "quadric":
+        ambient = Ambient.quadric(args.n)
     else:
-        ambient = Ambient.projective(cfg.n)
+        ambient = Ambient.projective(args.n)
     print(f"{ambient.label}: dim {ambient.dim}, degree {ambient.degree}, index {ambient.index}")
-    for k in range(cfg.k_max + 1):
+    for k in range(args.k_max + 1):
         fano = classify_fano(ambient, k)
         top = top_self_intersection(ambient, anticanonical(ambient, k))
         line = f"  k={k}: {fano.verdict:<13} (-K)^dim={top:<8} [{fano.source}]"
-        if cfg.kind != "quadric":
-            r = ambient.r if cfg.kind == "grass" else 0
+        if args.kind != "quadric":
+            r = ambient.r if args.kind == "grass" else 0
             mds = mds_status(r, ambient.n, k)
             line += f" MDS={mds.summary}"
             if k >= 1:
                 sph = spherical_status(r, ambient.n, k)
                 line += f" spherical={'yes' if sph.spherical else 'no'}({sph.rule})"
         print(line)
-    if cfg.chambers and cfg.kind == "grass" and ambient.r == 1:
+    if args.chambers and args.kind == "grass" and ambient.r == 1:
         dec = mori_chambers_g1n1(ambient.n)
         print(f"chambers of {ambient.label} blown up at one point:")
         print(f"  walls: {', '.join(w.name for w in dec.walls)}")

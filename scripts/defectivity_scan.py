@@ -9,7 +9,6 @@ variety over a 62-bit prime field and reports the verdict.
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 
 sys.path.insert(0, "src")
 
@@ -22,37 +21,27 @@ from grassdef import (
 )
 
 
-@dataclass(frozen=True)
-class Config:
-    r_max: int
-    n_max: int
-    h_cap: int
-    trials: int
-    seed: int
-
-
-def parse_args(argv=None) -> Config:
+def parse_args(argv=None) -> argparse.Namespace:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--r-max", type=int, default=3)
     ap.add_argument("--n-max", type=int, default=9)
     ap.add_argument("--h-cap", type=int, default=6)
     ap.add_argument("--trials", type=int, default=1)
     ap.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    args = ap.parse_args(argv)
-    return Config(args.r_max, args.n_max, args.h_cap, args.trials, args.seed)
+    return ap.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    cfg = parse_args(argv)
+    args = parse_args(argv)
     defective = []
-    for r in range(1, cfg.r_max + 1):
-        for n in range(2 * r + 1, cfg.n_max + 1):
+    for r in range(1, args.r_max + 1):
+        for n in range(2 * r + 1, args.n_max + 1):
             shape = GrassShape(r, n)
-            h_max = cfg.h_cap if r < 2 else min(cfg.h_cap, grass_bound(r, n).max_h + 2)
+            h_max = args.h_cap if r < 2 else min(args.h_cap, grass_bound(r, n).max_h + 2)
             for h in range(1, h_max + 1):
                 start = time.perf_counter()
                 cert = secant_dimension(
-                    shape, h, trials=cfg.trials, prime=DEFAULT_PRIME, seed=cfg.seed
+                    shape, h, trials=args.trials, prime=DEFAULT_PRIME, seed=args.seed
                 )
                 elapsed = time.perf_counter() - start
                 print(

@@ -117,6 +117,24 @@ class Ambient:
         return f"P{self.n}"
 
 
+def _class_name(lead: int, coeffs: tuple[int, ...], base: str, exceptional: str) -> str:
+    """The name of lead base - sum_i coeffs_i exceptional_i, such as
+    2H-E1+E2 for a divisor or h-e1 for a curve; "0" for the zero class."""
+    terms = []
+    if lead:
+        terms.append(base if lead == 1 else f"{lead}{base}")
+    for i, c in enumerate(coeffs, start=1):
+        if not c:
+            continue
+        sign = "-" if c > 0 else "+"
+        mag = abs(c)
+        terms.append(f"{sign}{'' if mag == 1 else mag}{exceptional}{i}")
+    if not terms:
+        return "0"
+    text = "".join(terms)
+    return text[1:] if text.startswith("+") else text
+
+
 @dataclass(frozen=True)
 class DivisorClass:
     """The class a H - sum_i b_i E_i on a blow-up at k = len(b) points."""
@@ -133,19 +151,7 @@ class DivisorClass:
 
     @property
     def name(self) -> str:
-        terms = []
-        if self.a:
-            terms.append("H" if self.a == 1 else f"{self.a}H")
-        for i, bi in enumerate(self.b, start=1):
-            if not bi:
-                continue
-            sign = "-" if bi > 0 else "+"
-            mag = abs(bi)
-            terms.append(f"{sign}{'' if mag == 1 else mag}E{i}")
-        if not terms:
-            return "0"
-        text = "".join(terms)
-        return text[1:] if text.startswith("+") else text
+        return _class_name(self.a, self.b, "H", "E")
 
 
 @dataclass(frozen=True)
@@ -165,19 +171,7 @@ class CurveClass:
 
     @property
     def name(self) -> str:
-        terms = []
-        if self.c:
-            terms.append("h" if self.c == 1 else f"{self.c}h")
-        for i, mi in enumerate(self.m, start=1):
-            if not mi:
-                continue
-            sign = "-" if mi > 0 else "+"
-            mag = abs(mi)
-            terms.append(f"{sign}{'' if mag == 1 else mag}e{i}")
-        if not terms:
-            return "0"
-        text = "".join(terms)
-        return text[1:] if text.startswith("+") else text
+        return _class_name(self.c, self.m, "h", "e")
 
 
 def divisor_H(k: int, a: int = 1) -> DivisorClass:

@@ -6,6 +6,15 @@ limit-hyperplane.  Every subcommand accepts --json for machine readable
 output; the JSON is byte deterministic (sorted keys, no whitespace,
 elapsed_ms always null).
 
+One serializer, _plain, writes every payload: a report dataclass becomes
+the dict of its fields, a DivisorClass its name, a tuple a list.  chambers,
+spherical and limit-hyperplane print their report as it is; effcone adds r,
+n and k to its ConeData, and bound adds shape, rule and statement to its
+BoundReport.  The other commands build a dict, which _plain serializes too:
+secant prints its certificate's to_dict() (renamed keys), oscproj and
+tangproj leave out the fields of the other projection kind (tangproj adds
+h), classify combines three reports, and schubert has no report object.
+
 Exit codes: 0 on success, 2 on invalid arguments or violated preconditions,
 3 when a computation is refused because it exceeds the oracle's size cap.
 """
@@ -17,11 +26,12 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 from .bounds import aop_bound, grass_bound, linear_bound, sv_bound
 from .birational import (
     Ambient,
+    DivisorClass,
     classify_fano,
     effective_cone,
     mds_status,
@@ -62,12 +72,28 @@ class RunConfig:
     output: str = "text"
 
 
-def _dump(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+def _plain(value):
+    """The JSON form of a report: a DivisorClass by its name, a dataclass as
+    the dict of its fields, a tuple or list as a list, a dict entry by
+    entry; anything else is already plain."""
+    if isinstance(value, DivisorClass):
+        return value.name
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    return value
 
 
-def _emit(config: RunConfig, text: str, payload) -> int:
-    print(_dump(payload) if config.output == "json" else text)
+def _emit(config: RunConfig, text: str, payload, **extra) -> int:
+    """Print the text, or under --json the payload, a report or a dict, with
+    the extra keys added, as _plain serializes them."""
+    if config.output == "json":
+        plain = _plain(payload) | _plain(extra)
+        text = json.dumps(plain, sort_keys=True, separators=(",", ":"))
+    print(text)
     return 0
 
 
@@ -147,15 +173,7 @@ def cmd_bound(args, config: RunConfig) -> int:
         report = sv_bound(shape)
         label = shape.label
     text = f"{label}: {report.statement} (branch {report.branch}, raw {report.raw_value})"
-    payload = {
-        "shape": label,
-        "rule": rule,
-        "max_h": report.max_h,
-        "raw_value": report.raw_value,
-        "branch": report.branch,
-        "statement": report.statement,
-    }
-    return _emit(config, text, payload)
+    return _emit(config, text, report, shape=label, rule=rule, statement=report.statement)
 
 
 def cmd_secant(args, config: RunConfig) -> int:
@@ -250,8 +268,8 @@ def cmd_schubert(args, config: RunConfig) -> int:
         payload = {
             "r": lam.r,
             "n": lam.n,
-            "lambda": list(lam.parts),
-            "complementary": list(complementary(lam)),
+            "lambda": lam.parts,
+            "complementary": complementary(lam),
             "dim": schubert_dim(lam),
             "codim": schubert_codim(lam),
         }
@@ -260,8 +278,8 @@ def cmd_schubert(args, config: RunConfig) -> int:
         components = singular_locus(lam)
         text = "\n".join(c.label for c in components) if components else "smooth"
         payload = {
-            "lambda": list(lam.parts),
-            "components": [list(c.parts) for c in components],
+            "lambda": lam.parts,
+            "components": [c.parts for c in components],
         }
         return _emit(config, text, payload)
     mu = Partition(args.r, args.n, _parse_ints(args.mu))
@@ -270,13 +288,13 @@ def cmd_schubert(args, config: RunConfig) -> int:
         return _emit(
             config,
             str(value),
-            {"lambda": list(lam.parts), "mu": list(mu.parts), "contains": value},
+            {"lambda": lam.parts, "mu": mu.parts, "contains": value},
         )
     value = multiplicity(lam, mu)
     return _emit(
         config,
         str(value),
-        {"lambda": list(lam.parts), "mu": list(mu.parts), "multiplicity": value},
+        {"lambda": lam.parts, "mu": mu.parts, "multiplicity": value},
     )
 
 
@@ -300,7 +318,7 @@ def cmd_classify(args, config: RunConfig) -> int:
         "k": k,
         "verdict": report.verdict,
         "source": report.source,
-        "anticanonical": report.anticanonical_class.name,
+        "anticanonical": report.anticanonical_class,
         "top_anticanonical": report.top_anticanonical,
         "min_pairing": report.min_pairing,
         "cone_status": report.cone.status,
@@ -345,28 +363,7 @@ def cmd_chambers(args, config: RunConfig) -> int:
         lines.append(f"fibration target {dec.fibration_target}")
     if dec.note:
         lines.append(dec.note)
-    payload = {
-        "n": dec.n,
-        "walls": [w.name for w in dec.walls],
-        "chambers": [
-            {
-                "rays": [c.rays[0].name, c.rays[1].name],
-                "model": c.model,
-                "contraction": c.contraction,
-            }
-            for c in dec.chambers
-        ],
-        "nef": [dec.nef[0].name, dec.nef[1].name],
-        "movable": [dec.movable[0].name, dec.movable[1].name],
-        "effective": [dec.effective[0].name, dec.effective[1].name],
-        "fano_flip_model": dec.fano_flip_model,
-        "flip_anticanonical": (
-            dec.flip_anticanonical.name if dec.flip_anticanonical is not None else None
-        ),
-        "fibration_target": dec.fibration_target,
-        "note": dec.note,
-    }
-    return _emit(config, "\n".join(lines), payload)
+    return _emit(config, "\n".join(lines), dec)
 
 
 def cmd_spherical(args, config: RunConfig) -> int:
@@ -383,16 +380,7 @@ def cmd_spherical(args, config: RunConfig) -> int:
     )
     if report.evidence:
         text += f"\n{report.evidence}"
-    payload = {
-        "r": report.r,
-        "n": report.n,
-        "k": report.k,
-        "spherical": report.spherical,
-        "rule": report.rule,
-        "f_value": report.f_value,
-        "evidence": report.evidence,
-    }
-    return _emit(config, text, payload)
+    return _emit(config, text, report)
 
 
 def cmd_effcone(args, config: RunConfig) -> int:
@@ -406,16 +394,7 @@ def cmd_effcone(args, config: RunConfig) -> int:
         text = f"Eff of {label}: {names} [{cone.status}, {cone.provenance}]"
     if cone.note:
         text += f"\n{cone.note}"
-    payload = {
-        "r": r,
-        "n": n,
-        "k": args.k,
-        "status": cone.status,
-        "provenance": cone.provenance,
-        "generators": [d.name for d in cone.generators],
-        "note": cone.note,
-    }
-    return _emit(config, text, payload)
+    return _emit(config, text, cone, r=r, n=n, k=args.k)
 
 
 def cmd_limit_hyperplane(args, config: RunConfig) -> int:
@@ -423,8 +402,7 @@ def cmd_limit_hyperplane(args, config: RunConfig) -> int:
     text = "coefficients: (" + ", ".join(str(c) for c in section.coeffs) + ")"
     if section.trivial:
         text += " [trivial]"
-    payload = {"coeffs": list(section.coeffs), "trivial": section.trivial}
-    return _emit(config, text, payload)
+    return _emit(config, text, section)
 
 
 # ---------------------------------------------------------------------------

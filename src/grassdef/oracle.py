@@ -38,7 +38,6 @@ DEFAULT_TRIALS = 3
 DEFAULT_SEED = 1729
 
 _COORD_RANGE = 1 << 20  # sample point coordinates uniformly in [1, 2^20]
-_MAX_RESAMPLES = 8
 # the one size cap: entries of the largest pivot store, index list or
 # monomial list a request may build, that is 4000 coordinates at full rank
 _MAX_ENTRIES = 4000 * 4000
@@ -561,20 +560,32 @@ def _check_oracle_params(h: int, trials: int) -> None:
     _check_trials(trials)
 
 
-def _sample_point(P: Parametrization, dim_x: int, rng: random.Random, field: PrimeField | None):
-    """The order 1 jet rows of P at a random point of the domain where they
-    have full rank dim_x + 1; degenerate samples are redrawn a bounded
-    number of times."""
+def _sample_point(P: Parametrization, rng: random.Random, field: PrimeField | None):
+    """The order 1 jet rows of P at a random point a of the domain with
+    coordinates in [1, _COORD_RANGE]: the value row f(a) and one
+    derivative row per domain variable.
+
+    They span a space of dimension exactly dim X + 1 over Q and modulo
+    every allowed prime (p >= 2^31 > _COORD_RANGE), because every
+    coordinate a_v is a unit there; so no smoothness check is needed.
+    - Segre-Veronese: f(a) has the entries a^I, and the row of x_{j,v} has
+      entries m_{j,v}(I) a^I / a_{j,v}, where m_{j,v}(I) is the multiplicity
+      of v in the j-th part of I.  On the columns of I_0 = (0, ..., 0) and
+      of the I_{j,v} (v >= 1) that change one entry of the j-th part of I_0
+      to v, f(a) and the rows of the x_{j,v} with v >= 1 form a triangular
+      matrix whose diagonal entries are nonzero monomials in a: rank at
+      least sum n_j + 1 = dim X + 1.  Euler's relation
+      sum_v a_{j,v} row(x_{j,v}) = d_j f(a), with a_{j,0} nonzero, puts
+      the row of x_{j,0} in their span, so the rank is no more.
+    - RNC(n): the rows (a^k) and (k a^(k-1)) are (1, a) and (0, 1) on the
+      columns 0 and 1: rank 2.
+    - TD(n) at (t, u): f(a) and the t and u rows are (1, t + u, t^2 + 2tu),
+      (0, 1, 2t + 2u) and (0, 1, 2t) on the columns 0, 1 and 2, of
+      determinant -2u: rank 3.
+    """
     modulus = field.p if field is not None else None
-    for _ in range(_MAX_RESAMPLES):
-        point = tuple(rng.randint(1, _COORD_RANGE) for _ in range(P.domain_dim))
-        rows = [row for _, row in sorted(_jet_rows(P, point, 1, modulus).items())]
-        acc = RankAccumulator(P.ncols, field)
-        for row in rows:
-            acc.add_row(row)
-        if acc.rank == dim_x + 1:
-            return rows
-    raise RuntimeError("could not sample a smooth point with full tangent rank")
+    point = tuple(rng.randint(1, _COORD_RANGE) for _ in range(P.domain_dim))
+    return [row for _, row in sorted(_jet_rows(P, point, 1, modulus).items())]
 
 
 def _maximal_minors(rows, cols) -> dict[tuple[int, ...], int]:
@@ -672,7 +683,7 @@ def _tangent_sampler(shape):
 
         return draw
     P = build_parametrization(shape)
-    return lambda rng, field: _sample_point(P, shape.dim, rng, field)
+    return lambda rng, field: _sample_point(P, rng, field)
 
 
 def _coordinate_points(shape, h: int) -> list[tuple[object, int]]:

@@ -197,34 +197,147 @@ def test_effcone_subcommand(capsys):
 
 
 SMOKE_MATRIX = [
-    ("bound", "--grass", "2", "7"),
-    ("bound", "--sv", "1,1:2,2"),
-    ("secant", "--grass", "1", "4", "--h", "2"),
-    ("oscproj", "--grass", "2", "5", "--centers", "0,1,2", "--orders", "1"),
-    ("tangproj", "--grass", "2", "6", "--h", "1"),
-    ("schubert", "dim", "--r", "2", "--n", "5", "--lambda", "2,2,1"),
-    ("schubert", "sing", "--r", "4", "--n", "9", "--lambda", "2,2,2,1,0"),
-    ("schubert", "mult", "--r", "4", "--n", "9", "--lambda", "2,2,2,1,0", "--mu", "3,3,3,3,2"),
-    ("schubert", "contains", "--r", "2", "--n", "5", "--lambda", "1,0,0", "--mu", "2,2,0"),
-    ("schubert", "degree", "--r", "1", "--n", "4"),
-    ("classify", "--grass", "1", "4", "--k", "3"),
-    ("classify", "--quadric", "3", "--k", "6"),
-    ("classify", "--proj", "3", "--k", "7"),
-    ("chambers", "--n", "5"),
-    ("spherical", "--grass", "2", "9", "--k", "2"),
-    ("effcone", "--grass", "1", "5", "--k", "3"),
-    ("limit-hyperplane", "--D", "3", "--s", "3", "--sbar", "0", "--k1", "0", "--k2", "1"),
+    (
+        ("bound", "--grass", "2", "7"),
+        (
+            '{"branch":"even_r","max_h":3,"raw_value":2,"rule":"grass",'
+            '"shape":"G(2,7)","statement":"not h-defective for h \\u2264 3"}'
+        ),
+    ),
+    (
+        ("bound", "--sv", "1,1:2,2"),
+        (
+            '{"branch":"sv","max_h":2,"raw_value":1,"rule":"sv",'
+            '"shape":"SV(1,1;2,2)","statement":"not h-defective for h \\u2264 2"}'
+        ),
+    ),
+    (
+        ("secant", "--grass", "1", "4", "--h", "2"),
+        (
+            '{"computed":9,"defect":0,"elapsed_ms":null,"expected":9,"h":2,'
+            '"prime":4611686018427387847,"seed":1729,"shape":"G(1,4)",'
+            '"trials":[9,9,9],"verdict":"CertifiedNonDefective"}'
+        ),
+    ),
+    (
+        ("oscproj", "--grass", "2", "5", "--centers", "0,1,2", "--orders", "1"),
+        (
+            '{"ambient_dim":19,"kind":"osculating","note":"","restricted_rank":10,'
+            '"shape":"G(2,5)","status":"GenericallyFinite","survivors":10,'
+            '"variety_dim":9}'
+        ),
+    ),
+    (
+        ("tangproj", "--grass", "2", "6", "--h", "1"),
+        (
+            '{"ambient_dim":34,"center_rank":13,"h":1,"joint_rank":26,'
+            '"kind":"tangential","note":"","shape":"G(2,6)",'
+            '"status":"GenericallyFinite","variety_dim":12}'
+        ),
+    ),
+    (
+        ("schubert", "dim", "--r", "2", "--n", "5", "--lambda", "2,2,1"),
+        (
+            '{"codim":5,"complementary":[1,1,2],"dim":4,"lambda":[2,2,1],"n":5,'
+            '"r":2}'
+        ),
+    ),
+    (
+        ("schubert", "sing", "--r", "4", "--n", "9", "--lambda", "2,2,2,1,0"),
+        '{"components":[[3,3,3,3,0],[2,2,2,2,2]],"lambda":[2,2,2,1,0]}',
+    ),
+    (
+        ("schubert", "mult", "--r", "4", "--n", "9", "--lambda", "2,2,2,1,0", "--mu", "3,3,3,3,2"),
+        '{"lambda":[2,2,2,1,0],"mu":[3,3,3,3,2],"multiplicity":14}',
+    ),
+    (
+        ("schubert", "contains", "--r", "2", "--n", "5", "--lambda", "1,0,0", "--mu", "2,2,0"),
+        '{"contains":true,"lambda":[1,0,0],"mu":[2,2,0]}',
+    ),
+    (
+        ("schubert", "degree", "--r", "1", "--n", "4"),
+        '{"degree":5,"n":4,"r":1}',
+    ),
+    (
+        ("classify", "--grass", "1", "4", "--k", "3"),
+        (
+            '{"ambient":"G(1,4)","anticanonical":"5H-5E1-5E2-5E3",'
+            '"cone_status":"proven","k":3,'
+            '"mds":{"note":"the blow-up is weak Fano, and weak Fano varieties are '
+            'Mori dream spaces","reason":"weakFano","verdict":"KnownMDS"},'
+            '"min_pairing":0,"source":"computed+table","spherical":{"f_value":0,'
+            '"rule":"too-many-points","spherical":false},"top_anticanonical":31250,'
+            '"verdict":"WeakFanoOnly"}'
+        ),
+    ),
+    (
+        ("classify", "--quadric", "3", "--k", "6"),
+        (
+            '{"ambient":"Q3","anticanonical":"3H-2E1-2E2-2E3-2E4-2E5-2E6",'
+            '"cone_status":"proven","k":6,"mds":null,"min_pairing":0,'
+            '"source":"computed+table","spherical":null,"top_anticanonical":6,'
+            '"verdict":"WeakFanoOnly"}'
+        ),
+    ),
+    (
+        ("classify", "--proj", "3", "--k", "7"),
+        (
+            '{"ambient":"P3","anticanonical":"4H-2E1-2E2-2E3-2E4-2E5-2E6-2E7",'
+            '"cone_status":"unknown","k":7,'
+            '"mds":{"note":"inside the complete classification of Mori dream '
+            'blow-ups of projective space at general points",'
+            '"reason":"rank2-catalog","verdict":"KnownMDS"},"min_pairing":null,'
+            '"source":"table","spherical":{"f_value":1,"rule":"beyond-toric-range",'
+            '"spherical":false},"top_anticanonical":8,"verdict":"WeakFanoOnly"}'
+        ),
+    ),
+    (
+        ("chambers", "--n", "5"),
+        (
+            '{"chambers":[{"contraction":"divisorial contraction of E, the '
+            'blow-down to the ambient Grassmannian","model":"G(1,5)","rays":["E1",'
+            '"H"]},{"contraction":"the nef chamber of the blow-up itself",'
+            '"model":"G(1,5)_1","rays":["H","H-E1"]},'
+            '{"contraction":"nef chamber of the flip, an isomorphism in '
+            'codimension two; the outer wall H-2E gives a fibration onto G(1,3) '
+            'with P^4 fibers","model":"G(1,5)_1+","rays":["H-E1","H-2E1"]}],'
+            '"effective":["E1","H-2E1"],"fano_flip_model":true,'
+            '"fibration_target":"G(1,3)","flip_anticanonical":"6H-7E1",'
+            '"movable":["H","H-2E1"],"n":5,"nef":["H","H-E1"],"note":"",'
+            '"walls":["E1","H","H-E1","H-2E1"]}'
+        ),
+    ),
+    (
+        ("spherical", "--grass", "2", "9", "--k", "2"),
+        (
+            '{"evidence":"for r >= 2 and n >= 4r + 1 the general two-point orbit '
+            'has codimension r(r-1)/2 = 1 > 0","f_value":0,"k":2,"n":9,"r":2,'
+            '"rule":"orbit-codimension","spherical":false}'
+        ),
+    ),
+    (
+        ("effcone", "--grass", "1", "5", "--k", "3"),
+        (
+            '{"generators":["E1","E2","E3","H-2E1-2E2","H-2E1-2E3","H-2E2-2E3"],'
+            '"k":3,"n":5,"note":"","provenance":"three-point-effective-cone-g15",'
+            '"r":1,"status":"proven"}'
+        ),
+    ),
+    (
+        ("limit-hyperplane", "--D", "3", "--s", "3", "--sbar", "0", "--k1", "0", "--k2", "1"),
+        '{"coeffs":[3,-2,1,0],"trivial":false}',
+    ),
 ]
 
 
-@pytest.mark.parametrize("argv", SMOKE_MATRIX, ids=lambda a: " ".join(a))
-def test_json_round_trip_and_determinism(capsys, argv):
+@pytest.mark.parametrize("argv, expected", SMOKE_MATRIX, ids=[" ".join(a) for a, _ in SMOKE_MATRIX])
+def test_json_round_trip_and_determinism(capsys, argv, expected):
     code, first, err = run(capsys, "--json", *argv)
     assert code == 0 and err == ""
-    payload = json.loads(first)
-    # parse(emit(report)) reproduces the emitted bytes, and a second run
-    # with the same seed reproduces them again
-    assert json.dumps(payload, sort_keys=True, separators=(",", ":")) == first.strip()
+    # the pinned bytes; parse(emit(report)) reproduces them, and a second
+    # run with the same seed reproduces them again
+    assert first.strip() == expected
+    assert json.dumps(json.loads(first), sort_keys=True, separators=(",", ":")) == expected
     _, second, _ = run(capsys, "--json", *argv)
     assert second == first
 

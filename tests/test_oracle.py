@@ -44,7 +44,7 @@ from grassdef import (
     tangential_projection_finite,
 )
 from grassdef.bounds import grass_bound
-from grassdef.oracle import _chart_rows
+from grassdef.oracle import _chart_rows, _tangent_sampler
 
 
 def grass_coord_point(shape, I):
@@ -272,6 +272,31 @@ def test_chart_rows_at_the_origin_span_the_coordinate_ball(r, n):
     assert support == {column[J] for J in ball(shape, tuple(range(r + 1)), 1)}
     assert all(len(row) == 1 for row in rows)
     assert rank(rows) == shape.dim + 1
+
+
+@pytest.mark.parametrize("prime", [DEFAULT_PRIME, 4294967291, "rational"])
+@pytest.mark.parametrize(
+    "shape",
+    [
+        SegreVeroneseShape((1,), (7,)),
+        SegreVeroneseShape((3,), (4,)),
+        SegreVeroneseShape((1, 2), (2, 3)),
+        SegreVeroneseShape((2, 2, 2), (1, 1, 1)),
+        RationalNormalCurve(8),
+        TangentDevelopable(2),
+        TangentDevelopable(6),
+    ],
+    ids=lambda shape: shape.label,
+)
+def test_sampled_tangent_rows_have_full_rank(shape, prime):
+    # points off the Grassmannian are used without a smoothness check, so
+    # every draw must span the tangent space of the cone, modulo the default
+    # prime, modulo 2^32 - 5 and over the rationals
+    field = None if prime == "rational" else PrimeField(prime)
+    draw = _tangent_sampler(shape)
+    rng = random.Random(f"tangent:{shape.label}")
+    for _ in range(20):
+        assert rank(draw(rng, field), field) == shape.dim + 1
 
 
 def stacked_rank(shape, h, seed, field):

@@ -9,6 +9,7 @@ proof of non-defectivity, so the certified entries are unconditional.
 import json
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, gcd
 
 import pytest
@@ -221,6 +222,42 @@ def test_rank_sweep_matches_individual_jet_matrices():
     sweep = osculating_rank_sweep(P, pt, 3)
     for s in range(4):
         assert sweep[s] == rank(jet_matrix(P, pt, s))
+
+
+@lru_cache(maxsize=None)
+def sympy_pluecker_expansion(shape, point):
+    """Reference jets: {alpha: {column: coefficient of z^alpha}} in the
+    expansion of det(X[:, J]) at X = point + z, by sympy."""
+    size, width = shape.r + 1, shape.n + 1
+    zs = sympy.symbols(f"z0:{size * width}")
+    X = sympy.Matrix(size, width, [a + z for a, z in zip(point, zs)])
+    rows = {}
+    for col, J in enumerate(enumerate_indices(shape)):
+        poly = sympy.Poly(X.extract(list(range(size)), list(J)).det(method="berkowitz"), *zs)
+        for alpha, coef in poly.as_dict().items():
+            rows.setdefault(alpha, {})[col] = int(coef)
+    return rows
+
+
+@pytest.mark.parametrize("field", [PrimeField(DEFAULT_PRIME), None], ids=["modp", "rational"])
+@pytest.mark.parametrize("r, n", [(1, 3), (1, 4), (2, 5), (2, 6)])
+def test_grassmannian_jets_match_sympy_minor_expansion(r, n, field):
+    # at a coordinate point and at a random integer point with zero entries
+    shape = GrassShape(r, n)
+    P = build_parametrization(shape)
+    rng = random.Random(f"jets:{r}:{n}")
+    general = [rng.randint(-5, 5) for _ in range((r + 1) * (n + 1))]
+    general[0] = general[-1] = 0
+    for point in (grass_coord_point(shape, tuple(range(r + 1))), tuple(general)):
+        expansion = sympy_pluecker_expansion(shape, point)
+        for s in range(r + 2):
+            expected = {}
+            for alpha, row in expansion.items():
+                reduced = {c: v % field.p if field else v for c, v in row.items()}
+                reduced = {c: v for c, v in reduced.items() if v}
+                if sum(alpha) <= s and reduced:
+                    expected[alpha] = reduced
+            assert jet_matrix(P, point, s, field).rows == expected
 
 
 def chart_point(shape, seed):

@@ -9,8 +9,11 @@ Grassmannian of lines.
 
 import argparse
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+if SRC not in sys.path:
+    sys.path.insert(0, SRC)
 
 from grassdef import (
     Ambient,

@@ -9,8 +9,11 @@ variety over a 62-bit prime field and reports the verdict.
 import argparse
 import sys
 import time
+from pathlib import Path
 
-sys.path.insert(0, "src")
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+if SRC not in sys.path:
+    sys.path.insert(0, SRC)
 
 from grassdef import (
     DEFAULT_PRIME,

@@ -345,7 +345,7 @@ class FanoReport:
 def classify_fano(ambient: Ambient, k: int) -> FanoReport:
     """Fano / weak Fano / neither for the blow-up of the ambient at k
     general points.  A disagreement between the computed verdict and the
-    classification table is a genuine inconsistency and raises."""
+    classification table is a genuine inconsistency: an ArithmeticError."""
     if not isinstance(k, int) or k < 0:
         raise ValueError("k must be a nonnegative integer")
     ak = anticanonical(ambient, k)
@@ -366,7 +366,7 @@ def classify_fano(ambient: Ambient, k: int) -> FanoReport:
         FANO if low > 0 else WEAK_FANO_ONLY if low >= 0 and top > 0 else NEITHER
     )
     if computed != table:
-        raise RuntimeError(
+        raise ArithmeticError(
             f"computed verdict {computed} disagrees with the classification "
             f"table {table} for {ambient.label} at k = {k}"
         )

@@ -16,7 +16,8 @@ tangproj leave out the fields of the other projection kind (tangproj adds
 h), classify combines three reports, and schubert has no report object.
 
 Exit codes: 0 on success, 2 on invalid arguments or violated preconditions,
-3 when a computation is refused because it exceeds the oracle's size cap.
+3 when a computation is refused because it exceeds the oracle's size cap,
+4 when an internal consistency check fails (an ArithmeticError).
 """
 
 from __future__ import annotations
@@ -528,6 +529,9 @@ def main(argv=None) -> int:
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

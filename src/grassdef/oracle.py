@@ -1,9 +1,9 @@
 """Exact-arithmetic Terracini oracle.
 
 Secant dimensions, generic finiteness of tangential and osculating
-projections, and limit hyperplane coefficients.  Tangent spaces of
-Grassmannians come from cofactor minors at points of the standard chart;
-the other shapes, and every higher-order jet, come from explicit polynomial
+projections, and limit hyperplane coefficients.  Grassmannian tangent
+spaces come from cofactor minors at chart points, and jets of every order
+from minors at any matrix point; the other shapes use explicit polynomial
 parametrizations.  Arithmetic runs over a fixed large prime field by
 default: a full-rank specialization proves a lower bound on the generic
 rank, so agreement with the expected dimension is a certificate, while a
@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd, lcm
+from math import comb, gcd, lcm, perm
 
 from .indices import (
     GrassShape,
@@ -317,53 +317,27 @@ class Parametrization:
 
     domain_dim: int
     coords: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
-    label: str = ""
 
     @property
     def ncols(self) -> int:
         return len(self.coords)
 
 
-def _grass_parametrization(shape: GrassShape) -> Parametrization:
-    r, n = shape.r, shape.n
-    width = n + 1
-    dom = (r + 1) * width
-    coords = []
-    for J in enumerate_indices(shape):
-        monomials = []
-        for perm in itertools.permutations(range(r + 1)):
-            sign = _perm_sign(perm)
-            expo = [0] * dom
-            for i, pi in enumerate(perm):
-                expo[i * width + J[pi]] += 1
-            monomials.append((sign, tuple(expo)))
-        coords.append(tuple(monomials))
-    return Parametrization(dom, tuple(coords), shape.label)
+@dataclass(frozen=True)
+class PlueckerMap:
+    """The maximal minors of an (r+1) x (n+1) matrix, flattened row by row,
+    as a map to the cone over G(r, n); jets come from _pluecker_jets."""
+
+    shape: GrassShape
+    domain_dim: int
+    ncols: int
 
 
-def _perm_sign(perm: tuple[int, ...]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            i = perm[i]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+PolynomialMap = Parametrization | PlueckerMap
 
 
 def _sv_parametrization(shape: SegreVeroneseShape) -> Parametrization:
-    offsets = []
-    total = 0
-    for nj in shape.n:
-        offsets.append(total)
-        total += nj + 1
+    *offsets, total = itertools.accumulate((nj + 1 for nj in shape.n), initial=0)
     coords = []
     for I in enumerate_indices(shape):
         expo = [0] * total
@@ -371,43 +345,28 @@ def _sv_parametrization(shape: SegreVeroneseShape) -> Parametrization:
             for value in part:
                 expo[off + value] += 1
         coords.append(((1, tuple(expo)),))
-    return Parametrization(total, tuple(coords), shape.label)
+    return Parametrization(total, tuple(coords))
 
 
 @lru_cache(maxsize=None)
-def build_parametrization(shape: OracleShape) -> Parametrization:
-    """Explicit polynomial parametrization of an affine chart cone of the
-    shape, with coordinates in enumerate_indices order.
-
-    Grassmannians use the maximal minors of an (r+1) x (n+1) matrix of
-    indeterminates, expanded into (r+1)! monomials each.  Only the jet
-    paths (jet_matrix, osculating_rank_sweep) need it for a Grassmannian:
-    the secant and projection tests take tangent rows from chart minors
-    instead.  Segre-Veronese varieties use one monomial per coordinate.
-    The size is checked against _MAX_ENTRIES before anything is built: on
-    a Grassmannian with N coordinates, N (r+1)! monomials each store an
-    exponent vector of length (r+1)(n+1), which refuses every Grassmannian
-    with r >= 5; otherwise N times _coord_degree.
-    """
+def build_parametrization(shape: OracleShape) -> PolynomialMap:
+    """The polynomial map of an affine chart cone of the shape, with
+    coordinates in enumerate_indices order: the PlueckerMap of maximal
+    minors on a Grassmannian, which only the jet paths use (the secant and
+    projection tests take chart minors), and one monomial per coordinate on
+    a Segre-Veronese variety.  N coordinates times _coord_degree are checked
+    against _MAX_ENTRIES before anything is built."""
+    _check_size(f"the parametrization of {shape.label}", shape.num_coords * _coord_degree(shape))
     if isinstance(shape, GrassShape):
-        per_coord = factorial(shape.r + 1) * (shape.r + 1) * (shape.n + 1)
-    else:
-        per_coord = _coord_degree(shape)
-    _check_size(f"the parametrization of {shape.label}", shape.num_coords * per_coord)
-    if isinstance(shape, GrassShape):
-        return _grass_parametrization(shape)
+        return PlueckerMap(shape, (shape.r + 1) * (shape.n + 1), shape.num_coords)
     if isinstance(shape, SegreVeroneseShape):
         return _sv_parametrization(shape)
     if isinstance(shape, RationalNormalCurve):
         coords = tuple(((1, (k,)),) for k in range(shape.n + 1))
-        return Parametrization(1, coords, shape.label)
+        return Parametrization(1, coords)
     if isinstance(shape, TangentDevelopable):
-        coords = [((1, (0, 0)),)]
-        for k in range(1, shape.n + 1):
-            monomials = [(1, (k, 0))]
-            monomials.append((k, (k - 1, 1)))
-            coords.append(tuple(monomials))
-        return Parametrization(2, tuple(coords), shape.label)
+        coords = [((1, (0, 0)),)] + [((1, (k, 0)), (k, (k - 1, 1))) for k in range(1, shape.n + 1)]
+        return Parametrization(2, tuple(coords))
     raise TypeError(f"unsupported shape {shape!r}")
 
 
@@ -481,7 +440,7 @@ def _emit_jets(rows, col, value, alpha, free, point, budget, modulus) -> None:
     alpha[v] = 0
 
 
-def _jet_rows(P: Parametrization, point, order: int, modulus: int | None):
+def _jet_rows(P: PolynomialMap, point, order: int, modulus: int | None):
     """All divided-power derivative rows of P at the point up to the given
     order.  The row for alpha holds the coefficient of z^alpha in the
     shifted expansion of each coordinate; this equals the classical partial
@@ -489,6 +448,8 @@ def _jet_rows(P: Parametrization, point, order: int, modulus: int | None):
     characteristic never divides a spurious factorial."""
     if len(point) != P.domain_dim:
         raise ValueError(f"point must have {P.domain_dim} coordinates")
+    if isinstance(P, PlueckerMap):
+        return _pluecker_jets(P.shape, point, order, modulus)
     rows: dict[tuple[int, ...], dict[int, int]] = {}
     for col, monomials in enumerate(P.coords):
         for coef, expo in monomials:
@@ -509,7 +470,49 @@ def _jet_rows(P: Parametrization, point, order: int, modulus: int | None):
     return {key: row for key, row in rows.items() if row}
 
 
-def jet_matrix(P: Parametrization, point, order: int, field: PrimeField | None = None) -> JetMatrix:
+def _pluecker_jets(shape: GrassShape, point, order: int, modulus: int | None):
+    """The _jet_rows of the Pluecker map of G(r, n) at any (r+1) x (n+1)
+    matrix point, from minors.  Maximal minors are linear in each row, so
+    the coefficient of z^alpha in det((point + z)[:, J]) vanishes unless
+    alpha picks one entry (i, j_i) in each row i of a set S; then it is the
+    minor on J of point with each row i in S replaced by e_{j_i}.  By
+    Laplace expansion along S that is zero unless the j_i are distinct and
+    lie in J, and otherwise (-1)^e times the minor of the other rows on
+    J - {j_i}, where e sums S, the positions of the j_i in J and the
+    inversions of (j_i) in the order of S.  Before anything is built, the
+    N C(r+1, t) (r+1)!/(r+1-t)! triples (S, j, J) with |S| = t <= order
+    are counted against _MAX_ENTRIES.
+    """
+    size, width = shape.r + 1, shape.n + 1
+    top = min(order, size)
+    entries = shape.num_coords * sum(comb(size, t) * perm(size, t) for t in range(top + 1))
+    _check_size(f"the jet matrix of {shape.label} at order {order}", entries)
+    matrix = [point[i * width : (i + 1) * width] for i in range(size)]
+    column = {J: pos for pos, J in enumerate(enumerate_indices(shape))}
+    rows = {}
+    for t in range(top + 1):
+        for S in itertools.combinations(range(size), t):
+            others = [row for i, row in enumerate(matrix) if i not in S]
+            minors = _maximal_minors(others, range(width)).items()
+            if modulus is not None:
+                minors = [(K, v % modulus) for K, v in minors]
+            signed = [(K, (v, -v if modulus is None else modulus - v)) for K, v in minors if v]
+            for js in itertools.permutations(range(width), t):
+                parity = sum(S) + comb(t, 2) + sum(a > b for a, b in itertools.combinations(js, 2))
+                row = {}
+                for K, values in signed:
+                    if not any(j in K for j in js):
+                        e = parity + sum(bisect.bisect(K, j) for j in js)
+                        row[column[tuple(sorted(K + js))]] = values[e & 1]
+                if row:
+                    alpha = [0] * (size * width)
+                    for i, j in zip(S, js):
+                        alpha[i * width + j] = 1
+                    rows[tuple(alpha)] = row
+    return rows
+
+
+def jet_matrix(P: PolynomialMap, point, order: int, field: PrimeField | None = None) -> JetMatrix:
     """Jet matrix of P at the point up to the given derivative order."""
     if not isinstance(order, int) or order < 0:
         raise ValueError("order must be a nonnegative integer")
@@ -518,21 +521,17 @@ def jet_matrix(P: Parametrization, point, order: int, field: PrimeField | None =
     return JetMatrix(P.domain_dim, P.ncols, order, field, rows)
 
 
-def osculating_rank_sweep(P: Parametrization, point, s_max: int, field: PrimeField | None = None) -> list[int]:
+def osculating_rank_sweep(P: PolynomialMap, point, s_max: int, field: PrimeField | None = None) -> list[int]:
     """Rank of the order s jet matrix of P at the point for every
     s = 0, ..., s_max, computed with a single elimination pass by feeding
     rows level by level."""
     jm = jet_matrix(P, point, s_max, field)
-    by_level: dict[int, list] = {}
-    for key, row in jm.rows.items():
-        by_level.setdefault(sum(key), []).append((key, row))
     acc = RankAccumulator(P.ncols, field)
-    out = []
-    for s in range(s_max + 1):
-        for _, row in sorted(by_level.get(s, [])):
-            acc.add_row(row)
-        out.append(acc.rank)
-    return out
+    ranks = [0] * (s_max + 1)
+    for key in sorted(jm.rows, key=lambda key: (sum(key), key)):
+        ranks[sum(key)] = acc.add_row(jm.rows[key])
+    # a level without rows keeps the rank of the level below
+    return list(itertools.accumulate(ranks, max))
 
 
 # ---------------------------------------------------------------------------
@@ -612,13 +611,10 @@ def _chart_rows(matrix, column: dict) -> list[dict[int, int]]:
     of matrix = [I | A], an (r+1) x (n+1) point of the standard chart.
 
     The first row is the Pluecker vector itself.  Then, for each row i and
-    non-pivot column j, the Pluecker vector of matrix with row i replaced
-    by e_j, which is the derivative in the direction of A_ij since maximal
-    minors are linear in each row.  Its coordinate at J is zero unless j
-    lies in J, and otherwise (-1)^(i + position of j in J) times the r x r
-    minor of matrix without row i on the columns J - {j}.  column maps each
-    index tuple to its coordinate position.  Entries are exact integers;
-    RankAccumulator reduces them when it works modulo p.
+    non-pivot column j, the order 1 jet in the direction of A_ij: signed
+    r x r minors of matrix without row i, as in _pluecker_jets.  column
+    maps each index tuple to its coordinate position.  Entries are exact
+    integers; RankAccumulator reduces them when it works modulo p.
 
     These are dim X + 1 rows, and they always have full rank: the rows for
     (i, j) have a coefficient of +-1 at the index {0, ..., r} - {i} + {j}

@@ -104,6 +104,21 @@ def test_secant_cap_exceeded(capsys):
     )
 
 
+def test_fano_table_disagreement_exit_code(capsys, monkeypatch):
+    # an internal inconsistency exits with 4 and one line, not a traceback
+    from grassdef import birational
+
+    table = birational._fano_table
+    monkeypatch.setattr(birational, "_fano_table", lambda ambient, k: not table(ambient, k))
+    code, out, err = run(capsys, "classify", "--grass", "1", "4", "--k", "4")
+    assert code == 4
+    assert out == ""
+    assert err == (
+        "internal error: computed verdict WeakFanoOnly disagrees with the"
+        " classification table Fano for G(1,4) at k = 4\n"
+    )
+
+
 def test_secant_sv_cap_counts_index_length(capsys):
     # 100001 coordinates with index tuples of length 100000
     code, out, err = run(capsys, "secant", "--sv", "1:100000", "--h", "1")

@@ -112,8 +112,8 @@ def test_grass_parametrization_is_pluecker():
     shape = GrassShape(1, 3)
     P = build_parametrization(shape)
     assert P.ncols == 6
-    assert all(len(monomials) == 2 for monomials in P.coords)
-    # the image satisfies the Pluecker quadric p01 p23 - p02 p13 + p03 p12
+    # the order 0 jet row is the vector of 2 x 2 minors, which satisfies the
+    # Pluecker quadric p01 p23 - p02 p13 + p03 p12
     rng = random.Random(5)
     for _ in range(20):
         matrix = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(2)]
@@ -121,17 +121,9 @@ def test_grass_parametrization_is_pluecker():
         def minor(i, j):
             return matrix[0][i] * matrix[1][j] - matrix[0][j] * matrix[1][i]
 
-        values = {}
         flat = [v for row in matrix for v in row]
-        for col, monomials in enumerate(P.coords):
-            total = 0
-            for coef, expo in monomials:
-                term = coef
-                for v, e in enumerate(expo):
-                    term *= flat[v] ** e
-                total += term
-            values[col] = total
-        p01, p02, p03, p12, p13, p23 = (values[c] for c in range(6))
+        values = jet_matrix(P, flat, 0).rows.get((0,) * 8, {})
+        p01, p02, p03, p12, p13, p23 = (values.get(c, 0) for c in range(6))
         assert (p01, p02, p03, p12, p13, p23) == (
             minor(0, 1), minor(0, 2), minor(0, 3),
             minor(1, 2), minor(1, 3), minor(2, 3),
@@ -139,26 +131,36 @@ def test_grass_parametrization_is_pluecker():
         assert p01 * p23 - p02 * p13 + p03 * p12 == 0
 
 
-def test_grass_parametrization_cap():
-    with pytest.raises(CapExceeded):
-        build_parametrization(GrassShape(6, 13))
+def _refuse_minors(*args):
+    raise AssertionError("minors built before the size check")
 
 
-def test_jet_parametrization_cap_counts_monomials():
-    # 27132 coordinates of 720 monomials, each with 114 exponents
+@pytest.mark.parametrize(
+    "shape, order, entries",
+    # N times the sum over t <= order of C(r+1, t) (r+1)!/(r+1-t)!
+    [(GrassShape(6, 13), 3, 28423824), (GrassShape(5, 18), 6, 361588164)],
+    ids=["G(6,13)-order3", "G(5,18)-order6"],
+)
+def test_grassmannian_jet_cap_refuses_before_building(shape, order, entries, monkeypatch):
+    monkeypatch.setattr("grassdef.oracle.enumerate_indices", _refuse_minors)
+    monkeypatch.setattr("grassdef.oracle._maximal_minors", _refuse_minors)
+    P = build_parametrization(shape)
+    point = grass_coord_point(shape, tuple(range(shape.r + 1)))
     with pytest.raises(CapExceeded) as exc:
-        build_parametrization(GrassShape(5, 18))
+        jet_matrix(P, point, order)
     assert str(exc.value) == (
-        "the parametrization of G(5,18) needs about 2226994560 entries,"
+        f"the jet matrix of {shape.label} at order {order} needs about {entries} entries,"
         " above the cap of 16000000"
     )
+    with pytest.raises(CapExceeded):
+        osculating_rank_sweep(P, point, order)
 
 
-def test_jet_parametrization_cap_counts_exponent_storage():
-    # 13.4M monomials, under the cap by count, but 108 exponents each
-    assert GrassShape(5, 17).num_coords * 720 < 16_000_000
-    with pytest.raises(CapExceeded, match="G\\(5,17\\) needs about 1443536640 entries"):
-        build_parametrization(GrassShape(5, 17))
+def test_grassmannian_jet_cap_accepts_order_one_on_g_5_18():
+    # 27132 coordinates times 1 + 6 * 6 = 1,003,884 entries
+    shape = GrassShape(5, 18)
+    jm = jet_matrix(build_parametrization(shape), grass_coord_point(shape, tuple(range(6))), 1)
+    assert rank(jm) == shape.dim + 1
 
 
 @pytest.mark.parametrize(
@@ -222,6 +224,16 @@ def test_rank_sweep_matches_individual_jet_matrices():
     sweep = osculating_rank_sweep(P, pt, 3)
     for s in range(4):
         assert sweep[s] == rank(jet_matrix(P, pt, s))
+
+
+@pytest.mark.parametrize("r, n, s_max", [(5, 11, 3), (6, 13, 2)])
+def test_osculating_sweep_on_large_grassmannians(r, n, s_max):
+    shape = GrassShape(r, n)
+    index = tuple(range(r + 1))
+    field = PrimeField(DEFAULT_PRIME)
+    ranks = osculating_rank_sweep(build_parametrization(shape), grass_coord_point(shape, index), s_max, field)
+    for s in range(s_max + 1):
+        assert ranks[s] - 1 == osculating_dim_grass(r, n, s) == len(ball(shape, index, s)) - 1
 
 
 @lru_cache(maxsize=None)

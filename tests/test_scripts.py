@@ -3,6 +3,8 @@ exactly the pinned tables."""
 
 import importlib.util
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -143,3 +145,17 @@ def test_script_output(capsys, argv, expected):
     out = run_script(capsys, *argv)
     # the scan prints the wall time of each oracle call
     assert re.sub(r"\(\d+\.\d\d s\)", "(T s)", out) == expected
+
+
+def test_script_runs_from_any_directory(tmp_path):
+    # -I -S: neither PYTHONPATH nor an installed package finds grassdef, so
+    # the script must locate src/ from its own path
+    result = subprocess.run(
+        [sys.executable, "-I", "-S", str(SCRIPTS / "bound_table.py"), "--r-max", "2", "--n-max", "6"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "".join(BOUND_TABLE.splitlines(keepends=True)[:3])

@@ -38,8 +38,8 @@ DEFAULT_TRIALS = 3
 DEFAULT_SEED = 1729
 
 _COORD_RANGE = 1 << 20  # sample point coordinates uniformly in [1, 2^20]
-# the one size cap: entries of the largest pivot store, index list or
-# monomial list a request may build, that is 4000 coordinates at full rank
+# the one size cap on the entries a request may build (pivot store, index
+# list, monomial list, jet matrix), that is 4000 coordinates at full rank
 _MAX_ENTRIES = 4000 * 4000
 
 CERTIFIED = "CertifiedNonDefective"
@@ -337,7 +337,11 @@ PolynomialMap = Parametrization | PlueckerMap
 
 
 def _sv_parametrization(shape: SegreVeroneseShape) -> Parametrization:
-    *offsets, total = itertools.accumulate((nj + 1 for nj in shape.n), initial=0)
+    offsets = []
+    total = 0
+    for nj in shape.n:
+        offsets.append(total)
+        total += nj + 1
     coords = []
     for I in enumerate_indices(shape):
         expo = [0] * total
@@ -365,7 +369,11 @@ def build_parametrization(shape: OracleShape) -> PolynomialMap:
         coords = tuple(((1, (k,)),) for k in range(shape.n + 1))
         return Parametrization(1, coords)
     if isinstance(shape, TangentDevelopable):
-        coords = [((1, (0, 0)),)] + [((1, (k, 0)), (k, (k - 1, 1))) for k in range(1, shape.n + 1)]
+        coords = [((1, (0, 0)),)]
+        for k in range(1, shape.n + 1):
+            monomials = [(1, (k, 0))]
+            monomials.append((k, (k - 1, 1)))
+            coords.append(tuple(monomials))
         return Parametrization(2, tuple(coords))
     raise TypeError(f"unsupported shape {shape!r}")
 
@@ -480,12 +488,16 @@ def _pluecker_jets(shape: GrassShape, point, order: int, modulus: int | None):
     lie in J, and otherwise (-1)^e times the minor of the other rows on
     J - {j_i}, where e sums S, the positions of the j_i in J and the
     inversions of (j_i) in the order of S.  Before anything is built, the
-    N C(r+1, t) (r+1)!/(r+1-t)! triples (S, j, J) with |S| = t <= order
-    are counted against _MAX_ENTRIES.
+    matrix is counted against _MAX_ENTRIES: for each t = |S| <= order,
+    N C(r+1, t) (r+1)!/(r+1-t)! triples (S, j, J), and C(r+1, t) (n+1)!/(n+1-t)!
+    rows (S, j), each keyed by an alpha of length (r+1)(n+1).
     """
     size, width = shape.r + 1, shape.n + 1
     top = min(order, size)
-    entries = shape.num_coords * sum(comb(size, t) * perm(size, t) for t in range(top + 1))
+    entries = sum(
+        comb(size, t) * (shape.num_coords * perm(size, t) + size * width * perm(width, t))
+        for t in range(top + 1)
+    )
     _check_size(f"the jet matrix of {shape.label} at order {order}", entries)
     matrix = [point[i * width : (i + 1) * width] for i in range(size)]
     column = {J: pos for pos, J in enumerate(enumerate_indices(shape))}
@@ -493,17 +505,15 @@ def _pluecker_jets(shape: GrassShape, point, order: int, modulus: int | None):
     for t in range(top + 1):
         for S in itertools.combinations(range(size), t):
             others = [row for i, row in enumerate(matrix) if i not in S]
-            minors = _maximal_minors(others, range(width)).items()
-            if modulus is not None:
-                minors = [(K, v % modulus) for K, v in minors]
-            signed = [(K, (v, -v if modulus is None else modulus - v)) for K, v in minors if v]
+            minors = [(K, v) for K, v in _maximal_minors(others, range(width)).items() if v]
             for js in itertools.permutations(range(width), t):
                 parity = sum(S) + comb(t, 2) + sum(a > b for a, b in itertools.combinations(js, 2))
                 row = {}
-                for K, values in signed:
+                for K, v in minors:
                     if not any(j in K for j in js):
-                        e = parity + sum(bisect.bisect(K, j) for j in js)
-                        row[column[tuple(sorted(K + js))]] = values[e & 1]
+                        if (parity + sum(bisect.bisect(K, j) for j in js)) & 1:
+                            v = -v
+                        row[column[tuple(sorted(K + js))]] = v if modulus is None else v % modulus
                 if row:
                     alpha = [0] * (size * width)
                     for i, j in zip(S, js):
@@ -526,12 +536,16 @@ def osculating_rank_sweep(P: PolynomialMap, point, s_max: int, field: PrimeField
     s = 0, ..., s_max, computed with a single elimination pass by feeding
     rows level by level."""
     jm = jet_matrix(P, point, s_max, field)
+    by_level: dict[int, list] = {}
+    for key, row in jm.rows.items():
+        by_level.setdefault(sum(key), []).append((key, row))
     acc = RankAccumulator(P.ncols, field)
-    ranks = [0] * (s_max + 1)
-    for key in sorted(jm.rows, key=lambda key: (sum(key), key)):
-        ranks[sum(key)] = acc.add_row(jm.rows[key])
-    # a level without rows keeps the rank of the level below
-    return list(itertools.accumulate(ranks, max))
+    out = []
+    for s in range(s_max + 1):
+        for _, row in sorted(by_level.get(s, [])):
+            acc.add_row(row)
+        out.append(acc.rank)
+    return out
 
 
 # ---------------------------------------------------------------------------

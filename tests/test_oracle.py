@@ -137,9 +137,11 @@ def _refuse_minors(*args):
 
 @pytest.mark.parametrize(
     "shape, order, entries",
-    # N times the sum over t <= order of C(r+1, t) (r+1)!/(r+1-t)!
-    [(GrassShape(6, 13), 3, 28423824), (GrassShape(5, 18), 6, 361588164)],
-    ids=["G(6,13)-order3", "G(5,18)-order6"],
+    # the sum over t <= order of C(r+1, t) times N (r+1)!/(r+1-t)! minor
+    # entries plus (r+1)(n+1) (n+1)!/(n+1-t)! alpha entries; G(1,499) has
+    # 873,250 minor entries at order 2 but 250,501,000 alpha entries
+    [(GrassShape(6, 13), 3, 36299202), (GrassShape(5, 18), 6, 3715933854), (GrassShape(1, 499), 2, 251374250)],
+    ids=["G(6,13)-order3", "G(5,18)-order6", "G(1,499)-order2"],
 )
 def test_grassmannian_jet_cap_refuses_before_building(shape, order, entries, monkeypatch):
     monkeypatch.setattr("grassdef.oracle.enumerate_indices", _refuse_minors)
@@ -157,7 +159,8 @@ def test_grassmannian_jet_cap_refuses_before_building(shape, order, entries, mon
 
 
 def test_grassmannian_jet_cap_accepts_order_one_on_g_5_18():
-    # 27132 coordinates times 1 + 6 * 6 = 1,003,884 entries
+    # 27132 (1 + 6 * 6) minor entries plus 114 (1 + 6 * 19) alpha entries:
+    # 1,016,994 entries
     shape = GrassShape(5, 18)
     jm = jet_matrix(build_parametrization(shape), grass_coord_point(shape, tuple(range(6))), 1)
     assert rank(jm) == shape.dim + 1

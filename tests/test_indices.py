@@ -1,6 +1,7 @@
 """Coordinate combinatorics: index enumeration, distances, balls and
 delta sets, checked against hand computed values on G(2,5)."""
 
+from collections import Counter
 from math import comb
 
 import pytest
@@ -17,6 +18,36 @@ from grassdef import (
     sv_distance,
 )
 from strategies import grass_shapes, shape_with_index, shape_with_index_pair, sv_shapes
+
+
+def counter_sv_distance(I, J) -> int:
+    """Reference multiset distance: per factor, d_j minus the size of the
+    Counter intersection of the two parts."""
+    return sum(len(a) - sum((Counter(a) & Counter(b)).values()) for a, b in zip(I, J))
+
+
+# long Veronese parts (the osculating workload's P^1 and P^2 shapes) and a
+# mixed Segre-Veronese shape
+LONG_SV_SHAPES = [
+    SegreVeroneseShape((1,), (60,)),
+    SegreVeroneseShape((2,), (22,)),
+    SegreVeroneseShape((1,), (299,)),
+    SegreVeroneseShape((1, 2, 4), (7, 3, 5)),
+]
+
+
+@st.composite
+def sv_raw_index_pairs(draw):
+    """Two SV indices whose parts are drawn as unsorted lists of values."""
+    shape = draw(st.one_of(st.sampled_from(LONG_SV_SHAPES), sv_shapes()))
+
+    def raw_index():
+        return tuple(
+            tuple(draw(st.lists(st.integers(0, nj), min_size=dj, max_size=dj)))
+            for nj, dj in zip(shape.n, shape.d)
+        )
+
+    return raw_index(), raw_index()
 
 
 def test_grass_shape_normalization():
@@ -140,6 +171,25 @@ def test_ball_is_distance_sublevel_set(data, s):
     shape, I = data
     expected = [J for J in enumerate_indices(shape) if distance(shape, I, J) <= s]
     assert ball(shape, I, s) == expected
+
+
+@given(shape_with_index(sv_shapes(max_factors=3, max_n=2, max_d=3)))
+def test_sv_ball_is_distance_sublevel_set(data):
+    shape, I = data
+    indices = enumerate_indices(shape)
+    distances = [distance(shape, I, J) for J in indices]
+    for s in range(shape.d_total + 1):
+        expected = [J for J, dist in zip(indices, distances) if dist <= s]
+        assert ball(shape, I, s) == expected
+
+
+@given(sv_raw_index_pairs())
+def test_sv_distance_matches_counter_reference(pair):
+    I, J = pair
+    # unsorted parts first, then the same parts sorted
+    assert sv_distance(I, J) == counter_sv_distance(I, J)
+    I, J = (tuple(tuple(sorted(part)) for part in K) for K in (I, J))
+    assert sv_distance(I, J) == counter_sv_distance(I, J)
 
 
 DELTA_WORKED = [

@@ -12,7 +12,7 @@ module.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from math import comb, prod
 
@@ -136,16 +136,18 @@ def _check_sv_index(shape: SegreVeroneseShape, I) -> tuple[tuple[int, ...], ...]
     return I
 
 
+def _factor_parts(shape: SegreVeroneseShape) -> list[list[tuple[int, ...]]]:
+    """The weakly increasing parts of each factor, in lexicographic order."""
+    cwr = itertools.combinations_with_replacement
+    return [list(cwr(range(nj + 1), dj)) for nj, dj in zip(shape.n, shape.d)]
+
+
 def enumerate_indices(shape: Shape) -> list:
     """All coordinate indices of the shape, in lexicographic order."""
     if isinstance(shape, GrassShape):
         return list(itertools.combinations(range(shape.n + 1), shape.r + 1))
     if isinstance(shape, SegreVeroneseShape):
-        per_factor = [
-            list(itertools.combinations_with_replacement(range(nj + 1), dj))
-            for nj, dj in zip(shape.n, shape.d)
-        ]
-        return [tuple(parts) for parts in itertools.product(*per_factor)]
+        return list(itertools.product(*_factor_parts(shape)))
     raise TypeError(f"unsupported shape {shape!r}")
 
 
@@ -157,13 +159,18 @@ def grass_distance(I, J) -> int:
     return len(I) - len(set(I) & set(J))
 
 
+def _part_distance_from(a):
+    """The multiset distance d_j - |A cap B| from the part A, as a function of
+    the sorted part B; A's (value, count) pairs are taken once."""
+    pairs = [(value, a.count(value)) for value in set(a)]
+    return lambda b: sum(max(c - bisect_right(b, v) + bisect_left(b, v), 0) for v, c in pairs)
+
+
 def sv_distance(I, J) -> int:
-    """Sum over factors of the multiset distance d_j - |I^j cap J^j|."""
-    total = 0
-    for a, b in zip(I, J):
-        common = Counter(a) & Counter(b)
-        total += len(a) - sum(common.values())
-    return total
+    """Sum over factors of the multiset distance d_j - |I^j cap J^j|; parts
+    may be unsorted.  Being additive over factors lets ``ball`` tabulate
+    each factor's parts on their own."""
+    return sum(_part_distance_from(tuple(a))(sorted(b)) for a, b in zip(I, J))
 
 
 def _metric(shape: Shape):
@@ -182,13 +189,25 @@ def distance(shape: Shape, I, J) -> int:
 
 
 def ball(shape: Shape, I, s: int) -> list:
-    """Indices at distance at most s from I.  I is checked once; the
-    enumerated indices are valid by construction."""
+    """Indices at distance at most s from I, in ``enumerate_indices`` order.
+
+    A Grassmannian J is in the ball when it keeps at least |I| - s entries of
+    I.  SV distances add over factors, so each part's distance to I's part is
+    tabulated once per factor, and one ``product`` walks parts as
+    ``enumerate_indices`` does and their distances in step: the full scan."""
+    if not isinstance(s, int) or isinstance(s, bool):
+        raise TypeError(f"radius must be an integer, got {s!r}")
     if s < 0:
         raise ValueError("radius must be nonnegative")
-    check, dist = _metric(shape)
+    check, _ = _metric(shape)
     I = check(shape, I)
-    return [J for J in enumerate_indices(shape) if dist(I, J) <= s]
+    if isinstance(shape, GrassShape):
+        center = set(I)
+        return [J for J in enumerate_indices(shape) if len(center.intersection(J)) >= len(I) - s]
+    parts = _factor_parts(shape)
+    distances = [list(map(_part_distance_from(a), table)) for a, table in zip(I, parts)]
+    combos = zip(itertools.product(*parts), itertools.product(*distances))
+    return [J for J, dists in combos if sum(dists) <= s]
 
 
 def _canonical_pair(shape: GrassShape) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -166,6 +166,32 @@ def test_ball_increments_count_mixed_minors():
             assert sizes[s] - sizes[s - 1] == comb(r + 1, s) * comb(n - r, s)
 
 
+def test_ball_makes_no_distance_calls(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("ball must not evaluate a distance per index")
+
+    for name in ("distance", "sv_distance", "grass_distance"):
+        monkeypatch.setattr(f"grassdef.indices.{name}", refuse)
+    shape = SegreVeroneseShape((1,), (299,))
+    for s in range(shape.d_total + 1):
+        assert len(ball(shape, ((0,) * 299,), s)) == s + 1
+    # the counts of test_ball_increments_count_mixed_minors
+    for r, n in ((1, 3), (2, 5), (2, 6), (3, 7)):
+        shape = GrassShape(r, n)
+        for s in range(r + 2):
+            size = sum(comb(r + 1, t) * comb(n - r, t) for t in range(s + 1))
+            assert len(ball(shape, tuple(range(r + 1)), s)) == size
+
+
+@pytest.mark.parametrize("s", [1.5, 1.0, True, False, "1", None])
+def test_ball_rejects_a_radius_that_is_not_an_integer(s):
+    for shape, I in ((GrassShape(2, 5), (0, 1, 2)), (SegreVeroneseShape((1,), (3,)), ((0, 0, 0),))):
+        with pytest.raises(TypeError):
+            ball(shape, I, s)
+        with pytest.raises(ValueError):
+            ball(shape, I, -1)
+
+
 @given(shape_with_index(grass_shapes(max_r=2, max_n=6)), st.integers(0, 3))
 def test_ball_is_distance_sublevel_set(data, s):
     shape, I = data

@@ -193,8 +193,9 @@ def ball(shape: Shape, I, s: int) -> list:
 
     A Grassmannian J is in the ball when it keeps at least |I| - s entries of
     I.  SV distances add over factors, so each part's distance to I's part is
-    tabulated once per factor, and one ``product`` walks parts as
-    ``enumerate_indices`` does and their distances in step: the full scan."""
+    tabulated once per factor; one ``product`` walks the parts as
+    ``enumerate_indices`` does and their distances in step, which gives the
+    full scan's list in its order."""
     if not isinstance(s, int) or isinstance(s, bool):
         raise TypeError(f"radius must be an integer, got {s!r}")
     if s < 0:

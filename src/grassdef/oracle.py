@@ -957,7 +957,7 @@ def _osculating_centers(shape, centers) -> list[tuple[object, int]]:
     checked = []
     for index, order in centers:
         index = _center_index(shape, index)
-        if not isinstance(order, int) or order < 0:
+        if not isinstance(order, int) or isinstance(order, bool) or order < 0:
             raise ValueError("orders must be nonnegative integers")
         for other, _ in checked:
             if isinstance(shape, GrassShape):

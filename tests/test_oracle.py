@@ -617,6 +617,13 @@ def test_osculating_projection_center_validation():
         osculating_projection_finite(RationalNormalCurve(5), [(2, 1)])
 
 
+def test_osculating_projection_rejects_boolean_orders():
+    # a bool is an int to isinstance, but not an order; ball refuses it as a radius
+    for shape, center in ((GrassShape(2, 7), (0, 1, 2)), (RationalNormalCurve(5), 0)):
+        with pytest.raises(ValueError):
+            osculating_projection_finite(shape, [(center, True)])
+
+
 def test_osculating_projection_survivor_count_is_ball_complement():
     shape = GrassShape(2, 6)
     report = osculating_projection_finite(shape, [((0, 1, 2), 1)])

@@ -5,13 +5,29 @@ Every matrix has at most 12 columns and entries of absolute value at most
 minor is smaller than (sqrt(12) * 9)^12 < 2^60 < p in absolute value: the
 rank modulo p equals the rank over Q exactly, not just with high
 probability.
+
+The integer determinant behind Schubert multiplicities and the solve
+behind limit hyperplanes are checked against Fraction eliminations kept
+here.
 """
 
+import itertools
 from fractions import Fraction
+from math import comb, gcd, lcm
 
 from hypothesis import given, strategies as st
 
-from grassdef import DEFAULT_PRIME, PrimeField, RankAccumulator, rank
+from grassdef import (
+    DEFAULT_PRIME,
+    Partition,
+    PrimeField,
+    RankAccumulator,
+    contains,
+    limit_hyperplane_coeffs,
+    multiplicity,
+    rank,
+    schubert,
+)
 
 P = DEFAULT_PRIME
 FIELD = PrimeField(P)
@@ -91,3 +107,122 @@ def test_unit_rows_reduce_against_a_dense_pivot():
     assert acc.add_row({2: 5}) == 4
     assert acc.saturated
     assert acc.add_row({3: 1}) == 4
+
+
+def rational_det(matrix: list[list[int]]) -> Fraction:
+    """Determinant over Q by plain Gaussian elimination on Fractions."""
+    m = [[Fraction(v) for v in row] for row in matrix]
+    det = Fraction(1)
+    for c in range(len(m)):
+        pivot = next((i for i in range(c, len(m)) if m[i][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            det = -det
+        det *= m[c][c]
+        for i in range(c + 1, len(m)):
+            f = m[i][c] / m[c][c]
+            m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    return det
+
+
+def rational_solve(matrix: list[list[int]], rhs: list[int]) -> list[Fraction] | None:
+    """The unique solution of a square system over Q by Gauss-Jordan
+    elimination on Fractions, or None when the system is singular."""
+    m = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
+    for c in range(len(m)):
+        pivot = next((i for i in range(c, len(m)) if m[i][c]), None)
+        if pivot is None:
+            return None
+        m[c], m[pivot] = m[pivot], m[c]
+        m[c] = [v / m[c][c] for v in m[c]]
+        for i in range(len(m)):
+            if i != c and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    return [row[-1] for row in m]
+
+
+@st.composite
+def square_matrices(draw):
+    """Integer matrices up to 7 x 7 with entries up to 10^6, some with a
+    zero leading entry (the first column needs a row swap), a repeated row
+    or a zero column."""
+    n = draw(st.integers(1, 7))
+    entry = st.one_of(st.integers(-9, 9), st.integers(-(10**6), 10**6))
+    m = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        m[0][0] = 0
+    if n > 1 and draw(st.booleans()):
+        m[draw(st.integers(1, n - 1))] = list(m[draw(st.integers(0, n - 1))])
+    if draw(st.booleans()):
+        zero = draw(st.integers(0, n - 1))
+        for row in m:
+            row[zero] = 0
+    return m
+
+
+@given(square_matrices())
+def test_int_det_matches_rational_det(m):
+    assert schubert._int_det([row[:] for row in m]) == rational_det(m)
+
+
+def test_int_det_swaps_rows_past_a_zero_leading_entry():
+    assert schubert._int_det([[0, 1], [1, 0]]) == -1
+    assert schubert._int_det([[0, 0, 2], [0, 3, 0], [5, 0, 0]]) == -30
+    assert schubert._int_det([[0, 4], [0, 7]]) == 0
+
+
+def reference_limit_coeffs(D: int, s: int, sbar: int, k2: int) -> tuple[int, ...] | None:
+    """c_0 = 1 and c_{q+1} = ... = c_s = 0, with c_1..c_q solving the
+    collision relations over Q; scaled to coprime integers with c_0 > 0.
+    None when the collision system is singular."""
+    q = s - D + k2 + 1
+    rows = range(D - k2, s + 1)
+    matrix = [[comb(sbar + j, j - k) if j >= k else 0 for k in range(1, q + 1)] for j in rows]
+    solution = rational_solve(matrix, [-comb(sbar + j, j) for j in rows])
+    if solution is None:
+        return None
+    coeffs = [Fraction(1)] + solution + [Fraction(0)] * (s - q)
+    scale = lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * scale) for c in coeffs]
+    g = gcd(*ints)
+    return tuple(v // g for v in ints)
+
+
+def test_limit_hyperplane_coeffs_match_a_rational_solve():
+    checked = 0
+    for D in range(2, 11):
+        for k1 in range(D - 1):
+            for k2 in range(D - 1 - k1):
+                for s in range(D + 1):
+                    for sbar in range(3):
+                        section = limit_hyperplane_coeffs(D, s, sbar, k1, k2)
+                        if s < D - k2:
+                            assert section.trivial and section.coeffs == (1,) + (0,) * s
+                            continue
+                        expected = reference_limit_coeffs(D, s, sbar, k2)
+                        assert expected is not None
+                        assert not section.trivial and section.coeffs == expected
+                        checked += 1
+    assert checked > 500
+
+
+def test_multiplicity_is_the_docstring_determinant_on_g38():
+    r, n = 3, 8
+    parts = itertools.combinations_with_replacement(range(n - r, -1, -1), r + 1)
+    partitions = [Partition(r, n, p) for p in parts]
+    pairs = 0
+    for lam in partitions:
+        for mu in partitions:
+            if not contains(lam, mu):
+                continue
+            lshift = [lam.parts[l] - (l + 1) for l in range(r + 1)]
+            mshift = [mu.parts[j] - (j + 1) for j in range(r + 1)]
+            t = [n - r + (l + 1) - lam.parts[l] for l in range(r + 1)]
+            s = [sum(1 for v in mshift if v < lshift[l]) for l in range(r + 1)]
+            matrix = [[comb(t[l], k - s[l]) if k >= s[l] else 0 for l in range(r + 1)] for k in range(r + 1)]
+            assert multiplicity(lam, mu) == abs(rational_det(matrix))
+            pairs += 1
+    assert pairs > 1000

@@ -17,6 +17,15 @@ from dataclasses import dataclass, field
 from math import comb, prod
 
 
+def _check_ints(name: str, values) -> tuple[int, ...]:
+    """The values as a tuple; a bool or a non-integer raises TypeError
+    instead of being truncated."""
+    values = tuple(values)
+    if any(not isinstance(v, int) or isinstance(v, bool) for v in values):
+        raise TypeError(f"expected integer {name}, got {values!r}")
+    return values
+
+
 @dataclass(frozen=True)
 class GrassShape:
     """The Grassmannian of projective r-planes in P^n.
@@ -31,8 +40,7 @@ class GrassShape:
     normalized_from: int | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.r, int) or not isinstance(self.n, int):
-            raise TypeError("r and n must be integers")
+        _check_ints("r and n", (self.r, self.n))
         if not 0 <= self.r < self.n:
             raise ValueError(f"need 0 <= r < n, got r={self.r}, n={self.n}")
         if self.r > self.n - self.r - 1:
@@ -69,8 +77,8 @@ class SegreVeroneseShape:
     d: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n = tuple(int(a) for a in self.n)
-        d = tuple(int(a) for a in self.d)
+        n = _check_ints("factor dimensions", self.n)
+        d = _check_ints("degrees", self.d)
         if not n or len(n) != len(d):
             raise ValueError("n and d must be nonempty tuples of equal length")
         if min(n) < 1 or min(d) < 1:
@@ -110,11 +118,9 @@ Shape = GrassShape | SegreVeroneseShape
 
 
 def _check_grass_index(shape: GrassShape, I) -> tuple[int, ...]:
-    I = tuple(I)
+    I = _check_ints("index entries", I)
     if len(I) != shape.r + 1:
         raise ValueError(f"index must have {shape.r + 1} entries, got {I}")
-    if any(not isinstance(a, int) for a in I):
-        raise TypeError(f"index entries must be integers, got {I}")
     if any(b <= a for a, b in zip(I, I[1:])):
         raise ValueError(f"index must be strictly increasing, got {I}")
     if I[0] < 0 or I[-1] > shape.n:
@@ -154,8 +160,11 @@ def enumerate_indices(shape: Shape) -> list:
 def grass_distance(I, J) -> int:
     """Number of entries of I not appearing in J.
 
-    Symmetric for index tuples of equal length, and a metric on them.
+    Symmetric, and a metric on index tuples of one length; tuples of
+    different lengths raise ValueError.
     """
+    if len(I) != len(J):
+        raise ValueError(f"indices of different lengths: {I} and {J}")
     return len(I) - len(set(I) & set(J))
 
 
@@ -169,7 +178,10 @@ def _part_distance_from(a):
 def sv_distance(I, J) -> int:
     """Sum over factors of the multiset distance d_j - |I^j cap J^j|; parts
     may be unsorted.  Being additive over factors lets ``ball`` tabulate
-    each factor's parts on their own."""
+    each factor's parts on their own.  Indices whose factor counts or part
+    lengths differ raise ValueError."""
+    if list(map(len, I)) != list(map(len, J)):
+        raise ValueError(f"indices of different shapes: {I} and {J}")
     return sum(_part_distance_from(tuple(a))(sorted(b)) for a, b in zip(I, J))
 
 
@@ -196,8 +208,7 @@ def ball(shape: Shape, I, s: int) -> list:
     tabulated once per factor; one ``product`` walks the parts as
     ``enumerate_indices`` does and their distances in step, which gives the
     full scan's list in its order."""
-    if not isinstance(s, int) or isinstance(s, bool):
-        raise TypeError(f"radius must be an integer, got {s!r}")
+    _check_ints("radius", (s,))
     if s < 0:
         raise ValueError("radius must be nonnegative")
     check, _ = _metric(shape)

@@ -28,6 +28,7 @@ from .indices import (
     SegreVeroneseShape,
     _canonical_pair,
     _check_grass_index,
+    _check_ints,
     ball,
     distance,  # noqa: F401  (bench/test_bench.py looks it up as grassdef.oracle.distance)
     enumerate_indices,
@@ -227,6 +228,39 @@ def _gcd_reduce(row: dict[int, int]) -> dict[int, int]:
         if g == 1:
             return row
     return {c: v // g for c, v in row.items()}
+
+
+def _bareiss(matrix: list[list[int]]) -> tuple[int, list[list[int]]]:
+    """Fraction-free forward elimination of an n x (n + k) integer matrix.
+
+    Returns the sign of the row swaps and the reduced rows, whose square
+    part is upper triangular with last diagonal entry sign * det; it is set
+    to 0, and elimination stops, at a column with no pivot.  Step c sets
+    m[i][j] = (m[c][c] m[i][j] - m[i][c] m[c][j]) / (previous pivot) below
+    the pivot row.  By Sylvester's identity that is a (c+1) x (c+1) minor
+    of the row-swapped input, so every division is exact (Bareiss, Math.
+    Comp. 22, 1968), and a remainder raises ArithmeticError.
+    """
+    m = [list(row) for row in matrix]
+    n = len(m)
+    sign, prev = 1, 1
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if m[i][c]), None)
+        if pivot is None:
+            m[-1][n - 1] = 0
+            break
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            sign = -sign
+        top, p = m[c], m[c][c]
+        for row in m[c + 1 :]:
+            f, row[c] = row[c], 0
+            for j in range(c + 1, len(row)):
+                row[j], rem = divmod(p * row[j] - f * top[j], prev)
+                if rem:
+                    raise ArithmeticError(f"a Bareiss step left remainder {rem} at column {c}")
+        prev = p
+    return sign, m
 
 
 def rank(matrix, field: PrimeField | None = None) -> int:
@@ -1065,9 +1099,7 @@ def limit_hyperplane_coeffs(D: int, s: int, sbar: int, k1: int, k2: int) -> Limi
     [D - k2, s]; the canonical solution is supported on {0, ..., q} with
     q = s - D + k2 + 1, normalized to coprime integers with c_0 > 0.
     """
-    for name, value in (("D", D), ("s", s), ("sbar", sbar), ("k1", k1), ("k2", k2)):
-        if not isinstance(value, int):
-            raise TypeError(f"{name} must be an integer")
+    _check_ints("D, s, sbar, k1 and k2", (D, s, sbar, k1, k2))
     if k1 < 0 or k2 < 0 or sbar < 0:
         raise ValueError("sbar, k1, k2 must be nonnegative")
     if D <= k1 + k2 + 1:
@@ -1076,22 +1108,22 @@ def limit_hyperplane_coeffs(D: int, s: int, sbar: int, k1: int, k2: int) -> Limi
         raise ValueError("need 0 <= s <= D")
     if s < D - k2:
         return LimitHyperplane((1,) + (0,) * s, trivial=True)
+    # q <= k2 + 1 < D - k1, so the support misses the forced zero range
     q = s - D + k2 + 1
-    if q >= D - k1:
-        raise ArithmeticError(
-            f"the support {{0, ..., {q}}} meets the forced zero range [{D - k1}, {s}]"
-        )
     rows = list(range(D - k2, s + 1))
-    # comb vanishes for a negative lower index
-    matrix = [
-        [Fraction(comb(sbar + j, j - k)) if j >= k else Fraction(0) for k in range(1, q + 1)]
-        for j in rows
-    ]
-    rhs = [-Fraction(comb(sbar + j, j)) for j in rows]
-    solution = _solve_square(matrix, rhs)
-    coeffs = [Fraction(1)] + solution + [Fraction(0)] * (s - q)
-    scale = lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * scale) for c in coeffs]
+    # [A | b] for c_1..c_q; comb vanishes for a negative lower index
+    system = [[comb(sbar + j, j - k) if j >= k else 0 for k in range(1, q + 1)] + [-comb(sbar + j, j)] for j in rows]
+    _, m = _bareiss(system)
+    det = m[-1][q - 1]
+    if not det:
+        raise ArithmeticError("the collision system is singular")
+    # y = det * (c_1..c_q) is integral by Cramer's rule, so back-substitution divides exactly
+    y = [0] * q
+    for i in reversed(range(q)):
+        y[i], rem = divmod(det * m[i][q] - sum(m[i][j] * y[j] for j in range(i + 1, q)), m[i][i])
+        if rem:
+            raise ArithmeticError(f"back-substitution left remainder {rem} in row {i}")
+    ints = [det] + y + [0] * (s - q)
     g = gcd(*ints)
     ints = [v // g for v in ints]
     if ints[0] < 0:
@@ -1101,20 +1133,3 @@ def limit_hyperplane_coeffs(D: int, s: int, sbar: int, k1: int, k2: int) -> Limi
         if residual:
             raise ArithmeticError(f"the collision relation for j = {j} leaves residual {residual}")
     return LimitHyperplane(tuple(ints), trivial=False)
-
-
-def _solve_square(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    size = len(rhs)
-    m = [row[:] + [b] for row, b in zip(matrix, rhs)]
-    for c in range(size):
-        pivot = next((i for i in range(c, size) if m[i][c]), None)
-        if pivot is None:
-            raise ArithmeticError(f"the collision system is singular at column {c}")
-        m[c], m[pivot] = m[pivot], m[c]
-        inv = 1 / m[c][c]
-        m[c] = [v * inv for v in m[c]]
-        for i in range(size):
-            if i != c and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return [m[i][size] for i in range(size)]

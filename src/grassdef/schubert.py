@@ -3,15 +3,17 @@ multiplicities, and degrees of Grassmannians.
 
 Partitions here index Schubert varieties with respect to a fixed complete
 flag.  The multiplicity routine evaluates the determinantal formula for the
-multiplicity of a Schubert variety along a smaller one, with exact integer
-arithmetic throughout.
+multiplicity of a Schubert variety along a smaller one by fraction-free
+(Bareiss) elimination, in integers throughout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, factorial
+
+from .indices import _check_ints
+from .oracle import _bareiss
 
 
 @dataclass(frozen=True)
@@ -28,11 +30,10 @@ class Partition:
     parts: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.r, int) or not isinstance(self.n, int):
-            raise TypeError("r and n must be integers")
+        _check_ints("r and n", (self.r, self.n))
         if not 0 <= self.r < self.n:
             raise ValueError(f"need 0 <= r < n, got r={self.r}, n={self.n}")
-        parts = tuple(int(a) for a in self.parts)
+        parts = _check_ints("parts", self.parts)
         if len(parts) > self.r + 1:
             if any(parts[self.r + 1 :]):
                 raise ValueError(f"at most {self.r + 1} nonzero parts allowed")
@@ -118,7 +119,8 @@ def multiplicity(lam: Partition, mu: Partition) -> int:
 
     Requires contains(lam, mu).  With l, j running over 1..r+1 set
     t_l = n - r + l - lambda_l and s_l = #{ j : mu_j - j < lambda_l - l };
-    the multiplicity is |det M| for M[k][l] = C(t_l, (k - 1) - s_l).
+    the multiplicity is |det M| for M[k][l] = C(t_l, (k - 1) - s_l),
+    computed by fraction-free elimination with no rational arithmetic.
     """
     if not contains(lam, mu):
         raise ValueError("multiplicity needs mu componentwise above lam")
@@ -132,36 +134,14 @@ def multiplicity(lam: Partition, mu: Partition) -> int:
 
 
 def _int_det(matrix: list[list[int]]) -> int:
-    # Gaussian elimination over the rationals; the input is integral and
-    # small so Fractions are exact and cheap
-    size = len(matrix)
-    m = [[Fraction(v) for v in row] for row in matrix]
-    det = Fraction(1)
-    for c in range(size):
-        pivot = next((i for i in range(c, size) if m[i][c]), None)
-        if pivot is None:
-            return 0
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, size):
-            f = m[i][c] * inv
-            if not f:
-                continue
-            for j in range(c, size):
-                m[i][j] -= f * m[c][j]
-    if det.denominator != 1:
-        raise ArithmeticError(f"the determinant of an integer matrix came out as {det}")
-    return det.numerator
+    sign, reduced = _bareiss(matrix)
+    return sign * reduced[-1][-1]
 
 
 def grass_degree(r: int, n: int) -> int:
     """Degree of G(r, n) in the Pluecker embedding, by the hook length
     formula on the (r+1) x (n-r) rectangle."""
-    if not isinstance(r, int) or not isinstance(n, int):
-        raise TypeError("r and n must be integers")
+    _check_ints("r and n", (r, n))
     if not 0 <= r < n:
         raise ValueError(f"need 0 <= r < n, got r={r}, n={n}")
     rows, cols = r + 1, n - r
@@ -190,14 +170,14 @@ class FerrersDiagram:
     inner: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        outer = tuple(int(a) for a in self.outer)
+        outer = _check_ints("row lengths", self.outer)
         if any(a < 0 for a in outer):
             raise ValueError("row lengths must be nonnegative")
         if any(b < a for a, b in zip(outer, outer[1:])):
             raise ValueError("row lengths must be weakly increasing as drawn")
         object.__setattr__(self, "outer", outer)
         if self.inner is not None:
-            inner = tuple(int(a) for a in self.inner)
+            inner = _check_ints("inner row lengths", self.inner)
             inner = inner + (0,) * (len(outer) - len(inner))
             if len(inner) != len(outer):
                 raise ValueError("inner diagram has too many rows")

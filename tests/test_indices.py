@@ -270,3 +270,38 @@ def test_delta_set_members_satisfy_distance_laws(data, l):
     for J in out:
         assert distance(shape, I, J) == abs(l)
         assert distance(shape, J, I1) == distance(shape, I, I1) + l
+
+
+@pytest.mark.parametrize(
+    "I,J",
+    [
+        (((0, 0),), ((0,),)),  # parts of different lengths
+        (((0,), (1,)), ((0,),)),  # different factor counts
+        (((0, 1), (2,)), ((0, 1), (2, 2))),
+    ],
+)
+def test_sv_distance_rejects_indices_of_different_shapes(I, J):
+    for a, b in ((I, J), (J, I)):
+        with pytest.raises(ValueError):
+            sv_distance(a, b)
+
+
+@pytest.mark.parametrize("I,J", [((0, 1), (0, 1, 2)), ((), (0,)), ((3,), (1, 2))])
+def test_grass_distance_rejects_indices_of_different_lengths(I, J):
+    for a, b in ((I, J), (J, I)):
+        with pytest.raises(ValueError):
+            grass_distance(a, b)
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, 1.5, "1", None])
+def test_shapes_and_grassmannian_indices_refuse_non_integers(bad):
+    with pytest.raises(TypeError):
+        GrassShape(bad, 3)
+    with pytest.raises(TypeError):
+        GrassShape(1, bad)
+    with pytest.raises(TypeError):
+        SegreVeroneseShape((bad,), (2,))
+    with pytest.raises(TypeError):
+        SegreVeroneseShape((1, 2), (2, bad))
+    with pytest.raises(TypeError):
+        distance(GrassShape(1, 3), (0, bad), (0, 2))

@@ -678,3 +678,12 @@ def test_limit_hyperplane_exactness(seed):
             for t in range(min(j, q) + 1)
         )
         assert residual == 0
+
+
+@pytest.mark.parametrize("position", range(5))
+@pytest.mark.parametrize("bad", [True, 1.0, "3"])
+def test_limit_hyperplane_refuses_non_integers(position, bad):
+    args = [5, 5, 0, 2, 1]
+    args[position] = bad
+    with pytest.raises(TypeError):
+        limit_hyperplane_coeffs(*args)

@@ -232,3 +232,21 @@ def test_ferrers_render():
         FerrersDiagram.of_partition(
             Partition(2, 5, (2, 2, 0)), inner=Partition(2, 5, (1, 0, 0))
         )
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.7, 1.0, "1", None])
+def test_partitions_and_degrees_refuse_non_integers(bad):
+    with pytest.raises(TypeError):
+        Partition(bad, 5, (1,))
+    with pytest.raises(TypeError):
+        Partition(2, bad, (1,))
+    with pytest.raises(TypeError):
+        Partition(2, 5, (bad,))
+    with pytest.raises(TypeError):
+        grass_degree(bad, 3)
+    with pytest.raises(TypeError):
+        grass_degree(1, bad)
+    with pytest.raises(TypeError):
+        FerrersDiagram((1, bad))
+    with pytest.raises(TypeError):
+        FerrersDiagram((1, 2), (bad,))

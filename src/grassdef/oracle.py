@@ -239,7 +239,9 @@ def _bareiss(matrix: list[list[int]]) -> tuple[int, list[list[int]]]:
     m[i][j] = (m[c][c] m[i][j] - m[i][c] m[c][j]) / (previous pivot) below
     the pivot row.  By Sylvester's identity that is a (c+1) x (c+1) minor
     of the row-swapped input, so every division is exact (Bareiss, Math.
-    Comp. 22, 1968), and a remainder raises ArithmeticError.
+    Comp. 22, 1968), and a remainder raises ArithmeticError.  For [A | b]
+    with A invertible, det * x is integral by Cramer's rule, so solving
+    for it by back-substitution divides exactly as well.
     """
     m = [list(row) for row in matrix]
     n = len(m)
@@ -1112,12 +1114,15 @@ def limit_hyperplane_coeffs(D: int, s: int, sbar: int, k1: int, k2: int) -> Limi
     q = s - D + k2 + 1
     rows = list(range(D - k2, s + 1))
     # [A | b] for c_1..c_q; comb vanishes for a negative lower index
-    system = [[comb(sbar + j, j - k) if j >= k else 0 for k in range(1, q + 1)] + [-comb(sbar + j, j)] for j in rows]
+    system = [
+        [comb(sbar + j, j - k) if j >= k else 0 for k in range(1, q + 1)] + [-comb(sbar + j, j)]
+        for j in rows
+    ]
     _, m = _bareiss(system)
     det = m[-1][q - 1]
     if not det:
         raise ArithmeticError("the collision system is singular")
-    # y = det * (c_1..c_q) is integral by Cramer's rule, so back-substitution divides exactly
+    # back-substitute y = det * (c_1..c_q), integral by Cramer's rule
     y = [0] * q
     for i in reversed(range(q)):
         y[i], rem = divmod(det * m[i][q] - sum(m[i][j] * y[j] for j in range(i + 1, q)), m[i][i])

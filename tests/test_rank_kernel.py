@@ -15,6 +15,7 @@ import itertools
 from fractions import Fraction
 from math import comb, gcd, lcm
 
+import pytest
 from hypothesis import given, strategies as st
 
 from grassdef import (
@@ -25,6 +26,7 @@ from grassdef import (
     contains,
     limit_hyperplane_coeffs,
     multiplicity,
+    oracle,
     rank,
     schubert,
 )
@@ -226,3 +228,24 @@ def test_multiplicity_is_the_docstring_determinant_on_g38():
             assert multiplicity(lam, mu) == abs(rational_det(matrix))
             pairs += 1
     assert pairs > 1000
+
+
+def test_bareiss_refuses_a_division_with_remainder():
+    # a non-integral entry breaks Sylvester's identity, so the first step
+    # leaves a remainder instead of a silently truncated determinant
+    with pytest.raises(ArithmeticError):
+        oracle._bareiss([[Fraction(1, 2), 1], [1, 1]])
+
+
+@pytest.mark.parametrize(
+    "reduced",
+    [
+        [[2, 1, 0], [0, 0, 1]],  # a singular collision system
+        [[2, 1, 0], [0, 1, 1]],  # row 0 does not divide det * b - A y
+    ],
+)
+def test_limit_hyperplane_guards_its_solve(monkeypatch, reduced):
+    # (D, s, sbar, k1, k2) = (5, 5, 0, 0, 1) solves a 2 x 2 system
+    monkeypatch.setattr(oracle, "_bareiss", lambda system: (1, reduced))
+    with pytest.raises(ArithmeticError):
+        limit_hyperplane_coeffs(5, 5, 0, 0, 1)

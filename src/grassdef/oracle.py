@@ -19,9 +19,8 @@ import json
 import random
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, lcm, perm
+from math import comb, gcd, perm
 
 from .indices import (
     GrassShape,
@@ -116,19 +115,23 @@ class PrimeField:
 
 
 class RankAccumulator:
-    """Incremental rank of a growing list of sparse rows.
+    """Incremental rank of a growing list of sparse integer rows.
 
-    Rows are {column: value} dicts.  Over a prime field each pivot is a
-    dense segment normalized to 1 at its lead column and trimmed at its
-    last nonzero column; the dict of pivots by lead column holds the
-    entries after the lead, and a sorted list holds the leads.  An incoming
-    row is scattered into one dense list and reduced against the pivots in
+    Rows are {column: value} dicts with int values.  One elimination serves
+    both fields.  Each pivot is a dense segment from its lead column to its
+    last nonzero column, stored by lead column as (lead value, entries
+    after the lead); a sorted list holds the leads.  An incoming row is
+    scattered into one dense list and reduced against the pivots in
     increasing lead order, from the first lead at or after its first column
-    until a lead passes its last possibly-nonzero column; entries are
+    until a lead passes its last possibly-nonzero column.  Modulo p every
+    lead value is 1, so a step subtracts f times the tail, and entries are
     reduced modulo p only to take each multiplier and on the final segment.
-    Over the rationals a fraction-free sparse integer elimination with
-    per-row gcd reduction keeps the entries small.  The rank never exceeds
-    ncols, so callers can stop feeding rows once ``saturated`` is true.
+    Over the rationals a step is fraction-free: with g = gcd(d, f) for lead
+    value d and row entry f, the row becomes (d/g) row - (f/g) tail, the
+    scaling covering the whole row, since its columns before the lead with
+    no pivot stay nonzero; a new pivot is divided once by its content.  The
+    rank never exceeds ncols, so callers can stop feeding rows once
+    ``saturated`` is true.
     """
 
     def __init__(self, ncols: int, field: PrimeField | None = None) -> None:
@@ -136,8 +139,8 @@ class RankAccumulator:
             raise ValueError("ncols must be nonnegative")
         self.ncols = ncols
         self.field = field
-        # lead column -> pivot: the segment after the lead modulo p, a sparse row otherwise
-        self._pivots: dict[int, list[int] | dict[int, int]] = {}
+        # lead column -> (lead value, segment after the lead)
+        self._pivots: dict[int, tuple[int, list[int]]] = {}
         self._leads: list[int] = []
 
     @property
@@ -151,31 +154,27 @@ class RankAccumulator:
     def add_row(self, row: dict) -> int:
         """Reduce one row against the accumulated pivots; returns the rank
         after the update."""
-        if not self.saturated:
-            if self.field is not None:
-                self._add_mod(row)
-            else:
-                self._add_exact(row)
-        return len(self._pivots)
-
-    def _add_mod(self, row: dict) -> None:
-        if not row:
-            return
-        p = self.field.p
+        leads, pivots = self._leads, self._pivots
+        if self.saturated or not row:
+            return len(pivots)
+        p = self.field.p if self.field is not None else 0
         first = min(row)
         dense = [0] * (max(row) + 1 - first)
         for c, v in row.items():
             dense[c - first] = v
-        leads, pivots = self._leads, self._pivots
         for k in range(bisect.bisect_left(leads, first), len(leads)):
             lead = leads[k]
             at = lead - first
             if at >= len(dense):
                 break
-            f = dense[at] % p
+            f = dense[at] % p if p else dense[at]
             if f:
+                d, tail = pivots[lead]
+                if d != 1:
+                    g = gcd(d, f)
+                    d, f = d // g, f // g
+                    dense = [d * v for v in dense]
                 dense[at] = 0
-                tail = pivots[lead]
                 if tail:
                     at += 1
                     end = at + len(tail)
@@ -183,51 +182,21 @@ class RankAccumulator:
                         dense.extend([0] * (end - len(dense)))
                     dense[at:end] = [a - f * b for a, b in zip(dense[at:end], tail)]
         end = len(dense)
-        while end and not dense[end - 1] % p:
+        while end and not (dense[end - 1] % p if p else dense[end - 1]):
             end -= 1
         if end:
             at = 0
-            while not dense[at] % p:
+            while not (dense[at] % p if p else dense[at]):
                 at += 1
-            inv = pow(dense[at], -1, p)
+            if p:
+                inv = pow(dense[at], -1, p)
+                pivot = (1, [v * inv % p for v in dense[at + 1 : end]])
+            else:
+                g = gcd(*dense[at:end])
+                pivot = (dense[at] // g, [v // g for v in dense[at + 1 : end]])
             bisect.insort(leads, first + at)
-            pivots[first + at] = [v * inv % p for v in dense[at + 1 : end]]
-
-    def _add_exact(self, row: dict) -> None:
-        scale = 1
-        for v in row.values():
-            if isinstance(v, Fraction):
-                scale = lcm(scale, v.denominator)
-        r: dict[int, int] = {}
-        for c, v in row.items():
-            iv = int(v * scale)
-            if iv:
-                r[c] = iv
-        while r:
-            r = _gcd_reduce(r)
-            c = min(r)
-            piv = self._pivots.get(c)
-            if piv is None:
-                self._pivots[c] = r
-                return
-            pc, rc = piv[c], r[c]
-            g = gcd(pc, rc)
-            mr, mp = pc // g, rc // g
-            new: dict[int, int] = {}
-            for cc in set(r) | set(piv):
-                nv = mr * r.get(cc, 0) - mp * piv.get(cc, 0)
-                if nv:
-                    new[cc] = nv
-            r = new
-
-
-def _gcd_reduce(row: dict[int, int]) -> dict[int, int]:
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            return row
-    return {c: v // g for c, v in row.items()}
+            pivots[first + at] = pivot
+        return len(pivots)
 
 
 def _bareiss(matrix: list[list[int]]) -> tuple[int, list[list[int]]]:
@@ -266,8 +235,9 @@ def _bareiss(matrix: list[list[int]]) -> tuple[int, list[list[int]]]:
 
 
 def rank(matrix, field: PrimeField | None = None) -> int:
-    """Rank of a JetMatrix or of an iterable of rows; rows may be dense
-    sequences or sparse {column: value} dicts."""
+    """Rank of a JetMatrix or of an iterable of integer rows, modulo p or
+    over the rationals with the one RankAccumulator elimination; rows may be
+    dense sequences or sparse {column: value} dicts."""
     if isinstance(matrix, JetMatrix):
         if field is None:
             field = matrix.field

@@ -235,6 +235,15 @@ SMOKE_MATRIX = [
         ),
     ),
     (
+        # the exact branch of the rank kernel: SV(3;4) is 1-defective at h=9
+        ("secant", "--sv", "3:4", "--h", "9", "--prime", "rational", "--trials", "1"),
+        (
+            '{"computed":33,"defect":1,"elapsed_ms":null,"expected":34,"h":9,'
+            '"prime":"rational","seed":1729,"shape":"SV(3;4)","trials":[33],'
+            '"verdict":"DefectEvidence"}'
+        ),
+    ),
+    (
         ("oscproj", "--grass", "2", "5", "--centers", "0,1,2", "--orders", "1"),
         (
             '{"ambient_dim":19,"kind":"osculating","note":"","restricted_rank":10,'

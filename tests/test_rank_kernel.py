@@ -89,13 +89,20 @@ def test_modular_and_exact_ranks_match_rational_rank_after_every_row(case):
         assert modular.add_row(shifted) == expected
         assert exact.add_row(row) == expected
         assert modular.saturated == exact.saturated == (expected == ncols)
-        # the pivot segments after their leads stop at their last nonzero
-        # column
-        assert modular._leads == sorted(modular._pivots)
-        for lead, tail in modular._pivots.items():
-            assert not tail or tail[-1] != 0
-            assert lead + 1 + len(tail) <= ncols
+        # each pivot is (lead value, segment after the lead); the segments
+        # stop at their last nonzero column, modular pivots are monic and
+        # reduced, exact ones primitive
+        for acc in (modular, exact):
+            assert acc._leads == sorted(acc._pivots)
+            for lead, (value, tail) in acc._pivots.items():
+                assert value != 0
+                assert not tail or tail[-1] != 0
+                assert lead + 1 + len(tail) <= ncols
+        for value, tail in modular._pivots.values():
+            assert value == 1
             assert all(0 <= v < P for v in tail)
+        for value, tail in exact._pivots.values():
+            assert gcd(value, *tail) == 1
     assert rank(rows, FIELD) == rank(rows) == rational_rank(rows, ncols)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
+from .indices import _check_ints
 from .schubert import grass_degree
 
 GRASS = "grassmannian"
@@ -52,8 +53,7 @@ class Ambient:
 
     @classmethod
     def grassmannian(cls, r: int, n: int) -> "Ambient":
-        if not isinstance(r, int) or not isinstance(n, int):
-            raise TypeError("r and n must be integers")
+        _check_ints("r and n", (r, n))
         if not 1 <= r < n:
             raise ValueError(
                 "need 1 <= r < n; for r = 0 the Grassmannian is a projective "
@@ -401,8 +401,7 @@ def spherical_status(r: int, n: int, k: int) -> SphericalReport:
     exactly up to n + 1 points.  For r >= 1 the blow-up is spherical
     exactly when k = 1, or k = 2 with r = 1 or n = 2r + 1 or n = 2r + 2,
     or k = 3 with (r, n) = (1, 5)."""
-    if not all(isinstance(v, int) for v in (r, n, k)):
-        raise TypeError("r, n, k must be integers")
+    _check_ints("r, n and k", (r, n, k))
     if r < 0 or n < 2 * r + 1:
         raise ValueError("need r >= 0 and n >= 2r + 1")
     if k < 1:
@@ -464,8 +463,7 @@ def effective_cone(r: int, n: int, k: int) -> ConeData:
     general points.  The catalog covers k = 1 for every G(r, n), k = 2 for
     n = 2r + 1, n = 2r + 2 and for lines with n >= 5, and k = 3 for
     G(1, 5); everything else is unknown."""
-    if not all(isinstance(v, int) for v in (r, n, k)):
-        raise TypeError("r, n, k must be integers")
+    _check_ints("r, n and k", (r, n, k))
     if r > n - r - 1:
         r = n - r - 1
     if r < 1 or n < 2 * r + 1:
@@ -679,8 +677,7 @@ def _mds_projective(n: int, k: int) -> tuple[str, str | None, str]:
 def mds_status(r: int, n: int, k: int) -> MDSReport:
     """Mori dream space status of the blow-up at k general points of
     G(r, n) for r >= 1, or of P^n for r = 0."""
-    if not all(isinstance(v, int) for v in (r, n, k)):
-        raise TypeError("r, n, k must be integers")
+    _check_ints("r, n and k", (r, n, k))
     if r < 0 or n < 2 * r + 1 or (r == 0 and n < 1):
         raise ValueError("need r >= 0 and n >= 2r + 1")
     if k < 0:

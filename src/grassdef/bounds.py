@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .indices import SegreVeroneseShape
+from .indices import SegreVeroneseShape, _check_ints
 
 
 def h_m(m: int, k: int) -> int:
@@ -25,8 +25,7 @@ def h_m(m: int, k: int) -> int:
     Consequences used elsewhere: h_m(2k) = h_m(2k - 1) and
     h_2(k) = floor((k + 1) / 2).
     """
-    if not isinstance(m, int) or not isinstance(k, int):
-        raise TypeError("m and k must be integers")
+    _check_ints("m and k", (m, k))
     if m < 2:
         raise ValueError("m must be at least 2")
     if k < 0:
@@ -69,8 +68,7 @@ class BoundReport:
 
 
 def _check_grass_args(r: int, n: int) -> None:
-    if not isinstance(r, int) or not isinstance(n, int):
-        raise TypeError("r and n must be integers")
+    _check_ints("r and n", (r, n))
     if r < 2:
         raise ValueError(
             "the bound needs r >= 2; secant varieties of Grassmannians of "
@@ -167,8 +165,7 @@ def osculating_dim_grass(r: int, n: int, s: int) -> int:
     Equals sum_{l=1}^{s} C(r+1, l) C(n-r, l) for s <= r and saturates at
     the ambient dimension from s = r + 1 on.
     """
-    if not isinstance(r, int) or not isinstance(n, int) or not isinstance(s, int):
-        raise TypeError("r, n, s must be integers")
+    _check_ints("r, n and s", (r, n, s))
     if not 0 <= r < n:
         raise ValueError(f"need 0 <= r < n, got r={r}, n={n}")
     if s < 0:

@@ -21,8 +21,9 @@ def _check_ints(name: str, values) -> tuple[int, ...]:
     """The values as a tuple; a bool or a non-integer raises TypeError
     instead of being truncated."""
     values = tuple(values)
-    if any(not isinstance(v, int) or isinstance(v, bool) for v in values):
-        raise TypeError(f"expected integer {name}, got {values!r}")
+    for v in values:
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise TypeError(f"expected integer {name}, got {values!r}")
     return values
 
 
@@ -129,7 +130,7 @@ def _check_grass_index(shape: GrassShape, I) -> tuple[int, ...]:
 
 
 def _check_sv_index(shape: SegreVeroneseShape, I) -> tuple[tuple[int, ...], ...]:
-    I = tuple(tuple(part) for part in I)
+    I = tuple(_check_ints("index entries", part) for part in I)
     if len(I) != shape.factors:
         raise ValueError(f"index must have {shape.factors} factor parts, got {I}")
     for part, nj, dj in zip(I, shape.n, shape.d):

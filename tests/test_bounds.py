@@ -8,14 +8,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from grassdef import (
+    Ambient,
     GrassShape,
     SegreVeroneseShape,
     aop_bound,
+    effective_cone,
     grass_bound,
     h_m,
     linear_bound,
+    mds_status,
     osculating_dim_grass,
     osculating_dim_sv,
+    spherical_status,
     sv_bound,
 )
 from strategies import sv_shapes
@@ -238,3 +242,24 @@ def test_osculating_dim_sv_monotone_and_saturating(shape, s):
 @given(sv_shapes(max_factors=2, max_n=2, max_d=2), st.integers(1, 4))
 def test_osculating_dim_sv_first_level_is_variety_dim(shape, s):
     assert osculating_dim_sv(shape, 1) == shape.dim
+
+
+@pytest.mark.parametrize(
+    "call, args",
+    [
+        (h_m, (2, True)),
+        (h_m, (True, 3)),
+        (grass_bound, (True, 7)),
+        (osculating_dim_grass, (2, 5, True)),
+        (Ambient.grassmannian, (True, 4)),
+        (spherical_status, (True, 5, 1)),
+        (effective_cone, (1, 5, True)),
+        (mds_status, (1, 5, False)),
+    ],
+    ids=lambda v: getattr(v, "__qualname__", None),
+)
+def test_closed_forms_refuse_bools(call, args):
+    # bools are ints to isinstance; these checks refuse them, as the index
+    # and Schubert checks do
+    with pytest.raises(TypeError):
+        call(*args)

@@ -286,6 +286,19 @@ def test_sv_distance_rejects_indices_of_different_shapes(I, J):
             sv_distance(a, b)
 
 
+@pytest.mark.parametrize("bad", [0.5, 1.0, True, "1", None])
+def test_segre_veronese_indices_refuse_non_integer_entries(bad):
+    # the order and range checks alone pass a half-integer entry, whose
+    # radius-0 ball would miss its own center
+    shape = SegreVeroneseShape((2,), (2,))
+    with pytest.raises(TypeError):
+        distance(shape, ((bad, 1),), ((0, 1),))
+    with pytest.raises(TypeError):
+        distance(shape, ((0, 1),), ((0, bad),))
+    with pytest.raises(TypeError):
+        ball(shape, ((bad, 1),), 0)
+
+
 @pytest.mark.parametrize("I,J", [((0, 1), (0, 1, 2)), ((), (0,)), ((3,), (1, 2))])
 def test_grass_distance_rejects_indices_of_different_lengths(I, J):
     for a, b in ((I, J), (J, I)):

@@ -252,11 +252,30 @@ SMOKE_MATRIX = [
         ),
     ),
     (
+        # nothing survives: restricted_rank stays in the JSON as null
+        ("oscproj", "--grass", "2", "5", "--centers", "0,1,2", "--orders", "3"),
+        (
+            '{"ambient_dim":19,"kind":"osculating","note":"every coordinate lies '
+            'in the span of the osculating centers","restricted_rank":null,'
+            '"shape":"G(2,5)","status":"ConstantMap","survivors":0,"variety_dim":9}'
+        ),
+    ),
+    (
         ("tangproj", "--grass", "2", "6", "--h", "1"),
         (
             '{"ambient_dim":34,"center_rank":13,"h":1,"joint_rank":26,'
             '"kind":"tangential","note":"","shape":"G(2,6)",'
             '"status":"GenericallyFinite","variety_dim":12}'
+        ),
+    ),
+    (
+        ("tangproj", "--grass", "2", "6", "--h", "3"),
+        (
+            '{"ambient_dim":34,"center_rank":34,"h":3,"joint_rank":35,'
+            '"kind":"tangential","note":"the projection away from a span of '
+            'dimension 33 lands in a projective space of dimension 0, smaller '
+            'than dim X = 12; the finiteness question is void","shape":"G(2,6)",'
+            '"status":"HypothesisViolated","variety_dim":12}'
         ),
     ),
     (

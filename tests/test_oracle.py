@@ -16,6 +16,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+import grassdef.oracle
 from grassdef import (
     CERTIFIED,
     CONSTANT_MAP,
@@ -469,6 +470,32 @@ def test_secant_certificate_serialization():
     decoded = json.loads(cert.to_json())
     assert decoded == payload
     assert cert.to_json() == json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def test_secant_escalates_to_a_rational_trial_when_trials_disagree(monkeypatch):
+    # G(1,5) at h=3: the two coordinate balls leave one column, which only
+    # the random third point reaches; starve its first draw so trial 0 falls short
+    sampler = grassdef.oracle._tangent_sampler
+    calls = []
+
+    def starved(shape):
+        draw = sampler(shape)
+
+        def first_draw_empty(rng, field):
+            calls.append(field)
+            return [] if len(calls) == 1 else draw(rng, field)
+
+        return first_draw_empty
+
+    monkeypatch.setattr(grassdef.oracle, "_tangent_sampler", starved)
+    trials = 3
+    cert = secant_dimension(GrassShape(1, 5), 3, trials=trials)
+    assert len(cert.trials) == trials + 1
+    assert cert.trials[0] < cert.expected_dim
+    assert cert.note.startswith("trials disagreed")
+    assert cert.trials[-1] == max(cert.trials) == cert.computed_dim
+    assert calls[-1] is None  # the appended trial ran over the rationals
+    assert cert.verdict == CERTIFIED
 
 
 def test_secant_is_deterministic_in_seed():

@@ -69,13 +69,15 @@ class Ambient:
 
     @classmethod
     def quadric(cls, n: int) -> "Ambient":
-        if not isinstance(n, int) or n < 2:
+        _check_ints("n", (n,))
+        if n < 2:
             raise ValueError("quadrics here have dimension at least 2")
         return cls(QUADRIC, n)
 
     @classmethod
     def projective(cls, n: int) -> "Ambient":
-        if not isinstance(n, int) or n < 2:
+        _check_ints("n", (n,))
+        if n < 2:
             raise ValueError("projective spaces here have dimension at least 2")
         return cls(PROJ, n)
 
@@ -143,7 +145,7 @@ class DivisorClass:
     b: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "b", tuple(int(v) for v in self.b))
+        object.__setattr__(self, "b", _check_ints("coefficients", (self.a, *self.b))[1:])
 
     @property
     def k(self) -> int:
@@ -163,7 +165,7 @@ class CurveClass:
     m: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "m", tuple(int(v) for v in self.m))
+        object.__setattr__(self, "m", _check_ints("coefficients", (self.c, *self.m))[1:])
 
     @property
     def k(self) -> int:
@@ -212,7 +214,8 @@ def intersect(D: DivisorClass, C: CurveClass) -> int:
 def anticanonical(ambient: Ambient, k: int) -> DivisorClass:
     """The anticanonical class of the blow-up at k general points:
     index(ambient) H - (dim - 1) sum_i E_i."""
-    if not isinstance(k, int) or k < 0:
+    _check_ints("k", (k,))
+    if k < 0:
         raise ValueError("k must be a nonnegative integer")
     return DivisorClass(ambient.index, (ambient.dim - 1,) * k)
 
@@ -252,7 +255,8 @@ def mori_cone_generators(ambient: Ambient, k: int) -> ConeData:
     classes l_ij = h - e_i - e_j for 2 <= k <= 2n.  Outside these ranges
     the status is unknown and the generator list empty.
     """
-    if not isinstance(k, int) or k < 0:
+    _check_ints("k", (k,))
+    if k < 0:
         raise ValueError("k must be a nonnegative integer")
     if ambient.kind == QUADRIC and ambient.n == 2:
         return ConeData(
@@ -346,7 +350,8 @@ def classify_fano(ambient: Ambient, k: int) -> FanoReport:
     """Fano / weak Fano / neither for the blow-up of the ambient at k
     general points.  A disagreement between the computed verdict and the
     classification table is a genuine inconsistency: an ArithmeticError."""
-    if not isinstance(k, int) or k < 0:
+    _check_ints("k", (k,))
+    if k < 0:
         raise ValueError("k must be a nonnegative integer")
     ak = anticanonical(ambient, k)
     top = top_self_intersection(ambient, ak)
@@ -559,7 +564,8 @@ def mori_chambers_g1n1(n: int) -> ChamberDecomposition:
     n = 3 the last chamber is instead a divisorial contraction onto P^4 and
     the movable cone stops at H - E.
     """
-    if not isinstance(n, int) or n < 3:
+    _check_ints("n", (n,))
+    if n < 3:
         raise ValueError("need n >= 3")
     E = divisor_E(0, 1)
     H = divisor_H(1)

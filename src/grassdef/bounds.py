@@ -195,7 +195,8 @@ def osculating_dim_sv(shape: SegreVeroneseShape, s: int) -> int:
     variety; saturates at the ambient dimension from s = d_total on."""
     if not isinstance(shape, SegreVeroneseShape):
         raise TypeError("osculating_dim_sv takes a SegreVeroneseShape")
-    if not isinstance(s, int) or s < 0:
+    _check_ints("s", (s,))
+    if s < 0:
         raise ValueError("s must be a nonnegative integer")
     counts = _sv_level_counts(shape)
     return sum(counts[1 : min(s, shape.d_total) + 1])

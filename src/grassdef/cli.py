@@ -10,10 +10,10 @@ One serializer, _plain, writes every payload: a report dataclass becomes
 the dict of its fields, a DivisorClass its name, a tuple a list.  chambers,
 spherical and limit-hyperplane print their report as it is; effcone adds r,
 n and k to its ConeData, and bound adds shape, rule and statement to its
-BoundReport.  The other commands build a dict, which _plain serializes too:
-secant prints its certificate's to_dict() (renamed keys), oscproj and
-tangproj leave out the fields of the other projection kind (tangproj adds
-h), classify combines three reports, and schubert has no report object.
+BoundReport.  oscproj and tangproj print their ProjectionReport without the
+two fields of the other projection kind (tangproj adds h), and secant its
+certificate's to_dict() (renamed keys).  Only classify, which combines
+three reports, and schubert, which has no report object, build a dict.
 
 Exit codes: 0 on success, 2 on invalid arguments or violated preconditions,
 3 when a computation is refused because it exceeds the oracle's size cap,
@@ -215,16 +215,8 @@ def cmd_oscproj(args, config: RunConfig) -> int:
     )
     if report.note:
         text += f"\n{report.note}"
-    payload = {
-        "shape": report.shape,
-        "kind": report.kind,
-        "status": report.status,
-        "variety_dim": report.variety_dim,
-        "ambient_dim": report.ambient_dim,
-        "survivors": report.survivors,
-        "restricted_rank": report.restricted_rank,
-        "note": report.note,
-    }
+    payload = _plain(report)
+    del payload["center_rank"], payload["joint_rank"]
     return _emit(config, text, payload)
 
 
@@ -240,18 +232,9 @@ def cmd_tangproj(args, config: RunConfig) -> int:
     )
     if report.note:
         text += f"\n{report.note}"
-    payload = {
-        "shape": report.shape,
-        "kind": report.kind,
-        "h": args.h,
-        "status": report.status,
-        "variety_dim": report.variety_dim,
-        "ambient_dim": report.ambient_dim,
-        "center_rank": report.center_rank,
-        "joint_rank": report.joint_rank,
-        "note": report.note,
-    }
-    return _emit(config, text, payload)
+    payload = _plain(report)
+    del payload["survivors"], payload["restricted_rank"]
+    return _emit(config, text, payload, h=args.h)
 
 
 def cmd_schubert(args, config: RunConfig) -> int:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import json
 import random
 import time
 from dataclasses import dataclass
@@ -97,15 +96,16 @@ def is_probable_prime(p: int) -> bool:
 
 @dataclass(frozen=True)
 class PrimeField:
-    """Arithmetic modulo p.  The modulus must be a prime of at least 31
-    bits so that divided powers of the orders used here never meet the
-    characteristic."""
+    """Arithmetic modulo p.  The modulus must be a prime of at least 2^31
+    so that divided powers of the orders used here never meet the
+    characteristic, and every sample coordinate in [1, _COORD_RANGE] is a
+    unit."""
 
     p: int
 
     def __post_init__(self) -> None:
         if not isinstance(self.p, int) or self.p < (1 << 31):
-            raise ValueError("the modulus must be an integer of at least 31 bits")
+            raise ValueError("the modulus must be an integer of at least 2^31")
         if not is_probable_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
 
@@ -265,7 +265,8 @@ class RationalNormalCurve:
     n: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
+        _check_ints("n", (self.n,))
+        if self.n < 1:
             raise ValueError("n must be a positive integer")
 
     @property
@@ -293,7 +294,8 @@ class TangentDevelopable:
     n: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 2:
+        _check_ints("n", (self.n,))
+        if self.n < 2:
             raise ValueError("n must be at least 2")
 
     @property
@@ -530,7 +532,8 @@ def _pluecker_jets(shape: GrassShape, point, order: int, modulus: int | None):
 
 def jet_matrix(P: PolynomialMap, point, order: int, field: PrimeField | None = None) -> JetMatrix:
     """Jet matrix of P at the point up to the given derivative order."""
-    if not isinstance(order, int) or order < 0:
+    _check_ints("order", (order,))
+    if order < 0:
         raise ValueError("order must be a nonnegative integer")
     modulus = field.p if field is not None else None
     rows = _jet_rows(P, tuple(point), order, modulus)
@@ -558,25 +561,21 @@ def osculating_rank_sweep(P: PolynomialMap, point, s_max: int, field: PrimeField
 # secant dimensions
 
 
-def _resolve_field(prime) -> PrimeField | None:
+def _oracle_field(prime: int | str, trials: int, h: int = 1) -> PrimeField | None:
+    """The field of an oracle request, None for "rational".  A bool or
+    non-integer h or trials raises TypeError; h < 1, trials outside
+    [1, 64] and a prime that is neither an integer nor "rational" raise
+    ValueError."""
+    _check_ints("h and trials", (h, trials))
+    if h < 1:
+        raise ValueError("h must be a positive integer")
+    if not 1 <= trials <= 64:
+        raise ValueError("trials must lie in [1, 64]")
     if prime == "rational":
         return None
-    if isinstance(prime, PrimeField):
-        return prime
     if isinstance(prime, int):
         return PrimeField(prime)
-    raise ValueError('prime must be an integer prime, a PrimeField, or "rational"')
-
-
-def _check_trials(trials: int) -> None:
-    if not isinstance(trials, int) or not 1 <= trials <= 64:
-        raise ValueError("trials must lie in [1, 64]")
-
-
-def _check_oracle_params(h: int, trials: int) -> None:
-    if not isinstance(h, int) or h < 1:
-        raise ValueError("h must be a positive integer")
-    _check_trials(trials)
+    raise ValueError('prime must be an integer prime or "rational"')
 
 
 def _sample_point(P: Parametrization, rng: random.Random, field: PrimeField | None):
@@ -748,6 +747,23 @@ def _stack(acc: RankAccumulator, draw, rng: random.Random, points: int, column_o
     return acc.rank
 
 
+def _trial_ranks(
+    shape, column_of: dict, groups: list[int], field: PrimeField | None, seed: int, labels
+) -> list[tuple[int, ...]]:
+    """One tuple per trial label: the ranks after each group of fresh
+    tangent spaces of the shape, stacked by _stack on the columns in
+    column_of into one RankAccumulator over the field.  Trial `label`
+    draws all its groups, in order, from one random.Random seeded with the
+    string "seed:label", so a trial is deterministic in (seed, label)."""
+    draw = _tangent_sampler(shape)
+    out = []
+    for label in labels:
+        rng = random.Random(f"{seed}:{label}")
+        acc = RankAccumulator(len(column_of), field)
+        out.append(tuple(_stack(acc, draw, rng, points, column_of) for points in groups))
+    return out
+
+
 @dataclass
 class DefectivityCertificate:
     """Outcome of a secant dimension computation.
@@ -770,7 +786,9 @@ class DefectivityCertificate:
     note: str = ""
     elapsed_ms: float | None = None
 
-    def to_dict(self, with_timing: bool = False) -> dict:
+    def to_dict(self) -> dict:
+        """The certificate under the CLI's keys, elapsed_ms always None so
+        that equal runs give equal dicts."""
         return {
             "shape": self.shape,
             "h": self.h,
@@ -781,11 +799,8 @@ class DefectivityCertificate:
             "prime": self.prime,
             "seed": self.seed,
             "trials": list(self.trials),
-            "elapsed_ms": self.elapsed_ms if with_timing else None,
+            "elapsed_ms": None,
         }
-
-    def to_json(self, with_timing: bool = False) -> str:
-        return json.dumps(self.to_dict(with_timing), sort_keys=True, separators=(",", ":"))
 
 
 def secant_dimension(
@@ -806,26 +821,21 @@ def secant_dimension(
     deterministic in (seed, trial index); if the trials disagree one extra
     exact rational trial is run and the best rank over all trials is kept.
     """
-    _check_oracle_params(h, trials)
-    field = _resolve_field(prime)
+    field = _oracle_field(prime, trials, h)
     _check_terracini_size(shape, h)
     start = time.perf_counter()
-    draw = _tangent_sampler(shape)
     coordinate = _coordinate_points(shape, h)
     column_of = _survivor_columns(shape, coordinate)
     dropped = shape.num_coords - len(column_of)
     dim_x, ambient = shape.dim, shape.ambient_dim
     expected = min(h * (dim_x + 1), ambient + 1) - 1
-
-    def trial(rng: random.Random, field: PrimeField | None) -> int:
-        acc = RankAccumulator(len(column_of), field)
-        return dropped + _stack(acc, draw, rng, h - len(coordinate), column_of) - 1
-
-    results = [trial(random.Random(f"{seed}:{t}"), field) for t in range(trials)]
+    groups = [h - len(coordinate)]
+    ranks = _trial_ranks(shape, column_of, groups, field, seed, range(trials))
     note = ""
-    if len(set(results)) > 1:
-        results.append(trial(random.Random(f"{seed}:rational"), None))
+    if len(set(ranks)) > 1:
+        ranks += _trial_ranks(shape, column_of, groups, None, seed, ["rational"])
         note = "trials disagreed; escalated to one exact rational trial. "
+    results = [dropped + rank - 1 for (rank,) in ranks]
     computed = max(results)
     defect = expected - computed
     verdict = CERTIFIED if defect == 0 else DEFECT_EVIDENCE
@@ -840,7 +850,7 @@ def secant_dimension(
         defect=defect,
         verdict=verdict,
         trials=tuple(results),
-        prime=prime if isinstance(prime, (int, str)) else prime.p,
+        prime=prime,
         seed=seed,
         note=note.strip(),
         elapsed_ms=elapsed_ms,
@@ -887,23 +897,15 @@ def tangential_projection_finite(
     The first min(h, 2) centers are coordinate points, as in
     secant_dimension.
     """
-    _check_oracle_params(h, trials)
-    field = _resolve_field(prime)
+    field = _oracle_field(prime, trials, h)
     _check_terracini_size(shape, h + 1)
-    draw = _tangent_sampler(shape)
     coordinate = _coordinate_points(shape, h)
     column_of = _survivor_columns(shape, coordinate)
     dropped = shape.num_coords - len(column_of)
     dim_x, ambient = shape.dim, shape.ambient_dim
-    best: tuple[int, int] | None = None
-    for t in range(trials):
-        rng = random.Random(f"{seed}:{t}")
-        acc = RankAccumulator(len(column_of), field)
-        center = dropped + _stack(acc, draw, rng, h - len(coordinate), column_of)
-        joint = dropped + _stack(acc, draw, rng, 1, column_of)
-        if best is None or (center, joint) > best:
-            best = (center, joint)
-    center, joint = best
+    groups = [h - len(coordinate), 1]
+    ranks = _trial_ranks(shape, column_of, groups, field, seed, range(trials))
+    center, joint = (dropped + rank for rank in max(ranks))
     if ambient - center < dim_x:
         status = HYPOTHESIS_VIOLATED
         note = (
@@ -1011,10 +1013,9 @@ def osculating_projection_finite(
     ConstantMap when no coordinate survives or the restricted rank is at
     most 1, and FiberEvidence otherwise.
     """
-    _check_trials(trials)
+    field = _oracle_field(prime, trials)
     if not centers:
         raise ValueError("at least one center is required")
-    field = _resolve_field(prime)
     _check_terracini_size(shape, 1)
     checked = _osculating_centers(shape, centers)
     survivors = _survivor_columns(shape, checked)
@@ -1030,12 +1031,8 @@ def osculating_projection_finite(
     if not survivors:
         base.note = "every coordinate lies in the span of the osculating centers"
         return base
-    draw = _tangent_sampler(shape)
-    best = 0
-    for t in range(trials):
-        acc = RankAccumulator(len(survivors), field)
-        best = max(best, _stack(acc, draw, random.Random(f"{seed}:{t}"), 1, survivors))
-    base.restricted_rank = best
+    ranks = _trial_ranks(shape, survivors, [1], field, seed, range(trials))
+    best = base.restricted_rank = max(rank for (rank,) in ranks)
     if best == dim_x + 1:
         base.status = GENERICALLY_FINITE
     elif best <= 1:

@@ -90,8 +90,8 @@ def test_prime_field_validation():
         PrimeField(101)
     with pytest.raises(ValueError):
         PrimeField((1 << 62) - 58)
-    # 2^31 - 1 is a 31-bit prime, but sample coordinates need p > 2^20 and
-    # the soundness argument of _sample_point takes p >= 2^31
+    # 2^31 - 1 is a 31-bit prime below the 2^31 that the soundness argument
+    # of _sample_point takes
     assert is_probable_prime((1 << 31) - 1)
     with pytest.raises(ValueError, match=r"^the modulus must be an integer of at least 2\^31$"):
         PrimeField((1 << 31) - 1)

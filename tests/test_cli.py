@@ -235,6 +235,31 @@ SMOKE_MATRIX = [
         ),
     ),
     (
+        # the bench's heaviest secant case: chart tangent rows at six points
+        ("secant", "--grass", "4", "9", "--h", "8", "--trials", "1"),
+        (
+            '{"computed":207,"defect":0,"elapsed_ms":null,"expected":207,"h":8,'
+            '"prime":4611686018427387847,"seed":1729,"shape":"G(4,9)",'
+            '"trials":[207],"verdict":"CertifiedNonDefective"}'
+        ),
+    ),
+    (
+        ("secant", "--grass", "3", "7", "--h", "4"),
+        (
+            '{"computed":63,"defect":4,"elapsed_ms":null,"expected":67,"h":4,'
+            '"prime":4611686018427387847,"seed":1729,"shape":"G(3,7)",'
+            '"trials":[63,63,63],"verdict":"DefectEvidence"}'
+        ),
+    ),
+    (
+        ("secant", "--grass", "2", "8", "--h", "4", "--prime", "rational", "--trials", "1"),
+        (
+            '{"computed":73,"defect":2,"elapsed_ms":null,"expected":75,"h":4,'
+            '"prime":"rational","seed":1729,"shape":"G(2,8)","trials":[73],'
+            '"verdict":"DefectEvidence"}'
+        ),
+    ),
+    (
         # the exact branch of the rank kernel: SV(3;4) is 1-defective at h=9
         ("secant", "--sv", "3:4", "--h", "9", "--prime", "rational", "--trials", "1"),
         (
@@ -276,6 +301,14 @@ SMOKE_MATRIX = [
             'dimension 33 lands in a projective space of dimension 0, smaller '
             'than dim X = 12; the finiteness question is void","shape":"G(2,6)",'
             '"status":"HypothesisViolated","variety_dim":12}'
+        ),
+    ),
+    (
+        ("tangproj", "--grass", "3", "8", "--h", "2"),
+        (
+            '{"ambient_dim":125,"center_rank":42,"h":2,"joint_rank":63,'
+            '"kind":"tangential","note":"","shape":"G(3,8)",'
+            '"status":"GenericallyFinite","variety_dim":20}'
         ),
     ),
     (

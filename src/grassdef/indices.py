@@ -228,7 +228,7 @@ def _canonical_pair(shape: GrassShape) -> tuple[tuple[int, ...], tuple[int, ...]
     return tuple(range(r + 1)), tuple(range(r + 1, 2 * r + 2))
 
 
-def delta_set(shape: GrassShape, I, l: int, origin=None, target=None) -> list:
+def delta_set(shape: GrassShape, I, l: int) -> list:
     """Indices obtained from I by moving |l| entries between the two blocks
     of the canonical disjoint pair.
 
@@ -236,8 +236,7 @@ def delta_set(shape: GrassShape, I, l: int, origin=None, target=None) -> list:
     replaces l entries i of I lying in I1 by i + r + 1; a negative step
     undoes such moves.  Every J returned satisfies d(J, I) = |l| and
     d(J, I1) = d(I, I1) + l.  Steps that cannot be realized give the empty
-    list, and l = 0 gives [I].  Only the canonical pair is supported;
-    passing any other origin or target raises ValueError.
+    list, and l = 0 gives [I].
     """
     if not isinstance(shape, GrassShape):
         raise TypeError("delta sets are defined for Grassmannian shapes")
@@ -245,10 +244,6 @@ def delta_set(shape: GrassShape, I, l: int, origin=None, target=None) -> list:
         raise ValueError("the canonical pair needs n >= 2r + 1")
     I = _check_grass_index(shape, I)
     i1, i2 = _canonical_pair(shape)
-    if origin is not None and tuple(origin) != i1:
-        raise ValueError(f"only the canonical origin {i1} is supported")
-    if target is not None and tuple(target) != i2:
-        raise ValueError(f"only the canonical target {i2} is supported")
     if l == 0:
         return [I]
     r = shape.r

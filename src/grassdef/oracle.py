@@ -1,10 +1,10 @@
 """Exact-arithmetic Terracini oracle.
 
 Secant dimensions, generic finiteness of tangential and osculating
-projections, and limit hyperplane coefficients.  Grassmannian tangent
-spaces come from cofactor minors at chart points, and jets of every order
-from minors at any matrix point; the other shapes use explicit polynomial
-parametrizations.  Arithmetic runs over a fixed large prime field by
+projections, and limit hyperplane coefficients.  Grassmannian jets of
+every order are signed minors of the Pluecker map, in its chart form for
+tangent spaces at general points and on whole matrices otherwise; the
+other shapes use explicit polynomial parametrizations.  Arithmetic runs over a fixed large prime field by
 default: a full-rank specialization proves a lower bound on the generic
 rank, so agreement with the expected dimension is a certificate, while a
 deficient rank is evidence of defectivity but not a proof.  A rational
@@ -333,8 +333,12 @@ class Parametrization:
 
 @dataclass(frozen=True)
 class PlueckerMap:
-    """The maximal minors of an (r+1) x (n+1) matrix, flattened row by row,
-    as a map to the cone over G(r, n); jets come from _pluecker_jets."""
+    """The maximal minors of the (r+1) x (n+1) matrix [I | A] as a map to
+    the cone over G(r, n), where the domain point A fills the last
+    domain_dim / (r+1) columns row by row: every column, so [I | A] = A,
+    for the domain_dim = (r+1)(n+1) of build_parametrization, and the n - r
+    columns of the standard chart for domain_dim = dim X, the chart form
+    the tangent sampler uses.  Jets come from _pluecker_jets."""
 
     shape: GrassShape
     domain_dim: int
@@ -365,7 +369,7 @@ def build_parametrization(shape: OracleShape) -> PolynomialMap:
     """The polynomial map of an affine chart cone of the shape, with
     coordinates in enumerate_indices order: the PlueckerMap of maximal
     minors on a Grassmannian, which only the jet paths use (the secant and
-    projection tests take chart minors), and one monomial per coordinate on
+    projection tests take its chart form), and one monomial per coordinate on
     a Segre-Veronese variety.  N coordinates times _coord_degree are checked
     against _MAX_ENTRIES before anything is built."""
     _check_size(f"the parametrization of {shape.label}", shape.num_coords * _coord_degree(shape))
@@ -465,7 +469,7 @@ def _jet_rows(P: PolynomialMap, point, order: int, modulus: int | None):
     if len(point) != P.domain_dim:
         raise ValueError(f"point must have {P.domain_dim} coordinates")
     if isinstance(P, PlueckerMap):
-        return _pluecker_jets(P.shape, point, order, modulus)
+        return _pluecker_jets(P, point, order, modulus)
     rows: dict[tuple[int, ...], dict[int, int]] = {}
     for col, monomials in enumerate(P.coords):
         for coef, expo in monomials:
@@ -486,46 +490,63 @@ def _jet_rows(P: PolynomialMap, point, order: int, modulus: int | None):
     return {key: row for key, row in rows.items() if row}
 
 
-def _pluecker_jets(shape: GrassShape, point, order: int, modulus: int | None):
-    """The _jet_rows of the Pluecker map of G(r, n) at any (r+1) x (n+1)
-    matrix point, from minors.  Maximal minors are linear in each row, so
-    the coefficient of z^alpha in det((point + z)[:, J]) vanishes unless
-    alpha picks one entry (i, j_i) in each row i of a set S; then it is the
-    minor on J of point with each row i in S replaced by e_{j_i}.  By
-    Laplace expansion along S that is zero unless the j_i are distinct and
-    lie in J, and otherwise (-1)^e times the minor of the other rows on
-    J - {j_i}, where e sums S, the positions of the j_i in J and the
-    inversions of (j_i) in the order of S.  Before anything is built, the
+def _pluecker_jets(P: PlueckerMap, point, order: int, modulus: int | None):
+    """The _jet_rows of a PlueckerMap at a point, from minors of M = [I | A].
+    Maximal minors are linear in each row, so the coefficient of z^alpha in
+    det((M + z)[:, J]), z supported on the free columns that A fills,
+    vanishes unless alpha picks one entry (i, j_i) in each row i of a set
+    S; then it is the minor on J of M with each row i in S replaced by
+    e_{j_i}.  By Laplace expansion along S that is zero unless the j_i are
+    distinct and lie in J, and otherwise (-1)^e times the minor K of the
+    other rows on J - {j_i}, where e sums S and the positions at which the
+    j_i, in the order of S, are inserted one by one into K.  A column that
+    vanishes on the other rows, such as the pivot column of a chart row in
+    S, gives only zero minors and is skipped.  Before anything is built, the
     matrix is counted against _MAX_ENTRIES: for each t = |S| <= order,
-    N C(r+1, t) (r+1)!/(r+1-t)! triples (S, j, J), and C(r+1, t) (n+1)!/(n+1-t)!
-    rows (S, j), each keyed by an alpha of length (r+1)(n+1).
+    N C(r+1, t) (r+1)!/(r+1-t)! triples (S, j, J), and C(r+1, t) f!/(f-t)!
+    rows (S, j) for f free columns, each keyed by an alpha of length
+    domain_dim.
     """
+    shape = P.shape
     size, width = shape.r + 1, shape.n + 1
+    f = P.domain_dim // size
     top = min(order, size)
     entries = sum(
-        comb(size, t) * (shape.num_coords * perm(size, t) + size * width * perm(width, t))
+        comb(size, t) * (shape.num_coords * perm(size, t) + P.domain_dim * perm(f, t))
         for t in range(top + 1)
     )
     _check_size(f"the jet matrix of {shape.label} at order {order}", entries)
-    matrix = [point[i * width : (i + 1) * width] for i in range(size)]
+    matrix = [
+        [int(c == i) for c in range(width - f)] + list(point[i * f : (i + 1) * f])
+        for i in range(size)
+    ]
     column = {J: pos for pos, J in enumerate(enumerate_indices(shape))}
+    # minors are reduced once, so m - v negates them in either field
+    m = modulus or 0
     rows = {}
     for t in range(top + 1):
         for S in itertools.combinations(range(size), t):
             others = [row for i, row in enumerate(matrix) if i not in S]
-            minors = [(K, v) for K, v in _maximal_minors(others, range(width)).items() if v]
-            for js in itertools.permutations(range(width), t):
-                parity = sum(S) + comb(t, 2) + sum(a > b for a, b in itertools.combinations(js, 2))
+            cols = [c for c, values in enumerate(zip(*others)) if any(values)]
+            minors = [(K, v % m if m else v) for K, v in _maximal_minors(others, cols).items()]
+            minors = [(K, v) for K, v in minors if v]
+            parity = sum(S)
+            for js in itertools.permutations(range(width - f, width), t):
                 row = {}
                 for K, v in minors:
-                    if not any(j in K for j in js):
-                        if (parity + sum(bisect.bisect(K, j) for j in js)) & 1:
-                            v = -v
-                        row[column[tuple(sorted(K + js))]] = v if modulus is None else v % modulus
+                    e = parity
+                    for j in js:
+                        pos = bisect.bisect(K, j)
+                        if pos and K[pos - 1] == j:
+                            break
+                        K = K[:pos] + (j,) + K[pos:]
+                        e += pos
+                    else:
+                        row[column[K]] = m - v if e & 1 else v
                 if row:
-                    alpha = [0] * (size * width)
+                    alpha = [0] * P.domain_dim
                     for i, j in zip(S, js):
-                        alpha[i * width + j] = 1
+                        alpha[(i + 1) * f - width + j] = 1
                     rows[tuple(alpha)] = row
     return rows
 
@@ -578,7 +599,7 @@ def _oracle_field(prime: int | str, trials: int, h: int = 1) -> PrimeField | Non
     raise ValueError('prime must be an integer prime or "rational"')
 
 
-def _sample_point(P: Parametrization, rng: random.Random, field: PrimeField | None):
+def _sample_point(P: PolynomialMap, rng: random.Random, field: PrimeField | None):
     """The order 1 jet rows of P at a random point a of the domain with
     coordinates in [1, _COORD_RANGE]: the value row f(a) and one
     derivative row per domain variable.
@@ -586,6 +607,18 @@ def _sample_point(P: Parametrization, rng: random.Random, field: PrimeField | No
     They span a space of dimension exactly dim X + 1 over Q and modulo
     every allowed prime (p >= 2^31 > _COORD_RANGE), because every
     coordinate a_v is a unit there; so no smoothness check is needed.
+    - G(r, n): P is the chart form of the PlueckerMap, A -> Pluecker([I | A]),
+      with dim X = (r+1)(n-r) entries of A.  The row of A_ij has a
+      coefficient of +-1 at the index {0, ..., r} - {i} + {j}, where every
+      other derivative row vanishes, and f(a) is the only row nonzero at
+      {0, ..., r}, where it is 1: rank dim X + 1 at every A.  The chart
+      A -> [I | A] is an open immersion onto a dense open subset of
+      G(r, n), so these rows span the affine tangent space of the cone at a
+      point of G, and their entries are integer polynomials in A.  Stacked
+      at h points their rank over Q(A_1, ..., A_h) is the generic rank, an
+      integer specialization reduced modulo p can only lower it, and the
+      rank is lower semicontinuous on the dense chart, so a general choice
+      of points reaches it.
     - Segre-Veronese: f(a) has the entries a^I, and the row of x_{j,v} has
       entries m_{j,v}(I) a^I / a_{j,v}, where m_{j,v}(I) is the multiplicity
       of v in the j-th part of I.  On the columns of I_0 = (0, ..., 0) and
@@ -625,50 +658,6 @@ def _maximal_minors(rows, cols) -> dict[tuple[int, ...], int]:
     return minors
 
 
-def _chart_rows(matrix, column: dict) -> list[dict[int, int]]:
-    """Tangent rows of the affine cone over G(r, n) at the Pluecker vector
-    of matrix = [I | A], an (r+1) x (n+1) point of the standard chart.
-
-    The first row is the Pluecker vector itself.  Then, for each row i and
-    non-pivot column j, the order 1 jet in the direction of A_ij: signed
-    r x r minors of matrix without row i, as in _pluecker_jets.  column
-    maps each index tuple to its coordinate position.  Entries are exact
-    integers; RankAccumulator reduces them when it works modulo p.
-
-    These are dim X + 1 rows, and they always have full rank: the rows for
-    (i, j) have a coefficient of +-1 at the index {0, ..., r} - {i} + {j}
-    where every other (i', j') row vanishes, and the first row is the only
-    one nonzero at {0, ..., r}, where it is 1.  No smoothness check is
-    needed.
-
-    Soundness for Terracini's lemma: the chart map A -> [I | A] is an open
-    immersion onto a dense open subset of G(r, n), so these rows span the
-    affine tangent space of the cone at a point of G, and their entries are
-    integer polynomials in A.  Stacking them at h points gives a matrix
-    whose rank over Q(A_1, ..., A_h) is the generic rank, that is the
-    dimension of the h-secant variety plus one.  Specializing the A_k to
-    integers and reducing modulo p can only lower that rank, so a full-rank
-    specialization certifies the expected dimension.  Conversely the rank is
-    lower semicontinuous in (A_1, ..., A_h) and the chart is dense, so a
-    general choice of points reaches the generic rank.
-    """
-    size, width = len(matrix), len(matrix[0])
-    first = _maximal_minors(matrix, range(width))
-    rows = [{column[J]: v for J, v in first.items() if v}]
-    for i in range(size):
-        others = matrix[:i] + matrix[i + 1 :]
-        # the pivot column i vanishes on the other rows
-        minors = _maximal_minors(others, [c for c in range(width) if c != i])
-        for j in range(size, width):
-            row = {}
-            for K, v in minors.items():
-                if v and j not in K:
-                    pos = bisect.bisect(K, j)
-                    row[column[K[:pos] + (j,) + K[pos:]]] = -v if (i + pos) & 1 else v
-            rows.append(row)
-    return rows
-
-
 def _check_terracini_size(shape: OracleShape, k: int) -> None:
     """Refuse stacking the tangent spaces at k points of the shape when it
     builds more than _MAX_ENTRIES entries: for N coordinates the
@@ -681,23 +670,13 @@ def _check_terracini_size(shape: OracleShape, k: int) -> None:
 
 def _tangent_sampler(shape):
     """A function (rng, field) -> rows spanning the affine tangent space of
-    the cone over the shape at a fresh random point.  Grassmannians draw a
-    chart point [I | A] with entries of A in [1, _COORD_RANGE] and take
-    _chart_rows; every other shape samples its parametrization."""
+    the cone over the shape at a fresh random point, by _sample_point: of
+    the chart form of the PlueckerMap on a Grassmannian, and of the
+    parametrization on every other shape."""
     if isinstance(shape, GrassShape):
-        column = {J: pos for pos, J in enumerate(enumerate_indices(shape))}
-        size, width = shape.r + 1, shape.n + 1
-
-        def draw(rng: random.Random, field: PrimeField | None) -> list[dict[int, int]]:
-            matrix = [
-                [int(c == i) for c in range(size)]
-                + [rng.randint(1, _COORD_RANGE) for _ in range(size, width)]
-                for i in range(size)
-            ]
-            return _chart_rows(matrix, column)
-
-        return draw
-    P = build_parametrization(shape)
+        P = PlueckerMap(shape, shape.dim, shape.num_coords)
+    else:
+        P = build_parametrization(shape)
     return lambda rng, field: _sample_point(P, rng, field)
 
 
@@ -813,9 +792,8 @@ def secant_dimension(
     """Dimension of the h-secant variety of the shape, by stacking the
     affine tangent spaces of the cone at h points (Terracini's lemma): the
     first min(h, 2) are coordinate points whose tangent spaces drop columns
-    (_coordinate_points), the others random.  Grassmannian tangent spaces
-    are chart rows of cofactor minors (_chart_rows); the other shapes stack
-    order 1 jets of their parametrization.
+    (_coordinate_points), the others random, each contributing the order 1
+    jet rows of _sample_point, at a chart point on a Grassmannian.
 
     The expected dimension is min(h (dim X + 1), N + 1) - 1.  Each trial is
     deterministic in (seed, trial index); if the trials disagree one extra
@@ -952,6 +930,7 @@ def _center_index(shape, index):
             raise ValueError(f"diagonal value must lie in [0, {n1}]")
         return tuple((value,) * dj for dj in shape.d)
     if isinstance(shape, RationalNormalCurve):
+        _check_ints("rational normal curve centers", (index,))
         if index not in (0, shape.n):
             raise ValueError(
                 "rational normal curve centers must be the coordinate "
@@ -965,7 +944,8 @@ def _osculating_centers(shape, centers) -> list[tuple[object, int]]:
     checked = []
     for index, order in centers:
         index = _center_index(shape, index)
-        if not isinstance(order, int) or isinstance(order, bool) or order < 0:
+        _check_ints("orders", (order,))
+        if order < 0:
             raise ValueError("orders must be nonnegative integers")
         for other, _ in checked:
             if isinstance(shape, GrassShape):

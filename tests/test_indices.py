@@ -247,14 +247,6 @@ def test_delta_set_zero_is_identity():
         assert delta_set(shape, I, 0) == [I]
 
 
-def test_delta_set_rejects_noncanonical_pair():
-    shape = GrassShape(2, 5)
-    with pytest.raises(ValueError):
-        delta_set(shape, (0, 1, 2), 1, origin=(0, 1, 3))
-    with pytest.raises(ValueError):
-        delta_set(shape, (0, 1, 2), 1, target=(2, 3, 4))
-
-
 def test_delta_set_rejects_index_for_unnormalized_parameters():
     # G(2,4) normalizes to G(1,4), so a three element index is stale
     with pytest.raises(ValueError):

@@ -53,7 +53,7 @@ from grassdef import (
     tangential_projection_finite,
 )
 from grassdef.bounds import grass_bound
-from grassdef.oracle import _chart_rows, _tangent_sampler
+from grassdef.oracle import PlueckerMap, _tangent_sampler
 
 
 def grass_coord_point(shape, I):
@@ -270,48 +270,80 @@ def sympy_pluecker_expansion(shape, point):
 @pytest.mark.parametrize("field", [PrimeField(DEFAULT_PRIME), None], ids=["modp", "rational"])
 @pytest.mark.parametrize("r, n", [(1, 3), (1, 4), (2, 5), (2, 6)])
 def test_grassmannian_jets_match_sympy_minor_expansion(r, n, field):
-    # at a coordinate point and at a random integer point with zero entries
+    # the full map at a coordinate point and at a random integer point with
+    # zero entries, and the chart map at a chart point with a zero entry,
+    # whose jets are the full expansion at [I | A] in the directions of A
     shape = GrassShape(r, n)
     P = build_parametrization(shape)
     rng = random.Random(f"jets:{r}:{n}")
     general = [rng.randint(-5, 5) for _ in range((r + 1) * (n + 1))]
     general[0] = general[-1] = 0
-    for point in (grass_coord_point(shape, tuple(range(r + 1))), tuple(general)):
-        expansion = sympy_pluecker_expansion(shape, point)
+    A = [rng.randint(-5, 5) for _ in range(shape.dim)]
+    A[0] = 0
+    origin = grass_coord_point(shape, tuple(range(r + 1)))
+    cases = [
+        (P, origin, origin, tuple),
+        (P, tuple(general), tuple(general), tuple),
+        (chart_map(shape), tuple(A), full_point(shape, A), lambda alpha: chart_directions(shape, alpha)),
+    ]
+    # (map, its point, the full matrix point, re-keying of a full alpha)
+    for Q, point, full, rekey in cases:
+        expansion = sympy_pluecker_expansion(shape, full)
         for s in range(r + 2):
             expected = {}
             for alpha, row in expansion.items():
                 reduced = {c: v % field.p if field else v for c, v in row.items()}
                 reduced = {c: v for c, v in reduced.items() if v}
-                if sum(alpha) <= s and reduced:
-                    expected[alpha] = reduced
-            assert jet_matrix(P, point, s, field).rows == expected
+                if sum(alpha) <= s and reduced and rekey(alpha) is not None:
+                    expected[rekey(alpha)] = reduced
+            assert jet_matrix(Q, point, s, field).rows == expected
+
+
+def chart_map(shape):
+    """The chart form A -> Pluecker([I | A]) of the Pluecker map, the one the
+    tangent sampler takes its rows from."""
+    return PlueckerMap(shape, shape.dim, shape.num_coords)
 
 
 def chart_point(shape, seed):
     rng = random.Random(seed)
-    size, width = shape.r + 1, shape.n + 1
-    return [
-        [int(c == i) for c in range(size)] + [rng.randint(-99, 99) for _ in range(size, width)]
+    return tuple(rng.randint(-99, 99) for _ in range(shape.dim))
+
+
+def full_point(shape, A):
+    """The point [I | A] of the full Pluecker map, flattened row by row."""
+    size, free = shape.r + 1, shape.n - shape.r
+    return tuple(
+        v
         for i in range(size)
-    ]
+        for v in [int(c == i) for c in range(size)] + list(A[i * free : (i + 1) * free])
+    )
 
 
-def chart_rows(shape, matrix):
-    column = {J: pos for pos, J in enumerate(enumerate_indices(shape))}
-    return _chart_rows(matrix, column)
+def chart_directions(shape, alpha):
+    """A full-map derivative index re-keyed to the directions of A, or None
+    when it differentiates in a pivot column."""
+    size, width = shape.r + 1, shape.n + 1
+    if any(alpha[i * width + c] for i in range(size) for c in range(size)):
+        return None
+    return tuple(alpha[i * width + j] for i in range(size) for j in range(size, width))
+
+
+def chart_rows(shape, A):
+    """The tangent rows at the chart point A: the value row, then one row per
+    entry of A."""
+    return [row for _, row in jet_matrix(chart_map(shape), A, 1).iter_rows()]
 
 
 @pytest.mark.parametrize("field", [PrimeField(DEFAULT_PRIME), None], ids=["modp", "rational"])
 def test_chart_rows_span_the_order_one_jets(field):
     for r, n in ((1, 3), (1, 4), (1, 5), (2, 5), (2, 6), (3, 7)):
         shape = GrassShape(r, n)
-        matrix = chart_point(shape, 10 * r + n)
-        rows = chart_rows(shape, matrix)
+        A = chart_point(shape, 10 * r + n)
+        rows = chart_rows(shape, A)
         assert len(rows) == shape.dim + 1
         assert rank(rows, field) == shape.dim + 1
-        flat = tuple(v for row in matrix for v in row)
-        jets = jet_matrix(build_parametrization(shape), flat, 1, field)
+        jets = jet_matrix(build_parametrization(shape), full_point(shape, A), 1, field)
         stacked = rows + [row for _, row in jets.iter_rows()]
         assert rank(stacked, field) == shape.dim + 1
 
@@ -330,13 +362,28 @@ def test_chart_rows_at_the_origin_span_the_coordinate_ball(r, n):
     # A = 0 is the coordinate point e_{0..r}: its tangent rows are supported
     # exactly on the radius 1 ball around (0, ..., r)
     shape = GrassShape(r, n)
-    origin = [[int(c == i) for c in range(n + 1)] for i in range(r + 1)]
-    rows = chart_rows(shape, origin)
+    rows = chart_rows(shape, (0,) * shape.dim)
     support = {c for row in rows for c in row}
     column = {J: pos for pos, J in enumerate(enumerate_indices(shape))}
     assert support == {column[J] for J in ball(shape, tuple(range(r + 1)), 1)}
     assert all(len(row) == 1 for row in rows)
     assert rank(rows) == shape.dim + 1
+
+
+@pytest.mark.parametrize("field", [PrimeField(DEFAULT_PRIME), None], ids=["modp", "rational"])
+@pytest.mark.parametrize("r, n", [(1, 3), (1, 5), (2, 5), (2, 6), (3, 7)])
+def test_chart_jets_are_full_jets_in_the_directions_of_a(r, n, field):
+    # the chart map at A and the full map at [I | A] expand the same minors;
+    # the chart keeps the derivatives in the entries of A, up to order r + 1
+    shape = GrassShape(r, n)
+    for seed in range(3):
+        rng = random.Random(f"chart:{r}:{n}:{seed}")
+        A = [rng.randint(-9, 9) for _ in range(shape.dim)]
+        A[seed] = 0
+        full = jet_matrix(build_parametrization(shape), full_point(shape, A), r + 1, field)
+        expected = {chart_directions(shape, alpha): row for alpha, row in full.rows.items()}
+        expected.pop(None, None)
+        assert jet_matrix(chart_map(shape), A, r + 1, field).rows == expected
 
 
 @pytest.mark.parametrize("prime", [DEFAULT_PRIME, 4294967291, "rational"])
@@ -350,13 +397,15 @@ def test_chart_rows_at_the_origin_span_the_coordinate_ball(r, n):
         RationalNormalCurve(8),
         TangentDevelopable(2),
         TangentDevelopable(6),
+        GrassShape(1, 4),
+        GrassShape(2, 6),
     ],
     ids=lambda shape: shape.label,
 )
 def test_sampled_tangent_rows_have_full_rank(shape, prime):
-    # points off the Grassmannian are used without a smoothness check, so
-    # every draw must span the tangent space of the cone, modulo the default
-    # prime, modulo 2^32 - 5 and over the rationals
+    # points are used without a smoothness check, so every draw must span
+    # the tangent space of the cone, modulo the default prime, modulo
+    # 2^32 - 5 and over the rationals
     field = None if prime == "rational" else PrimeField(prime)
     draw = _tangent_sampler(shape)
     rng = random.Random(f"tangent:{shape.label}")
@@ -565,6 +614,14 @@ INTEGER_ARGUMENTS = {
         lambda v: osculating_projection_finite(GrassShape(1, 4), [((0, 1), 1)], trials=v),
         0,
     ),
+    "osculating_projection_finite.order": (
+        lambda v: osculating_projection_finite(GrassShape(2, 7), [((0, 1, 2), v)]),
+        -1,
+    ),
+    "osculating_projection_finite.rnc_center": (
+        lambda v: osculating_projection_finite(RationalNormalCurve(3), [(v, 1)]),
+        2,
+    ),
 }
 
 
@@ -573,7 +630,7 @@ def test_integer_arguments_refuse_bools_and_non_integers(name):
     # a bool is an int to isinstance, and int() truncates 1.5 and parses "2"
     call, out_of_range = INTEGER_ARGUMENTS[name]
     call(3)
-    for bad in (True, 1.5, "2"):
+    for bad in (True, False, 1.5, 0.0, "2"):
         with pytest.raises(TypeError):
             call(bad)
     if out_of_range is not None:
@@ -700,13 +757,6 @@ def test_osculating_projection_takes_segre_veronese_centers_as_index_tuples():
     assert osculating_projection_finite(shape, [(((0, 0, 0),), 1)]) == by_value
     with pytest.raises(ValueError, match="diagonal"):
         osculating_projection_finite(shape, [(((0, 0, 1),), 1)])
-
-
-def test_osculating_projection_rejects_boolean_orders():
-    # a bool is an int to isinstance, but not an order; ball refuses it as a radius
-    for shape, center in ((GrassShape(2, 7), (0, 1, 2)), (RationalNormalCurve(5), 0)):
-        with pytest.raises(ValueError):
-            osculating_projection_finite(shape, [(center, True)])
 
 
 def test_osculating_projection_survivor_count_is_ball_complement():

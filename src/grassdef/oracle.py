@@ -4,11 +4,12 @@ Secant dimensions, generic finiteness of tangential and osculating
 projections, and limit hyperplane coefficients.  Grassmannian jets of
 every order are signed minors of the Pluecker map, in its chart form for
 tangent spaces at general points and on whole matrices otherwise; the
-other shapes use explicit polynomial parametrizations.  Arithmetic runs over a fixed large prime field by
-default: a full-rank specialization proves a lower bound on the generic
-rank, so agreement with the expected dimension is a certificate, while a
-deficient rank is evidence of defectivity but not a proof.  A rational
-trial can be requested for exact cross-checks.
+other shapes use explicit polynomial parametrizations.  Arithmetic runs
+over a fixed large prime field by default: a full-rank specialization
+proves a lower bound on the generic rank, so agreement with the expected
+dimension is a certificate, while a deficient rank is evidence of
+defectivity but not a proof.  A rational trial can be requested for exact
+cross-checks.
 """
 
 from __future__ import annotations
@@ -369,8 +370,8 @@ def build_parametrization(shape: OracleShape) -> PolynomialMap:
     """The polynomial map of an affine chart cone of the shape, with
     coordinates in enumerate_indices order: the PlueckerMap of maximal
     minors on a Grassmannian, which only the jet paths use (the secant and
-    projection tests take its chart form), and one monomial per coordinate on
-    a Segre-Veronese variety.  N coordinates times _coord_degree are checked
+    projection tests take its chart form), and one monomial per coordinate
+    on a Segre-Veronese variety.  N coordinates times _coord_degree are checked
     against _MAX_ENTRIES before anything is built."""
     _check_size(f"the parametrization of {shape.label}", shape.num_coords * _coord_degree(shape))
     if isinstance(shape, GrassShape):
@@ -546,7 +547,7 @@ def _pluecker_jets(P: PlueckerMap, point, order: int, modulus: int | None):
                 if row:
                     alpha = [0] * P.domain_dim
                     for i, j in zip(S, js):
-                        alpha[(i + 1) * f - width + j] = 1
+                        alpha[i * f + j - (width - f)] = 1
                     rows[tuple(alpha)] = row
     return rows
 

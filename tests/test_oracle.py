@@ -284,7 +284,12 @@ def test_grassmannian_jets_match_sympy_minor_expansion(r, n, field):
     cases = [
         (P, origin, origin, tuple),
         (P, tuple(general), tuple(general), tuple),
-        (chart_map(shape), tuple(A), full_point(shape, A), lambda alpha: chart_directions(shape, alpha)),
+        (
+            chart_map(shape),
+            tuple(A),
+            full_point(shape, A),
+            lambda alpha: chart_directions(shape, alpha),
+        ),
     ]
     # (map, its point, the full matrix point, re-keying of a full alpha)
     for Q, point, full, rekey in cases:

@@ -764,6 +764,14 @@ def test_osculating_projection_takes_segre_veronese_centers_as_index_tuples():
         osculating_projection_finite(shape, [(((0, 0, 1),), 1)])
 
 
+def test_osculating_projection_rejects_boolean_orders():
+    # a bool is an int to isinstance, but not an order
+    for shape, center in ((GrassShape(2, 7), (0, 1, 2)), (RationalNormalCurve(5), 0)):
+        for flag in (True, False):
+            with pytest.raises(TypeError):
+                osculating_projection_finite(shape, [(center, flag)])
+
+
 def test_osculating_projection_survivor_count_is_ball_complement():
     shape = GrassShape(2, 6)
     report = osculating_projection_finite(shape, [((0, 1, 2), 1)])

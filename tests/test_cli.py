@@ -244,6 +244,15 @@ SMOKE_MATRIX = [
         ),
     ),
     (
+        # certified below the column count: the trials run on a column subset
+        ("secant", "--grass", "3", "9", "--h", "5"),
+        (
+            '{"computed":124,"defect":0,"elapsed_ms":null,"expected":124,"h":5,'
+            '"prime":4611686018427387847,"seed":1729,"shape":"G(3,9)",'
+            '"trials":[124,124,124],"verdict":"CertifiedNonDefective"}'
+        ),
+    ),
+    (
         ("secant", "--grass", "3", "7", "--h", "4"),
         (
             '{"computed":63,"defect":4,"elapsed_ms":null,"expected":67,"h":4,'

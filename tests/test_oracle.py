@@ -21,6 +21,7 @@ from grassdef import (
     CERTIFIED,
     CONSTANT_MAP,
     DEFAULT_PRIME,
+    DEFAULT_TRIALS,
     DEFECT_EVIDENCE,
     FIBER_EVIDENCE,
     GENERICALLY_FINITE,
@@ -582,6 +583,42 @@ def test_secant_saturates_at_ambient():
     cert = secant_dimension(RationalNormalCurve(4), 5)
     assert cert.expected_dim == 4
     assert cert.computed_dim == 4
+
+
+def full_column_trials(shape, h, trials, prime, seed):
+    """The trials tuple of secant_dimension with every trial on all
+    survivor columns, and one rational trial more when they disagree."""
+    field = None if prime == "rational" else PrimeField(prime)
+    coordinate = grassdef.oracle._coordinate_points(shape, h)
+    column_of = grassdef.oracle._survivor_columns(shape, coordinate)
+    groups = [h - len(coordinate)]
+    ranks = grassdef.oracle._trial_ranks(shape, column_of, groups, field, seed, range(trials))
+    if len(set(ranks)) > 1:
+        ranks += grassdef.oracle._trial_ranks(shape, column_of, groups, None, seed, ["rational"])
+    dropped = shape.num_coords - len(column_of)
+    return tuple(dropped + rank - 1 for (rank,) in ranks)
+
+
+SUBSET_CASES = [
+    (GrassShape(3, 8), 4),
+    (GrassShape(3, 9), 5),
+    (GrassShape(2, 6), 3),
+    (GrassShape(3, 7), 3),
+    (GrassShape(3, 7), 4),
+    (GrassShape(2, 8), 4),
+    # the target rank equals the survivor column count: no subset to draw
+    (SegreVeroneseShape((1, 1), (2, 2)), 3),
+    (RationalNormalCurve(7), 5),
+]
+
+
+@pytest.mark.parametrize("prime", [DEFAULT_PRIME, "rational"])
+@pytest.mark.parametrize("shape, h", SUBSET_CASES, ids=lambda v: getattr(v, "label", v))
+def test_secant_trials_equal_the_full_column_trials(shape, h, prime):
+    trials = 1 if prime == "rational" else DEFAULT_TRIALS
+    for seed in (3, 11):
+        cert = secant_dimension(shape, h, trials=trials, prime=prime, seed=seed)
+        assert cert.trials == full_column_trials(shape, h, trials, prime, seed)
 
 
 def test_secant_parameter_validation():

@@ -602,6 +602,9 @@ def full_column_trials(shape, h, trials, prime, seed):
 SUBSET_CASES = [
     (GrassShape(3, 8), 4),
     (GrassShape(3, 9), 5),
+    # certified, but at seed 11 the drawn columns fall short of the target
+    # and the trials rerun on all survivor columns
+    (GrassShape(2, 8), 3),
     (GrassShape(2, 6), 3),
     (GrassShape(3, 7), 3),
     (GrassShape(3, 7), 4),

@@ -799,6 +799,18 @@ def secant_dimension(
     The expected dimension is min(h (dim X + 1), N + 1) - 1.  Each trial is
     deterministic in (seed, trial index); if the trials disagree one extra
     exact rational trial is run and the best rank over all trials is kept.
+
+    Modulo p, when the target rank expected + 1 - dropped on the survivor
+    columns is below their number, the trials first run on `target` of
+    them drawn by random.Random("seed:columns").  Deleting columns only
+    lowers a rank, and the rank on all survivor columns never exceeds the
+    target, since h tangent spaces span at most expected + 1 dimensions; so
+    a trial that reaches the target on the subset has that rank on all
+    columns.  If any trial falls short, every trial reruns on all survivor
+    columns with the same labels, hence the same points, and the trials,
+    the verdict and the escalation are those of the full-column run.  Over
+    the rationals every trial runs on all columns, because the fraction-free
+    elimination was measured about three times slower on a square subset.
     """
     field = _oracle_field(prime, trials, h)
     _check_terracini_size(shape, h)
@@ -809,7 +821,14 @@ def secant_dimension(
     dim_x, ambient = shape.dim, shape.ambient_dim
     expected = min(h * (dim_x + 1), ambient + 1) - 1
     groups = [h - len(coordinate)]
-    ranks = _trial_ranks(shape, column_of, groups, field, seed, range(trials))
+    target = expected + 1 - dropped
+    ranks = []
+    if field is not None and target < len(column_of):
+        kept = sorted(random.Random(f"{seed}:columns").sample(list(column_of), target))
+        subset = dict(zip(kept, range(target)))
+        ranks = _trial_ranks(shape, subset, groups, field, seed, range(trials))
+    if ranks != [(target,)] * trials:
+        ranks = _trial_ranks(shape, column_of, groups, field, seed, range(trials))
     note = ""
     if len(set(ranks)) > 1:
         ranks += _trial_ranks(shape, column_of, groups, None, seed, ["rational"])

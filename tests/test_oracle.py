@@ -624,6 +624,44 @@ def test_secant_trials_equal_the_full_column_trials(shape, h, prime):
         assert cert.trials == full_column_trials(shape, h, trials, prime, seed)
 
 
+def test_secant_trials_run_on_a_column_subset_modulo_p_only(monkeypatch):
+    trial_ranks = grassdef.oracle._trial_ranks
+    calls = []
+
+    def spy(shape, column_of, *args):
+        calls.append(column_of)
+        return trial_ranks(shape, column_of, *args)
+
+    monkeypatch.setattr(grassdef.oracle, "_trial_ranks", spy)
+
+    def columns_per_call(shape, h, **kwargs):
+        # (survivor columns, target rank, the column map of each call)
+        calls.clear()
+        cert = secant_dimension(shape, h, **kwargs)
+        survivors = grassdef.oracle._survivor_columns(
+            shape, grassdef.oracle._coordinate_points(shape, h)
+        )
+        target = cert.expected_dim + 1 - (shape.num_coords - len(survivors))
+        for column_of in calls:
+            # survivor columns renumbered in sorted order
+            assert sorted(column_of) == list(column_of) and set(column_of) <= set(survivors)
+            assert list(column_of.values()) == list(range(len(column_of)))
+        return survivors, target, list(calls)
+
+    # certified: one call on exactly target columns
+    survivors, target, seen = columns_per_call(GrassShape(3, 9), 5)
+    assert target < len(survivors)
+    assert [len(c) for c in seen] == [target]
+    # defective: the subset falls short, and the trials rerun on all columns
+    survivors, target, seen = columns_per_call(GrassShape(2, 8), 4)
+    assert len(seen) == 2 and len(seen[0]) == target < len(survivors)
+    assert seen[1] == survivors
+    # over the rationals every trial runs on all columns
+    survivors, target, seen = columns_per_call(GrassShape(3, 9), 5, trials=1, prime="rational")
+    assert target < len(survivors)
+    assert seen == [survivors]
+
+
 def test_secant_parameter_validation():
     with pytest.raises(ValueError):
         secant_dimension(GrassShape(1, 4), 0)

@@ -6,6 +6,10 @@ limit-hyperplane.  Every subcommand accepts --json for machine readable
 output; the JSON is byte deterministic (sorted keys, no whitespace,
 elapsed_ms always null).
 
+Only the oracle subcommands secant, oscproj and tangproj take --trials,
+--prime and --seed, and only they read GRASSDEF_SEED, the seed used when
+--seed is not given; every other subcommand ignores the variable.
+
 One serializer, _plain, writes every payload: a report dataclass becomes
 the dict of its fields, a DivisorClass its name, a tuple a list.  chambers,
 spherical and limit-hyperplane print their report as it is; effcone adds r,
@@ -27,7 +31,7 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import fields, is_dataclass
 
 from .bounds import aop_bound, grass_bound, linear_bound, sv_bound
 from .birational import (
@@ -63,16 +67,6 @@ from .schubert import (
 )
 
 
-@dataclass
-class RunConfig:
-    """Run parameters shared by the numerical subcommands."""
-
-    prime: int | str = DEFAULT_PRIME
-    trials: int = DEFAULT_TRIALS
-    seed: int = DEFAULT_SEED
-    output: str = "text"
-
-
 def _plain(value):
     """The JSON form of a report: a DivisorClass by its name, a dataclass as
     the dict of its fields, a tuple or list as a list, a dict entry by
@@ -88,10 +82,10 @@ def _plain(value):
     return value
 
 
-def _emit(config: RunConfig, text: str, payload, **extra) -> int:
+def _emit(args, text: str, payload, **extra) -> int:
     """Print the text, or under --json the payload, a report or a dict, with
     the extra keys added, as _plain serializes them."""
-    if config.output == "json":
+    if args.json:
         plain = _plain(payload) | _plain(extra)
         text = json.dumps(plain, sort_keys=True, separators=(",", ":"))
     print(text)
@@ -122,47 +116,36 @@ def _resolve_shape(args) -> GrassShape | SegreVeroneseShape:
     return _parse_sv(args.sv)
 
 
-def _resolve_seed(args) -> int:
-    raw = getattr(args, "seed", None)
-    if raw is None:
-        raw = os.environ.get("GRASSDEF_SEED")
-    if raw is None:
-        return DEFAULT_SEED
-    if raw == "random":
-        return random.SystemRandom().randrange(1 << 64)
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"seed must be an integer or 'random', got {raw!r}")
-
-
-def _resolve_prime(args) -> int | str:
-    raw = getattr(args, "prime", None)
-    if raw is None:
-        return DEFAULT_PRIME
-    if raw == "rational":
-        return "rational"
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"prime must be an integer or 'rational', got {raw!r}")
-
-
-def _make_config(args) -> RunConfig:
-    trials = getattr(args, "trials", None)
-    return RunConfig(
-        prime=_resolve_prime(args),
-        trials=DEFAULT_TRIALS if trials is None else trials,
-        seed=_resolve_seed(args),
-        output="json" if getattr(args, "json", False) else "text",
-    )
+def _oracle_options(args) -> dict:
+    """The trials, prime and seed keywords of secant, oscproj and tangproj
+    from --trials, --prime (an integer or 'rational') and --seed (an integer
+    or 'random'), the seed defaulting to GRASSDEF_SEED and then to
+    DEFAULT_SEED.  No other subcommand reads GRASSDEF_SEED."""
+    prime = DEFAULT_PRIME if args.prime is None else args.prime
+    if prime != "rational":
+        try:
+            prime = int(prime)
+        except ValueError:
+            raise ValueError(f"prime must be an integer or 'rational', got {prime!r}")
+    seed = os.environ.get("GRASSDEF_SEED") if args.seed is None else args.seed
+    if seed is None:
+        seed = DEFAULT_SEED
+    elif seed == "random":
+        seed = random.SystemRandom().randrange(1 << 64)
+    else:
+        try:
+            seed = int(seed)
+        except ValueError:
+            raise ValueError(f"seed must be an integer or 'random', got {seed!r}")
+    trials = DEFAULT_TRIALS if args.trials is None else args.trials
+    return {"trials": trials, "prime": prime, "seed": seed}
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_bound(args, config: RunConfig) -> int:
+def cmd_bound(args) -> int:
     if getattr(args, "grass", None) is not None:
         r, n = args.grass
         rule = args.rule
@@ -174,24 +157,23 @@ def cmd_bound(args, config: RunConfig) -> int:
         report = sv_bound(shape)
         label = shape.label
     text = f"{label}: {report.statement} (branch {report.branch}, raw {report.raw_value})"
-    return _emit(config, text, report, shape=label, rule=rule, statement=report.statement)
+    return _emit(args, text, report, shape=label, rule=rule, statement=report.statement)
 
 
-def cmd_secant(args, config: RunConfig) -> int:
-    shape = _resolve_shape(args)
-    cert = secant_dimension(
-        shape, args.h, trials=config.trials, prime=config.prime, seed=config.seed
-    )
+def cmd_secant(args) -> int:
+    options = _oracle_options(args)
+    cert = secant_dimension(_resolve_shape(args), args.h, **options)
     text = (
         f"{cert.shape} h={cert.h}: expected {cert.expected_dim}, "
         f"computed {cert.computed_dim}, defect {cert.defect} -> {cert.verdict}"
     )
     if cert.note:
         text += f"\n{cert.note}"
-    return _emit(config, text, cert.to_dict())
+    return _emit(args, text, cert.to_dict())
 
 
-def cmd_oscproj(args, config: RunConfig) -> int:
+def cmd_oscproj(args) -> int:
+    options = _oracle_options(args)
     shape = _resolve_shape(args)
     orders = _parse_ints(args.orders)
     if isinstance(shape, GrassShape):
@@ -205,9 +187,7 @@ def cmd_oscproj(args, config: RunConfig) -> int:
     report = osculating_projection_finite(
         shape,
         list(zip(centers, orders)),
-        trials=config.trials,
-        prime=config.prime,
-        seed=config.seed,
+        **options,
     )
     text = (
         f"{report.shape} osculating projection: survivors {report.survivors}, "
@@ -217,14 +197,12 @@ def cmd_oscproj(args, config: RunConfig) -> int:
         text += f"\n{report.note}"
     payload = _plain(report)
     del payload["center_rank"], payload["joint_rank"]
-    return _emit(config, text, payload)
+    return _emit(args, text, payload)
 
 
-def cmd_tangproj(args, config: RunConfig) -> int:
-    shape = _resolve_shape(args)
-    report = tangential_projection_finite(
-        shape, args.h, trials=config.trials, prime=config.prime, seed=config.seed
-    )
+def cmd_tangproj(args) -> int:
+    options = _oracle_options(args)
+    report = tangential_projection_finite(_resolve_shape(args), args.h, **options)
     text = (
         f"{report.shape} tangential projection at h={args.h}: "
         f"center rank {report.center_rank}, joint rank {report.joint_rank} "
@@ -234,14 +212,14 @@ def cmd_tangproj(args, config: RunConfig) -> int:
         text += f"\n{report.note}"
     payload = _plain(report)
     del payload["survivors"], payload["restricted_rank"]
-    return _emit(config, text, payload, h=args.h)
+    return _emit(args, text, payload, h=args.h)
 
 
-def cmd_schubert(args, config: RunConfig) -> int:
+def cmd_schubert(args) -> int:
     sub = args.sub
     if sub == "degree":
         value = grass_degree(args.r, args.n)
-        return _emit(config, str(value), {"r": args.r, "n": args.n, "degree": value})
+        return _emit(args, str(value), {"r": args.r, "n": args.n, "degree": value})
     lam = Partition(args.r, args.n, _parse_ints(args.lam))
     if sub == "dim":
         picture = FerrersDiagram.of_partition(lam).render()
@@ -257,7 +235,7 @@ def cmd_schubert(args, config: RunConfig) -> int:
             "dim": schubert_dim(lam),
             "codim": schubert_codim(lam),
         }
-        return _emit(config, text, payload)
+        return _emit(args, text, payload)
     if sub == "sing":
         components = singular_locus(lam)
         text = "\n".join(c.label for c in components) if components else "smooth"
@@ -265,24 +243,24 @@ def cmd_schubert(args, config: RunConfig) -> int:
             "lambda": lam.parts,
             "components": [c.parts for c in components],
         }
-        return _emit(config, text, payload)
+        return _emit(args, text, payload)
     mu = Partition(args.r, args.n, _parse_ints(args.mu))
     if sub == "contains":
         value = contains(lam, mu)
         return _emit(
-            config,
+            args,
             str(value),
             {"lambda": lam.parts, "mu": mu.parts, "contains": value},
         )
     value = multiplicity(lam, mu)
     return _emit(
-        config,
+        args,
         str(value),
         {"lambda": lam.parts, "mu": mu.parts, "multiplicity": value},
     )
 
 
-def cmd_classify(args, config: RunConfig) -> int:
+def cmd_classify(args) -> int:
     k = args.k
     if getattr(args, "grass", None) is not None:
         r, n = args.grass
@@ -325,10 +303,10 @@ def cmd_classify(args, config: RunConfig) -> int:
                 "rule": sph.rule,
                 "f_value": sph.f_value,
             }
-    return _emit(config, "\n".join(lines), payload)
+    return _emit(args, "\n".join(lines), payload)
 
 
-def cmd_chambers(args, config: RunConfig) -> int:
+def cmd_chambers(args) -> int:
     dec = mori_chambers_g1n1(args.n)
     lines = [
         f"Mori chamber decomposition of G(1,{dec.n}) blown up at one point",
@@ -347,10 +325,10 @@ def cmd_chambers(args, config: RunConfig) -> int:
         lines.append(f"fibration target {dec.fibration_target}")
     if dec.note:
         lines.append(dec.note)
-    return _emit(config, "\n".join(lines), dec)
+    return _emit(args, "\n".join(lines), dec)
 
 
-def cmd_spherical(args, config: RunConfig) -> int:
+def cmd_spherical(args) -> int:
     if getattr(args, "grass", None) is not None:
         r, n = args.grass
     else:
@@ -364,10 +342,10 @@ def cmd_spherical(args, config: RunConfig) -> int:
     )
     if report.evidence:
         text += f"\n{report.evidence}"
-    return _emit(config, text, report)
+    return _emit(args, text, report)
 
 
-def cmd_effcone(args, config: RunConfig) -> int:
+def cmd_effcone(args) -> int:
     r, n = args.grass
     cone = effective_cone(r, n, args.k)
     label = f"G({r},{n}) blown up at k={args.k} general points"
@@ -378,15 +356,15 @@ def cmd_effcone(args, config: RunConfig) -> int:
         text = f"Eff of {label}: {names} [{cone.status}, {cone.provenance}]"
     if cone.note:
         text += f"\n{cone.note}"
-    return _emit(config, text, cone, r=r, n=n, k=args.k)
+    return _emit(args, text, cone, r=r, n=n, k=args.k)
 
 
-def cmd_limit_hyperplane(args, config: RunConfig) -> int:
+def cmd_limit_hyperplane(args) -> int:
     section = limit_hyperplane_coeffs(args.D, args.s, args.sbar, args.k1, args.k2)
     text = "coefficients: (" + ", ".join(str(c) for c in section.coeffs) + ")"
     if section.trivial:
         text += " [trivial]"
-    return _emit(config, text, section)
+    return _emit(args, text, section)
 
 
 # ---------------------------------------------------------------------------
@@ -504,8 +482,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        config = _make_config(args)
-        return args.func(args, config)
+        return args.func(args)
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 3

@@ -243,6 +243,7 @@ def delta_set(shape: GrassShape, I, l: int) -> list:
     if shape.n < 2 * shape.r + 1:
         raise ValueError("the canonical pair needs n >= 2r + 1")
     I = _check_grass_index(shape, I)
+    _check_ints("step l", (l,))
     i1, i2 = _canonical_pair(shape)
     if l == 0:
         return [I]
@@ -268,10 +269,5 @@ def delta_set(shape: GrassShape, I, l: int) -> list:
             lowered = {a - r - 1 for a in moved}
             if kept & lowered:
                 continue
-            J = tuple(sorted(kept | lowered))
-            # the reverse move must reproduce I, otherwise J is not a
-            # legitimate preimage of I under a forward step
-            back = (set(J) - lowered) | {a + r + 1 for a in lowered}
-            if tuple(sorted(back)) == I:
-                out.append(J)
+            out.append(tuple(sorted(kept | lowered)))
     return sorted(set(out))

@@ -235,18 +235,12 @@ def _bareiss(matrix: list[list[int]]) -> tuple[int, list[list[int]]]:
     return sign, m
 
 
-def rank(matrix, field: PrimeField | None = None) -> int:
-    """Rank of a JetMatrix or of an iterable of integer rows, modulo p or
-    over the rationals with the one RankAccumulator elimination; rows may be
-    dense sequences or sparse {column: value} dicts."""
-    if isinstance(matrix, JetMatrix):
-        if field is None:
-            field = matrix.field
-        ncols = matrix.ncols
-        rows = [row for _, row in matrix.iter_rows()]
-    else:
-        rows = [row if isinstance(row, dict) else dict(enumerate(row)) for row in matrix]
-        ncols = max((max(d) + 1 for d in rows if d), default=0)
+def rank(rows, field: PrimeField | None = None) -> int:
+    """Rank of an iterable of integer rows, modulo p or over the rationals
+    with the one RankAccumulator elimination; rows may be dense sequences or
+    sparse {column: value} dicts, such as the values of a jet_matrix."""
+    rows = [row if isinstance(row, dict) else dict(enumerate(row)) for row in rows]
+    ncols = max((max(d) + 1 for d in rows if d), default=0)
     acc = RankAccumulator(ncols, field)
     for d in rows:
         acc.add_row(d)
@@ -339,7 +333,7 @@ class PlueckerMap:
     domain_dim / (r+1) columns row by row: every column, so [I | A] = A,
     for the domain_dim = (r+1)(n+1) of build_parametrization, and the n - r
     columns of the standard chart for domain_dim = dim X, the chart form
-    the tangent sampler uses.  Jets come from _pluecker_jets."""
+    _trial_ranks samples.  Jets come from _pluecker_jets."""
 
     shape: GrassShape
     domain_dim: int
@@ -408,31 +402,6 @@ def _coord_degree(shape: OracleShape) -> int:
 # jets
 
 
-@dataclass
-class JetMatrix:
-    """Divided-power derivative rows of a parametrization at a point.
-
-    rows maps a derivative multi-index alpha with |alpha| <= order to a
-    sparse row; identically zero rows are not stored, and ``row_count``
-    reports the nominal number of rows C(domain_dim + order, order)
-    including the omitted ones.
-    """
-
-    domain_dim: int
-    ncols: int
-    order: int
-    field: PrimeField | None
-    rows: dict[tuple[int, ...], dict[int, int]]
-
-    @property
-    def row_count(self) -> int:
-        return comb(self.domain_dim + self.order, self.order)
-
-    def iter_rows(self):
-        for key in sorted(self.rows):
-            yield key, self.rows[key]
-
-
 def _emit_jets(rows, col, value, alpha, free, point, budget, modulus) -> None:
     if not free:
         key = tuple(alpha)
@@ -461,16 +430,23 @@ def _emit_jets(rows, col, value, alpha, free, point, budget, modulus) -> None:
     alpha[v] = 0
 
 
-def _jet_rows(P: PolynomialMap, point, order: int, modulus: int | None):
-    """All divided-power derivative rows of P at the point up to the given
-    order.  The row for alpha holds the coefficient of z^alpha in the
-    shifted expansion of each coordinate; this equals the classical partial
-    derivative divided by alpha!, so entries stay integral and the
-    characteristic never divides a spurious factorial."""
+def jet_matrix(P: PolynomialMap, point, order: int, field: PrimeField | None = None) -> dict:
+    """The divided-power derivative rows of P at the point up to the given
+    order, as {alpha: sparse row} in increasing alpha over |alpha| <= order,
+    identically zero rows left out.  The row for alpha holds the coefficient
+    of z^alpha in the shifted expansion of each coordinate; this equals the
+    classical partial derivative divided by alpha!, so entries stay integral
+    and the characteristic never divides a spurious factorial."""
+    _check_ints("order", (order,))
+    if order < 0:
+        raise ValueError("order must be a nonnegative integer")
+    point = tuple(point)
     if len(point) != P.domain_dim:
         raise ValueError(f"point must have {P.domain_dim} coordinates")
+    modulus = field.p if field is not None else None
     if isinstance(P, PlueckerMap):
-        return _pluecker_jets(P, point, order, modulus)
+        rows = _pluecker_jets(P, point, order, modulus)
+        return {key: rows[key] for key in sorted(rows)}
     rows: dict[tuple[int, ...], dict[int, int]] = {}
     for col, monomials in enumerate(P.coords):
         for coef, expo in monomials:
@@ -488,11 +464,11 @@ def _jet_rows(P: PolynomialMap, point, order: int, modulus: int | None):
             if forced_weight > order:
                 continue
             _emit_jets(rows, col, coef, base, free, point, order - forced_weight, modulus)
-    return {key: row for key, row in rows.items() if row}
+    return {key: rows[key] for key in sorted(rows) if rows[key]}
 
 
 def _pluecker_jets(P: PlueckerMap, point, order: int, modulus: int | None):
-    """The _jet_rows of a PlueckerMap at a point, from minors of M = [I | A].
+    """The jet rows of a PlueckerMap at a point, from minors of M = [I | A].
     Maximal minors are linear in each row, so the coefficient of z^alpha in
     det((M + z)[:, J]), z supported on the free columns that A fills,
     vanishes unless alpha picks one entry (i, j_i) in each row i of a set
@@ -552,28 +528,17 @@ def _pluecker_jets(P: PlueckerMap, point, order: int, modulus: int | None):
     return rows
 
 
-def jet_matrix(P: PolynomialMap, point, order: int, field: PrimeField | None = None) -> JetMatrix:
-    """Jet matrix of P at the point up to the given derivative order."""
-    _check_ints("order", (order,))
-    if order < 0:
-        raise ValueError("order must be a nonnegative integer")
-    modulus = field.p if field is not None else None
-    rows = _jet_rows(P, tuple(point), order, modulus)
-    return JetMatrix(P.domain_dim, P.ncols, order, field, rows)
-
-
 def osculating_rank_sweep(P: PolynomialMap, point, s_max: int, field: PrimeField | None = None) -> list[int]:
     """Rank of the order s jet matrix of P at the point for every
     s = 0, ..., s_max, computed with a single elimination pass by feeding
     rows level by level."""
-    jm = jet_matrix(P, point, s_max, field)
     by_level: dict[int, list] = {}
-    for key, row in jm.rows.items():
-        by_level.setdefault(sum(key), []).append((key, row))
+    for key, row in jet_matrix(P, point, s_max, field).items():
+        by_level.setdefault(sum(key), []).append(row)
     acc = RankAccumulator(P.ncols, field)
     out = []
     for s in range(s_max + 1):
-        for _, row in sorted(by_level.get(s, [])):
+        for row in by_level.get(s, []):
             acc.add_row(row)
         out.append(acc.rank)
     return out
@@ -635,9 +600,8 @@ def _sample_point(P: PolynomialMap, rng: random.Random, field: PrimeField | None
       (0, 1, 2t + 2u) and (0, 1, 2t) on the columns 0, 1 and 2, of
       determinant -2u: rank 3.
     """
-    modulus = field.p if field is not None else None
     point = tuple(rng.randint(1, _COORD_RANGE) for _ in range(P.domain_dim))
-    return [row for _, row in sorted(_jet_rows(P, point, 1, modulus).items())]
+    return list(jet_matrix(P, point, 1, field).values())
 
 
 def _maximal_minors(rows, cols) -> dict[tuple[int, ...], int]:
@@ -667,18 +631,6 @@ def _check_terracini_size(shape: OracleShape, k: int) -> None:
     N = shape.num_coords
     entries = N * max(min(k * (shape.dim + 1), N), _coord_degree(shape))
     _check_size(f"the Terracini matrix of {shape.label} at {k} point(s)", entries)
-
-
-def _tangent_sampler(shape):
-    """A function (rng, field) -> rows spanning the affine tangent space of
-    the cone over the shape at a fresh random point, by _sample_point: of
-    the chart form of the PlueckerMap on a Grassmannian, and of the
-    parametrization on every other shape."""
-    if isinstance(shape, GrassShape):
-        P = PlueckerMap(shape, shape.dim, shape.num_coords)
-    else:
-        P = build_parametrization(shape)
-    return lambda rng, field: _sample_point(P, rng, field)
 
 
 def _coordinate_points(shape, h: int) -> list[tuple[object, int]]:
@@ -713,12 +665,12 @@ def _coordinate_points(shape, h: int) -> list[tuple[object, int]]:
     return [(index, 1) for index in pair[:h]]
 
 
-def _stack(acc: RankAccumulator, draw, rng: random.Random, points: int, column_of: dict) -> int:
-    """Add to acc the tangent rows at the given number of fresh points from
-    draw, restricted to the columns in column_of and renumbered by it, until
-    acc saturates; returns the rank of acc."""
+def _stack(acc: RankAccumulator, P: PolynomialMap, rng: random.Random, points: int, column_of: dict) -> int:
+    """Add to acc the tangent rows of P at the given number of fresh points
+    from _sample_point, restricted to the columns in column_of and
+    renumbered by it, until acc saturates; returns the rank of acc."""
     for _ in range(points):
-        for row in draw(rng, acc.field):
+        for row in _sample_point(P, rng, acc.field):
             if acc.saturated:
                 return acc.rank
             restricted = {column_of[c]: v for c, v in row.items() if c in column_of}
@@ -732,15 +684,20 @@ def _trial_ranks(
 ) -> list[tuple[int, ...]]:
     """One tuple per trial label: the ranks after each group of fresh
     tangent spaces of the shape, stacked by _stack on the columns in
-    column_of into one RankAccumulator over the field.  Trial `label`
-    draws all its groups, in order, from one random.Random seeded with the
-    string "seed:label", so a trial is deterministic in (seed, label)."""
-    draw = _tangent_sampler(shape)
+    column_of into one RankAccumulator over the field.  The tangent rows
+    are those of the chart form of the PlueckerMap on a Grassmannian and of
+    the parametrization on every other shape.  Trial `label` draws all its
+    groups, in order, from one random.Random seeded with the string
+    "seed:label", so a trial is deterministic in (seed, label)."""
+    if isinstance(shape, GrassShape):
+        P = PlueckerMap(shape, shape.dim, shape.num_coords)
+    else:
+        P = build_parametrization(shape)
     out = []
     for label in labels:
         rng = random.Random(f"{seed}:{label}")
         acc = RankAccumulator(len(column_of), field)
-        out.append(tuple(_stack(acc, draw, rng, points, column_of) for points in groups))
+        out.append(tuple(_stack(acc, P, rng, points, column_of) for points in groups))
     return out
 
 
@@ -938,7 +895,7 @@ def _center_index(shape, index):
             value = index
         else:
             index = tuple(tuple(part) for part in index)
-            values = {part[0] for part in index} | {a for part in index for a in part}
+            values = {a for part in index for a in part}
             if len(values) != 1:
                 raise ValueError(
                     "Segre-Veronese osculating centers must be diagonal "

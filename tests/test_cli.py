@@ -89,6 +89,25 @@ def test_secant_random_seed(capsys):
     assert isinstance(seed, int) and 0 <= seed < 1 << 64
 
 
+def test_malformed_seed_variable_fails_only_the_oracle_subcommands(capsys, monkeypatch):
+    # bound, schubert and chambers take no seed: they answer as with the
+    # variable unset, while secant refuses the value
+    monkeypatch.delenv("GRASSDEF_SEED", raising=False)
+    seedless = [
+        ("bound", "--grass", "4", "29"),
+        ("schubert", "degree", "--r", "1", "--n", "3"),
+        ("chambers", "--n", "4"),
+    ]
+    unset = [run(capsys, *argv) for argv in seedless]
+    assert all(code == 0 and out and not err for code, out, err in unset)
+    assert unset[0][1].strip() == "G(4,29): not h-defective for h ≤ 37 (branch large_n, raw 36)"
+    monkeypatch.setenv("GRASSDEF_SEED", "abc")
+    assert [run(capsys, *argv) for argv in seedless] == unset
+    code, out, err = run(capsys, "secant", "--grass", "1", "4", "--h", "2")
+    assert (code, out) == (2, "")
+    assert err.strip() == "error: seed must be an integer or 'random', got 'abc'"
+
+
 def test_secant_trials_flag(capsys):
     _, out, _ = run(capsys, "--json", "secant", "--grass", "1", "4", "--h", "2", "--trials", "1")
     assert len(json.loads(out)["trials"]) == 1

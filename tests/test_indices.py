@@ -253,6 +253,13 @@ def test_delta_set_rejects_index_for_unnormalized_parameters():
         delta_set(GrassShape(2, 4), (0, 1, 2), 1)
 
 
+@pytest.mark.parametrize("bad", [True, False, 1.0, 0.0, -1.0, "1", None])
+def test_delta_set_refuses_a_step_that_is_not_an_integer(bad):
+    # True would act as l = 1 and 0.0 as l = 0
+    with pytest.raises(TypeError):
+        delta_set(GrassShape(2, 5), (0, 1, 2), bad)
+
+
 @given(shape_with_index(grass_shapes(max_r=3, max_n=8)), st.integers(-4, 4))
 def test_delta_set_members_satisfy_distance_laws(data, l):
     shape, I = data

@@ -54,7 +54,7 @@ from grassdef import (
     tangential_projection_finite,
 )
 from grassdef.bounds import grass_bound
-from grassdef.oracle import PlueckerMap, _tangent_sampler
+from grassdef.oracle import PlueckerMap, _sample_point
 
 
 def grass_coord_point(shape, I):
@@ -136,7 +136,7 @@ def test_grass_parametrization_is_pluecker():
             return matrix[0][i] * matrix[1][j] - matrix[0][j] * matrix[1][i]
 
         flat = [v for row in matrix for v in row]
-        values = jet_matrix(P, flat, 0).rows.get((0,) * 8, {})
+        values = jet_matrix(P, flat, 0).get((0,) * 8, {})
         p01, p02, p03, p12, p13, p23 = (values.get(c, 0) for c in range(6))
         assert (p01, p02, p03, p12, p13, p23) == (
             minor(0, 1), minor(0, 2), minor(0, 3),
@@ -176,8 +176,8 @@ def test_grassmannian_jet_cap_accepts_order_one_on_g_5_18():
     # 27132 (1 + 6 * 6) minor entries plus 114 (1 + 6 * 19) alpha entries:
     # 1,016,994 entries
     shape = GrassShape(5, 18)
-    jm = jet_matrix(build_parametrization(shape), grass_coord_point(shape, tuple(range(6))), 1)
-    assert rank(jm) == shape.dim + 1
+    rows = jet_matrix(build_parametrization(shape), grass_coord_point(shape, tuple(range(6))), 1)
+    assert rank(rows.values()) == shape.dim + 1
 
 
 @pytest.mark.parametrize(
@@ -219,18 +219,11 @@ def test_terracini_cap_refuses_before_sampling(call, monkeypatch):
     assert build_parametrization.cache_info().misses == 0
 
 
-def test_jet_matrix_row_count_is_nominal():
-    shape = GrassShape(1, 3)
-    P = build_parametrization(shape)
-    jm = jet_matrix(P, grass_coord_point(shape, (0, 1)), 2)
-    assert jm.row_count == comb(P.domain_dim + 2, 2)
-
-
-def test_jet_rows_at_coordinate_points_are_singletons():
+def test_jets_at_coordinate_points_are_singleton_rows():
     for shape in (GrassShape(1, 4), GrassShape(2, 5)):
         P = build_parametrization(shape)
-        jm = jet_matrix(P, grass_coord_point(shape, tuple(range(shape.r + 1))), 1)
-        for _, row in jm.iter_rows():
+        rows = jet_matrix(P, grass_coord_point(shape, tuple(range(shape.r + 1))), 1)
+        for row in rows.values():
             assert len(row) == 1
 
 
@@ -240,7 +233,7 @@ def test_rank_sweep_matches_individual_jet_matrices():
     pt = grass_coord_point(shape, (0, 1))
     sweep = osculating_rank_sweep(P, pt, 3)
     for s in range(4):
-        assert sweep[s] == rank(jet_matrix(P, pt, s))
+        assert sweep[s] == rank(jet_matrix(P, pt, s).values())
 
 
 @pytest.mark.parametrize("r, n, s_max", [(5, 11, 3), (6, 13, 2)])
@@ -302,12 +295,12 @@ def test_grassmannian_jets_match_sympy_minor_expansion(r, n, field):
                 reduced = {c: v for c, v in reduced.items() if v}
                 if sum(alpha) <= s and reduced and rekey(alpha) is not None:
                     expected[rekey(alpha)] = reduced
-            assert jet_matrix(Q, point, s, field).rows == expected
+            assert jet_matrix(Q, point, s, field) == expected
 
 
 def chart_map(shape):
     """The chart form A -> Pluecker([I | A]) of the Pluecker map, the one the
-    tangent sampler takes its rows from."""
+    secant trials take their tangent rows from."""
     return PlueckerMap(shape, shape.dim, shape.num_coords)
 
 
@@ -338,7 +331,7 @@ def chart_directions(shape, alpha):
 def chart_rows(shape, A):
     """The tangent rows at the chart point A: the value row, then one row per
     entry of A."""
-    return [row for _, row in jet_matrix(chart_map(shape), A, 1).iter_rows()]
+    return list(jet_matrix(chart_map(shape), A, 1).values())
 
 
 @pytest.mark.parametrize("field", [PrimeField(DEFAULT_PRIME), None], ids=["modp", "rational"])
@@ -350,7 +343,7 @@ def test_chart_rows_span_the_order_one_jets(field):
         assert len(rows) == shape.dim + 1
         assert rank(rows, field) == shape.dim + 1
         jets = jet_matrix(build_parametrization(shape), full_point(shape, A), 1, field)
-        stacked = rows + [row for _, row in jets.iter_rows()]
+        stacked = rows + list(jets.values())
         assert rank(stacked, field) == shape.dim + 1
 
 
@@ -387,9 +380,9 @@ def test_chart_jets_are_full_jets_in_the_directions_of_a(r, n, field):
         A = [rng.randint(-9, 9) for _ in range(shape.dim)]
         A[seed] = 0
         full = jet_matrix(build_parametrization(shape), full_point(shape, A), r + 1, field)
-        expected = {chart_directions(shape, alpha): row for alpha, row in full.rows.items()}
+        expected = {chart_directions(shape, alpha): row for alpha, row in full.items()}
         expected.pop(None, None)
-        assert jet_matrix(chart_map(shape), A, r + 1, field).rows == expected
+        assert jet_matrix(chart_map(shape), A, r + 1, field) == expected
 
 
 @pytest.mark.parametrize("prime", [DEFAULT_PRIME, 4294967291, "rational"])
@@ -413,10 +406,10 @@ def test_sampled_tangent_rows_have_full_rank(shape, prime):
     # the tangent space of the cone, modulo the default prime, modulo
     # 2^32 - 5 and over the rationals
     field = None if prime == "rational" else PrimeField(prime)
-    draw = _tangent_sampler(shape)
+    P = chart_map(shape) if isinstance(shape, GrassShape) else build_parametrization(shape)
     rng = random.Random(f"tangent:{shape.label}")
     for _ in range(20):
-        assert rank(draw(rng, field), field) == shape.dim + 1
+        assert rank(_sample_point(P, rng, field), field) == shape.dim + 1
 
 
 def stacked_rank(shape, h, seed, field):
@@ -430,7 +423,7 @@ def stacked_rank(shape, h, seed, field):
         else:
             P = build_parametrization(shape)
             point = [rng.randint(1, 1 << 20) for _ in range(P.domain_dim)]
-            rows += [row for _, row in jet_matrix(P, point, 1, field).iter_rows()]
+            rows += jet_matrix(P, point, 1, field).values()
     return rank(rows, field)
 
 
@@ -540,19 +533,14 @@ def test_secant_certificate_serialization():
 def test_secant_escalates_to_a_rational_trial_when_trials_disagree(monkeypatch):
     # G(1,5) at h=3: the two coordinate balls leave one column, which only
     # the random third point reaches; starve its first draw so trial 0 falls short
-    sampler = grassdef.oracle._tangent_sampler
+    sample = grassdef.oracle._sample_point
     calls = []
 
-    def starved(shape):
-        draw = sampler(shape)
+    def first_draw_empty(P, rng, field):
+        calls.append(field)
+        return [] if len(calls) == 1 else sample(P, rng, field)
 
-        def first_draw_empty(rng, field):
-            calls.append(field)
-            return [] if len(calls) == 1 else draw(rng, field)
-
-        return first_draw_empty
-
-    monkeypatch.setattr(grassdef.oracle, "_tangent_sampler", starved)
+    monkeypatch.setattr(grassdef.oracle, "_sample_point", first_draw_empty)
     trials = 3
     cert = secant_dimension(GrassShape(1, 5), 3, trials=trials)
     assert len(cert.trials) == trials + 1
@@ -832,6 +820,9 @@ def test_osculating_projection_center_validation():
         osculating_projection_finite(sv, [(0, 1), (0, 1)])
     with pytest.raises(ValueError):
         osculating_projection_finite(RationalNormalCurve(5), [(2, 1)])
+    # a nested center with an empty part has no diagonal value
+    with pytest.raises(ValueError, match="diagonal"):
+        osculating_projection_finite(SegreVeroneseShape((1,), (2,)), [(((),), 1)])
 
 
 def test_osculating_projection_takes_segre_veronese_centers_as_index_tuples():

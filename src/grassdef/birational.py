@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .indices import _check_ints
+from .indices import GrassShape, _check_ints
 from .schubert import grass_degree
 
 GRASS = "grassmannian"
@@ -41,7 +41,7 @@ class Ambient:
     Grassmannian G(r, n) with r >= 1, a smooth quadric Q^n, or P^n.
 
     Only ambients of dimension at least 2 are allowed; Grassmannian
-    parameters are normalized so that n >= 2r + 1."""
+    parameters are normalized by GrassShape to n >= 2r + 1."""
 
     kind: str
     n: int
@@ -53,19 +53,12 @@ class Ambient:
 
     @classmethod
     def grassmannian(cls, r: int, n: int) -> "Ambient":
-        _check_ints("r and n", (r, n))
-        if not 1 <= r < n:
-            raise ValueError(
-                "need 1 <= r < n; for r = 0 the Grassmannian is a projective "
-                "space, use Ambient.projective"
-            )
-        if r > n - r - 1:
-            r = n - r - 1
-        if r == 0:
+        shape = GrassShape(r, n)
+        if shape.r == 0:
             raise ValueError(
                 "these parameters give a projective space, use Ambient.projective"
             )
-        return cls(GRASS, n, r)
+        return cls(GRASS, shape.n, shape.r)
 
     @classmethod
     def quadric(cls, n: int) -> "Ambient":
@@ -401,14 +394,13 @@ def _f_value(r: int, n: int) -> int:
 
 
 def spherical_status(r: int, n: int, k: int) -> SphericalReport:
-    """Sphericality of the blow-up of G(r, n) at k general points, for
-    r >= 0, n >= 2r + 1 and k >= 1.  For r = 0 the blow-up of P^n is toric
-    exactly up to n + 1 points.  For r >= 1 the blow-up is spherical
-    exactly when k = 1, or k = 2 with r = 1 or n = 2r + 1 or n = 2r + 2,
-    or k = 3 with (r, n) = (1, 5)."""
-    _check_ints("r, n and k", (r, n, k))
-    if r < 0 or n < 2 * r + 1:
-        raise ValueError("need r >= 0 and n >= 2r + 1")
+    """Sphericality of the blow-up of G(r, n) at k >= 1 general points, with
+    (r, n) normalized by GrassShape to n >= 2r + 1 and reported so.  For
+    r = 0 the blow-up of P^n is toric exactly up to n + 1 points.  For r >= 1
+    the blow-up is spherical exactly when k = 1, or k = 2 with r = 1 or
+    n = 2r + 1 or n = 2r + 2, or k = 3 with (r, n) = (1, 5)."""
+    r = GrassShape(r, n).r
+    _check_ints("k", (k,))
     if k < 1:
         raise ValueError("k must be at least 1")
     f = _f_value(r, n)
@@ -465,14 +457,14 @@ def spherical_status(r: int, n: int, k: int) -> SphericalReport:
 
 def effective_cone(r: int, n: int, k: int) -> ConeData:
     """Known effective cone generators for the blow-up of G(r, n) at k
-    general points.  The catalog covers k = 1 for every G(r, n), k = 2 for
+    general points, with (r, n) normalized by GrassShape to n >= 2r + 1 and
+    r >= 1.  The catalog covers k = 1 for every G(r, n), k = 2 for
     n = 2r + 1, n = 2r + 2 and for lines with n >= 5, and k = 3 for
     G(1, 5); everything else is unknown."""
-    _check_ints("r, n and k", (r, n, k))
-    if r > n - r - 1:
-        r = n - r - 1
-    if r < 1 or n < 2 * r + 1:
-        raise ValueError("need 1 <= r and n >= 2r + 1 after normalization")
+    r = GrassShape(r, n).r
+    _check_ints("k", (k,))
+    if r == 0:
+        raise ValueError("the catalog covers Grassmannians with r >= 1, not P^n")
     if k < 1:
         raise ValueError("k must be at least 1")
     if k == 1:
@@ -682,10 +674,10 @@ def _mds_projective(n: int, k: int) -> tuple[str, str | None, str]:
 
 def mds_status(r: int, n: int, k: int) -> MDSReport:
     """Mori dream space status of the blow-up at k general points of
-    G(r, n) for r >= 1, or of P^n for r = 0."""
-    _check_ints("r, n and k", (r, n, k))
-    if r < 0 or n < 2 * r + 1 or (r == 0 and n < 1):
-        raise ValueError("need r >= 0 and n >= 2r + 1")
+    G(r, n) for r >= 1, or of P^n for r = 0; (r, n) is normalized by
+    GrassShape to n >= 2r + 1 and reported so."""
+    r = GrassShape(r, n).r
+    _check_ints("k", (k,))
     if k < 0:
         raise ValueError("k must be nonnegative")
     conjectural = _movable_conjecture(r, n) if (k == 1 and r >= 1) else None

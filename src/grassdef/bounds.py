@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .indices import SegreVeroneseShape, _check_ints
+from .indices import GrassShape, SegreVeroneseShape, _check_ints
 
 
 def h_m(m: int, k: int) -> int:
@@ -67,22 +67,22 @@ class BoundReport:
         return f"not h-defective for h ≤ {self.max_h}"
 
 
-def _check_grass_args(r: int, n: int) -> None:
-    _check_ints("r and n", (r, n))
-    if r < 2:
+def _bound_args(r: int, n: int) -> tuple[int, int]:
+    """The (r, n) of GrassShape(r, n); refuses a normalized r below 2."""
+    shape = GrassShape(r, n)
+    if shape.r < 2:
         raise ValueError(
             "the bound needs r >= 2; secant varieties of Grassmannians of "
             "lines are understood classically"
         )
-    if n < 2 * r + 1:
-        raise ValueError("need n >= 2r + 1; pass the dual parameters instead")
+    return shape.r, shape.n
 
 
 def grass_bound(r: int, n: int) -> BoundReport:
     """Main non-defectivity bound for secant varieties of G(r, n).
 
     With alpha = floor((n + 1) / (r + 1)) the report certifies max_h = B + 1
-    where B is
+    where B is, for (r, n) normalized by GrassShape to n >= 2r + 1,
 
       alpha * h_alpha(r - 1)                        if n >= r^2 + 3r + 1,
       (alpha - 1) h_alpha(r - 1) + h_alpha(r')      if r is even,
@@ -92,7 +92,7 @@ def grass_bound(r: int, n: int) -> BoundReport:
     The residual arguments r' and r'' can leave [0, r - 1]; h is extended
     by zero on nonpositive arguments.
     """
-    _check_grass_args(r, n)
+    r, n = _bound_args(r, n)
     alpha = (n + 1) // (r + 1)
     if n >= r * r + 3 * r + 1:
         value = alpha * _h(alpha, r - 1)
@@ -110,13 +110,13 @@ def grass_bound(r: int, n: int) -> BoundReport:
 def linear_bound(r: int, n: int) -> BoundReport:
     """Closed-form corollary of grass_bound, always at most as strong.
 
-    max_h is the certified value itself:
+    max_h is the certified value itself, for (r, n) normalized as there:
 
       floor(r / 2) alpha + 1                                  if n >= r^2 + 3r + 1,
       floor((n + 1) / 2) - r / 2                              if r is even,
       min{ (r - 1)/2 alpha + 1, floor(n / 2) - (r - 1)/2 }    if r is odd.
     """
-    _check_grass_args(r, n)
+    r, n = _bound_args(r, n)
     alpha = (n + 1) // (r + 1)
     if n >= r * r + 3 * r + 1:
         value = (r // 2) * alpha + 1
@@ -133,10 +133,10 @@ def linear_bound(r: int, n: int) -> BoundReport:
 def aop_bound(r: int, n: int) -> BoundReport:
     """Previously known non-defectivity range, kept for comparison.
 
-    Certifies max_h = floor((n - r) / 3) + 1, normalized the same way as
-    grass_bound so the two reports are directly comparable.
+    Certifies max_h = floor((n - r) / 3) + 1 for (r, n) normalized as in
+    grass_bound, so the two reports are directly comparable.
     """
-    _check_grass_args(r, n)
+    r, n = _bound_args(r, n)
     value = (n - r) // 3 + 1
     return BoundReport(max_h=value, raw_value=value, branch="aop")
 
@@ -162,15 +162,14 @@ def osculating_dim_grass(r: int, n: int, s: int) -> int:
     """Dimension of the general s-th osculating space of G(r, n) in the
     Pluecker embedding.
 
-    Equals sum_{l=1}^{s} C(r+1, l) C(n-r, l) for s <= r and saturates at
-    the ambient dimension from s = r + 1 on.
+    With (r, n) normalized by GrassShape, equals sum_{l=1}^{s} C(r+1, l)
+    C(n-r, l) for s <= r and the ambient dimension from s = r + 1 on.
     """
-    _check_ints("r, n and s", (r, n, s))
-    if not 0 <= r < n:
-        raise ValueError(f"need 0 <= r < n, got r={r}, n={n}")
+    r = GrassShape(r, n).r
+    _check_ints("s", (s,))
     if s < 0:
         raise ValueError("s must be nonnegative")
-    top = min(s, min(r, n - r - 1) + 1)
+    top = min(s, r + 1)
     return sum(comb(r + 1, l) * comb(n - r, l) for l in range(1, top + 1))
 
 

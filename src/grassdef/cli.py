@@ -146,18 +146,16 @@ def _oracle_options(args) -> dict:
 
 
 def cmd_bound(args) -> int:
-    if getattr(args, "grass", None) is not None:
-        r, n = args.grass
+    shape = _resolve_shape(args)
+    if isinstance(shape, GrassShape):
         rule = args.rule
-        report = {"grass": grass_bound, "linear": linear_bound, "aop": aop_bound}[rule](r, n)
-        label = f"G({r},{n})"
+        bound = {"grass": grass_bound, "linear": linear_bound, "aop": aop_bound}[rule]
+        report = bound(shape.r, shape.n)
     else:
-        shape = _parse_sv(args.sv)
         rule = "sv"
         report = sv_bound(shape)
-        label = shape.label
-    text = f"{label}: {report.statement} (branch {report.branch}, raw {report.raw_value})"
-    return _emit(args, text, report, shape=label, rule=rule, statement=report.statement)
+    text = f"{shape.label}: {report.statement} (branch {report.branch}, raw {report.raw_value})"
+    return _emit(args, text, report, shape=shape.label, rule=rule, statement=report.statement)
 
 
 def cmd_secant(args) -> int:
@@ -346,9 +344,9 @@ def cmd_spherical(args) -> int:
 
 
 def cmd_effcone(args) -> int:
-    r, n = args.grass
-    cone = effective_cone(r, n, args.k)
-    label = f"G({r},{n}) blown up at k={args.k} general points"
+    shape = _resolve_shape(args)
+    cone = effective_cone(shape.r, shape.n, args.k)
+    label = f"{shape.label} blown up at k={args.k} general points"
     if cone.status == "unknown":
         text = f"Eff of {label}: unknown"
     else:
@@ -356,7 +354,7 @@ def cmd_effcone(args) -> int:
         text = f"Eff of {label}: {names} [{cone.status}, {cone.provenance}]"
     if cone.note:
         text += f"\n{cone.note}"
-    return _emit(args, text, cone, r=r, n=n, k=args.k)
+    return _emit(args, text, cone, r=shape.r, n=shape.n, k=args.k)
 
 
 def cmd_limit_hyperplane(args) -> int:
@@ -384,7 +382,7 @@ def _add_shape_flags(parser, kinds: tuple[str, ...] = ("grass", "sv")) -> None:
 
 
 def _add_oracle_flags(parser) -> None:
-    parser.add_argument("--prime", help="62 bit prime modulus, or 'rational'")
+    parser.add_argument("--prime", help="prime modulus in [2^31, 2^64), or 'rational'")
     parser.add_argument("--trials", type=int, help="independent trials, in [1, 64]")
     parser.add_argument("--seed", help="integer seed, or 'random'; defaults to GRASSDEF_SEED")
 

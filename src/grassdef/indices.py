@@ -240,8 +240,6 @@ def delta_set(shape: GrassShape, I, l: int) -> list:
     """
     if not isinstance(shape, GrassShape):
         raise TypeError("delta sets are defined for Grassmannian shapes")
-    if shape.n < 2 * shape.r + 1:
-        raise ValueError("the canonical pair needs n >= 2r + 1")
     I = _check_grass_index(shape, I)
     _check_ints("step l", (l,))
     i1, i2 = _canonical_pair(shape)

@@ -28,6 +28,7 @@ from .indices import (
     _canonical_pair,
     _check_grass_index,
     _check_ints,
+    _check_sv_index,
     ball,
     distance,  # noqa: F401  (bench/test_bench.py looks it up as grassdef.oracle.distance)
     enumerate_indices,
@@ -72,8 +73,9 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_probable_prime(p: int) -> bool:
-    """Miller-Rabin with the first twelve prime bases; deterministic for
-    every modulus below 3.3 * 10^24, in particular for 64-bit inputs."""
+    """Miller-Rabin with the first twelve prime bases; deterministic below
+    318665857834031151167461, a composite that passes all twelve, so in
+    particular for 64-bit inputs."""
     if not isinstance(p, int) or p < 2:
         return False
     for q in _MR_BASES:
@@ -97,16 +99,18 @@ def is_probable_prime(p: int) -> bool:
 
 @dataclass(frozen=True)
 class PrimeField:
-    """Arithmetic modulo p.  The modulus must be a prime of at least 2^31
-    so that divided powers of the orders used here never meet the
-    characteristic, and every sample coordinate in [1, _COORD_RANGE] is a
-    unit."""
+    """Arithmetic modulo p, for a prime p in [2^31, 2^64): from 2^31 on,
+    divided powers of the orders used here never meet the characteristic
+    and every sample coordinate in [1, _COORD_RANGE] is a unit, and below
+    2^64 is_probable_prime is deterministic."""
 
     p: int
 
     def __post_init__(self) -> None:
         if not isinstance(self.p, int) or self.p < (1 << 31):
             raise ValueError("the modulus must be an integer of at least 2^31")
+        if self.p >= 1 << 64:
+            raise ValueError("the modulus must lie below 2^64")
         if not is_probable_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
 
@@ -892,20 +896,14 @@ def _center_index(shape, index):
         return _check_grass_index(shape, tuple(index))
     if isinstance(shape, SegreVeroneseShape):
         if isinstance(index, int):
-            value = index
-        else:
-            index = tuple(tuple(part) for part in index)
-            values = {a for part in index for a in part}
-            if len(values) != 1:
-                raise ValueError(
-                    "Segre-Veronese osculating centers must be diagonal "
-                    "coordinate points, constant across all factors"
-                )
-            value = next(iter(values))
-        n1 = shape.n[0]
-        if not isinstance(value, int) or not 0 <= value <= n1:
-            raise ValueError(f"diagonal value must lie in [0, {n1}]")
-        return tuple((value,) * dj for dj in shape.d)
+            index = tuple((index,) * dj for dj in shape.d)
+        index = tuple(tuple(part) for part in index)
+        if len({a for part in index for a in part}) != 1:
+            raise ValueError(
+                "Segre-Veronese osculating centers must be diagonal "
+                "coordinate points, constant across all factors"
+            )
+        return _check_sv_index(shape, index)
     if isinstance(shape, RationalNormalCurve):
         _check_ints("rational normal curve centers", (index,))
         if index not in (0, shape.n):

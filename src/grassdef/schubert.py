@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, factorial
 
-from .indices import _check_ints
+from .indices import GrassShape, _check_ints
 from .oracle import _bareiss
 
 
@@ -140,11 +140,9 @@ def _int_det(matrix: list[list[int]]) -> int:
 
 def grass_degree(r: int, n: int) -> int:
     """Degree of G(r, n) in the Pluecker embedding, by the hook length
-    formula on the (r+1) x (n-r) rectangle."""
-    _check_ints("r and n", (r, n))
-    if not 0 <= r < n:
-        raise ValueError(f"need 0 <= r < n, got r={r}, n={n}")
-    rows, cols = r + 1, n - r
+    formula on the (r+1) x (n-r) rectangle of GrassShape(r, n)."""
+    shape = GrassShape(r, n)
+    rows, cols = shape.r + 1, shape.n - shape.r
     hooks = 1
     for i in range(rows):
         for j in range(cols):

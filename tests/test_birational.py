@@ -232,10 +232,11 @@ def test_spherical_table():
 
 
 def test_spherical_validation():
-    with pytest.raises(ValueError):
-        spherical_status(2, 4, 1)
+    assert spherical_status(2, 4, 1) == spherical_status(1, 4, 1)
     with pytest.raises(ValueError):
         spherical_status(1, 4, 0)
+    with pytest.raises(ValueError):
+        spherical_status(4, 4, 1)
 
 
 EFFECTIVE_CONES = [

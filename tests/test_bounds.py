@@ -12,6 +12,7 @@ from grassdef import (
     GrassShape,
     SegreVeroneseShape,
     aop_bound,
+    classify_fano,
     effective_cone,
     grass_bound,
     h_m,
@@ -117,10 +118,49 @@ def test_grass_bound_validation():
         grass_bound(1, 5)
     with pytest.raises(ValueError):
         grass_bound(2, 4)
-    with pytest.raises(ValueError):
-        linear_bound(3, 6)
+    assert linear_bound(3, 6) == linear_bound(2, 6)
     with pytest.raises(ValueError):
         aop_bound(1, 9)
+    # G(8, 10) is G(1, 10)
+    with pytest.raises(ValueError):
+        grass_bound(8, 10)
+
+
+def _outcome(call, *args):
+    """The report of the call, or ValueError when it refuses the input."""
+    try:
+        return call(*args)
+    except ValueError:
+        return ValueError
+
+
+def _classify(r, n, k):
+    return classify_fano(Ambient.grassmannian(r, n), k)
+
+
+@pytest.mark.parametrize(
+    "call, ks",
+    [
+        (grass_bound, None),
+        (linear_bound, None),
+        (aop_bound, None),
+        (spherical_status, range(1, 5)),
+        (effective_cone, range(1, 5)),
+        (mds_status, range(0, 5)),
+        (_classify, range(0, 5)),
+    ],
+    ids=lambda v: getattr(v, "__name__", str(v)),
+)
+def test_dual_parameters_agree(call, ks):
+    # G(r, n) and G(n-r-1, n) are one variety: the same report, or both refused
+    answered = 0
+    for n in range(1, 13):
+        for r in range(n):
+            for extra in [()] if ks is None else [(k,) for k in ks]:
+                here = _outcome(call, r, n, *extra)
+                assert here == _outcome(call, n - r - 1, n, *extra), (r, n, extra)
+                answered += here is not ValueError
+    assert answered
 
 
 def test_linear_bound_values():

@@ -48,6 +48,30 @@ def test_bound_precondition_exit_code(capsys):
     )
 
 
+def test_dual_grassmannians_answer_as_normalized(capsys):
+    # G(r, n) is answered as G(n-r-1, n) when n < 2r + 1, under that label
+    for dual, normal in (
+        (("bound", "--grass", "6", "11"), ("bound", "--grass", "4", "11")),
+        (("spherical", "--grass", "3", "5", "--k", "1"), ("spherical", "--grass", "1", "5", "--k", "1")),
+        (("effcone", "--grass", "3", "5", "--k", "1"), ("effcone", "--grass", "1", "5", "--k", "1")),
+    ):
+        for prefix in ((), ("--json",)):
+            code, out, _ = run(capsys, *prefix, *dual)
+            assert code == 0
+            assert out == run(capsys, *prefix, *normal)[1]
+    _, out, _ = run(capsys, "--json", "effcone", "--grass", "3", "5", "--k", "1")
+    assert json.loads(out)["r"] == 1
+
+
+def test_secant_refuses_a_modulus_from_2_64(capsys):
+    # a composite strong pseudoprime to the twelve Miller-Rabin bases
+    argv = ("secant", "--grass", "1", "4", "--h", "2", "--prime", "318665857834031151167461")
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "error: the modulus must lie below 2^64"
+
+
 def test_secant_text(capsys):
     code, out, _ = run(capsys, "secant", "--grass", "1", "4", "--h", "2")
     assert code == 0

@@ -96,6 +96,13 @@ def test_prime_field_validation():
     assert is_probable_prime((1 << 31) - 1)
     with pytest.raises(ValueError, match=r"^the modulus must be an integer of at least 2\^31$"):
         PrimeField((1 << 31) - 1)
+    # psi_12 and psi_13 are composite strong pseudoprimes to the twelve
+    # Miller-Rabin bases, so moduli from 2^64 on are refused
+    for composite in (318665857834031151167461, 3317044064679887385961981):
+        assert is_probable_prime(composite) and not sympy.isprime(composite)
+        with pytest.raises(ValueError, match=r"2\^64"):
+            PrimeField(composite)
+    PrimeField((1 << 64) - 59)
 
 
 def test_rank_known_matrices():
@@ -823,6 +830,14 @@ def test_osculating_projection_center_validation():
     # a nested center with an empty part has no diagonal value
     with pytest.raises(ValueError, match="diagonal"):
         osculating_projection_finite(SegreVeroneseShape((1,), (2,)), [(((),), 1)])
+    # diagonal centers with a missing factor part or a part of the wrong length
+    for shape, center in (
+        (SegreVeroneseShape((1, 1), (1, 1)), ((0,),)),
+        (SegreVeroneseShape((1, 1), (1, 1)), ((0, 0, 0, 0, 0), (0,))),
+        (SegreVeroneseShape((1,), (2,)), ((0,),)),
+    ):
+        with pytest.raises(ValueError):
+            osculating_projection_finite(shape, [(center, 1)])
 
 
 def test_osculating_projection_takes_segre_veronese_centers_as_index_tuples():

@@ -48,30 +48,30 @@ class Ambient:
     r: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in (GRASS, QUADRIC, PROJ):
+        if self.kind == GRASS:
+            r = GrassShape(self.r, self.n).r
+            if r == 0:
+                raise ValueError(
+                    "these parameters give a projective space, use Ambient.projective"
+                )
+            object.__setattr__(self, "r", r)
+        elif self.kind in (QUADRIC, PROJ):
+            _check_ints("n", (self.n,), 2)
+            if self.r is not None:
+                raise ValueError(f"a {self.kind} ambient takes no r, got r={self.r!r}")
+        else:
             raise ValueError(f"unknown ambient kind {self.kind!r}")
 
     @classmethod
     def grassmannian(cls, r: int, n: int) -> "Ambient":
-        shape = GrassShape(r, n)
-        if shape.r == 0:
-            raise ValueError(
-                "these parameters give a projective space, use Ambient.projective"
-            )
-        return cls(GRASS, shape.n, shape.r)
+        return cls(GRASS, n, r)
 
     @classmethod
     def quadric(cls, n: int) -> "Ambient":
-        _check_ints("n", (n,))
-        if n < 2:
-            raise ValueError("quadrics here have dimension at least 2")
         return cls(QUADRIC, n)
 
     @classmethod
     def projective(cls, n: int) -> "Ambient":
-        _check_ints("n", (n,))
-        if n < 2:
-            raise ValueError("projective spaces here have dimension at least 2")
         return cls(PROJ, n)
 
     @property
@@ -207,9 +207,7 @@ def intersect(D: DivisorClass, C: CurveClass) -> int:
 def anticanonical(ambient: Ambient, k: int) -> DivisorClass:
     """The anticanonical class of the blow-up at k general points:
     index(ambient) H - (dim - 1) sum_i E_i."""
-    _check_ints("k", (k,))
-    if k < 0:
-        raise ValueError("k must be a nonnegative integer")
+    _check_ints("k", (k,), 0)
     return DivisorClass(ambient.index, (ambient.dim - 1,) * k)
 
 
@@ -248,9 +246,7 @@ def mori_cone_generators(ambient: Ambient, k: int) -> ConeData:
     classes l_ij = h - e_i - e_j for 2 <= k <= 2n.  Outside these ranges
     the status is unknown and the generator list empty.
     """
-    _check_ints("k", (k,))
-    if k < 0:
-        raise ValueError("k must be a nonnegative integer")
+    _check_ints("k", (k,), 0)
     if ambient.kind == QUADRIC and ambient.n == 2:
         return ConeData(
             (),
@@ -343,9 +339,7 @@ def classify_fano(ambient: Ambient, k: int) -> FanoReport:
     """Fano / weak Fano / neither for the blow-up of the ambient at k
     general points.  A disagreement between the computed verdict and the
     classification table is a genuine inconsistency: an ArithmeticError."""
-    _check_ints("k", (k,))
-    if k < 0:
-        raise ValueError("k must be a nonnegative integer")
+    _check_ints("k", (k,), 0)
     ak = anticanonical(ambient, k)
     top = top_self_intersection(ambient, ak)
     table = (
@@ -400,9 +394,7 @@ def spherical_status(r: int, n: int, k: int) -> SphericalReport:
     the blow-up is spherical exactly when k = 1, or k = 2 with r = 1 or
     n = 2r + 1 or n = 2r + 2, or k = 3 with (r, n) = (1, 5)."""
     r = GrassShape(r, n).r
-    _check_ints("k", (k,))
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    _check_ints("k", (k,), 1)
     f = _f_value(r, n)
     if r == 0:
         if k <= n + 1:
@@ -462,11 +454,9 @@ def effective_cone(r: int, n: int, k: int) -> ConeData:
     n = 2r + 1, n = 2r + 2 and for lines with n >= 5, and k = 3 for
     G(1, 5); everything else is unknown."""
     r = GrassShape(r, n).r
-    _check_ints("k", (k,))
+    _check_ints("k", (k,), 1)
     if r == 0:
         raise ValueError("the catalog covers Grassmannians with r >= 1, not P^n")
-    if k < 1:
-        raise ValueError("k must be at least 1")
     if k == 1:
         return ConeData(
             (divisor_E(0, 1), DivisorClass(1, (r + 1,))),
@@ -556,9 +546,7 @@ def mori_chambers_g1n1(n: int) -> ChamberDecomposition:
     n = 3 the last chamber is instead a divisorial contraction onto P^4 and
     the movable cone stops at H - E.
     """
-    _check_ints("n", (n,))
-    if n < 3:
-        raise ValueError("need n >= 3")
+    _check_ints("n", (n,), 3)
     E = divisor_E(0, 1)
     H = divisor_H(1)
     HmE = DivisorClass(1, (1,))
@@ -677,9 +665,7 @@ def mds_status(r: int, n: int, k: int) -> MDSReport:
     G(r, n) for r >= 1, or of P^n for r = 0; (r, n) is normalized by
     GrassShape to n >= 2r + 1 and reported so."""
     r = GrassShape(r, n).r
-    _check_ints("k", (k,))
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    _check_ints("k", (k,), 0)
     conjectural = _movable_conjecture(r, n) if (k == 1 and r >= 1) else None
     if k == 0:
         return MDSReport(

@@ -25,11 +25,8 @@ def h_m(m: int, k: int) -> int:
     Consequences used elsewhere: h_m(2k) = h_m(2k - 1) and
     h_2(k) = floor((k + 1) / 2).
     """
-    _check_ints("m and k", (m, k))
-    if m < 2:
-        raise ValueError("m must be at least 2")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    _check_ints("m", (m,), 2)
+    _check_ints("k", (k,), 0)
     return _h(m, k)
 
 
@@ -166,9 +163,7 @@ def osculating_dim_grass(r: int, n: int, s: int) -> int:
     C(n-r, l) for s <= r and the ambient dimension from s = r + 1 on.
     """
     r = GrassShape(r, n).r
-    _check_ints("s", (s,))
-    if s < 0:
-        raise ValueError("s must be nonnegative")
+    _check_ints("s", (s,), 0)
     top = min(s, r + 1)
     return sum(comb(r + 1, l) * comb(n - r, l) for l in range(1, top + 1))
 
@@ -194,8 +189,6 @@ def osculating_dim_sv(shape: SegreVeroneseShape, s: int) -> int:
     variety; saturates at the ambient dimension from s = d_total on."""
     if not isinstance(shape, SegreVeroneseShape):
         raise TypeError("osculating_dim_sv takes a SegreVeroneseShape")
-    _check_ints("s", (s,))
-    if s < 0:
-        raise ValueError("s must be a nonnegative integer")
+    _check_ints("s", (s,), 0)
     counts = _sv_level_counts(shape)
     return sum(counts[1 : min(s, shape.d_total) + 1])

@@ -13,17 +13,21 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb, prod
 
 
-def _check_ints(name: str, values) -> tuple[int, ...]:
+def _check_ints(name: str, values, low: int | None = None, high: int | None = None) -> tuple[int, ...]:
     """The values as a tuple; a bool or a non-integer raises TypeError
-    instead of being truncated."""
+    instead of being truncated, and a value below low or above high raises
+    ValueError."""
     values = tuple(values)
     for v in values:
         if not isinstance(v, int) or isinstance(v, bool):
             raise TypeError(f"expected integer {name}, got {values!r}")
+        if low is not None and v < low or high is not None and v > high:
+            bounds = f"at least {low}" if high is None else f"in [{low}, {high}]"
+            raise ValueError(f"{name} must be {bounds}, got {v}")
     return values
 
 
@@ -33,19 +37,17 @@ class GrassShape:
 
     Shapes are normalized on construction: G(r, n) and G(n-r-1, n) have the
     same coordinate combinatorics, so when r > n-r-1 the dual parameters are
-    stored instead and the original r is kept in ``normalized_from``.
+    stored instead.
     """
 
     r: int
     n: int
-    normalized_from: int | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         _check_ints("r and n", (self.r, self.n))
         if not 0 <= self.r < self.n:
             raise ValueError(f"need 0 <= r < n, got r={self.r}, n={self.n}")
         if self.r > self.n - self.r - 1:
-            object.__setattr__(self, "normalized_from", self.r)
             object.__setattr__(self, "r", self.n - self.r - 1)
 
     @property
@@ -78,12 +80,10 @@ class SegreVeroneseShape:
     d: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n = _check_ints("factor dimensions", self.n)
-        d = _check_ints("degrees", self.d)
+        n = _check_ints("factor dimensions", self.n, 1)
+        d = _check_ints("degrees", self.d, 1)
         if not n or len(n) != len(d):
             raise ValueError("n and d must be nonempty tuples of equal length")
-        if min(n) < 1 or min(d) < 1:
-            raise ValueError("factor dimensions and degrees must be positive")
         order = sorted(range(len(n)), key=lambda j: (n[j], d[j]))
         object.__setattr__(self, "n", tuple(n[j] for j in order))
         object.__setattr__(self, "d", tuple(d[j] for j in order))
@@ -119,27 +119,24 @@ Shape = GrassShape | SegreVeroneseShape
 
 
 def _check_grass_index(shape: GrassShape, I) -> tuple[int, ...]:
-    I = _check_ints("index entries", I)
+    I = _check_ints("index entries", I, 0, shape.n)
     if len(I) != shape.r + 1:
         raise ValueError(f"index must have {shape.r + 1} entries, got {I}")
     if any(b <= a for a, b in zip(I, I[1:])):
         raise ValueError(f"index must be strictly increasing, got {I}")
-    if I[0] < 0 or I[-1] > shape.n:
-        raise ValueError(f"index entries must lie in [0, {shape.n}], got {I}")
     return I
 
 
 def _check_sv_index(shape: SegreVeroneseShape, I) -> tuple[tuple[int, ...], ...]:
-    I = tuple(_check_ints("index entries", part) for part in I)
+    I = tuple(map(tuple, I))
     if len(I) != shape.factors:
         raise ValueError(f"index must have {shape.factors} factor parts, got {I}")
     for part, nj, dj in zip(I, shape.n, shape.d):
+        _check_ints("index entries", part, 0, nj)
         if len(part) != dj:
             raise ValueError(f"factor part {part} must have {dj} entries")
         if any(b < a for a, b in zip(part, part[1:])):
             raise ValueError(f"factor part {part} must be weakly increasing")
-        if part and (part[0] < 0 or part[-1] > nj):
-            raise ValueError(f"factor part {part} must lie in [0, {nj}]")
     return I
 
 
@@ -209,9 +206,7 @@ def ball(shape: Shape, I, s: int) -> list:
     tabulated once per factor; one ``product`` walks the parts as
     ``enumerate_indices`` does and their distances in step, which gives the
     full scan's list in its order."""
-    _check_ints("radius", (s,))
-    if s < 0:
-        raise ValueError("radius must be nonnegative")
+    _check_ints("radius", (s,), 0)
     check, _ = _metric(shape)
     I = check(shape, I)
     if isinstance(shape, GrassShape):
@@ -245,27 +240,11 @@ def delta_set(shape: GrassShape, I, l: int) -> list:
     i1, i2 = _canonical_pair(shape)
     if l == 0:
         return [I]
-    r = shape.r
-    out = []
-    if l > 0:
-        movable = sorted(set(I) & set(i1))
-        if l > len(movable):
-            return []
-        for moved in itertools.combinations(movable, l):
-            kept = set(I) - set(moved)
-            shifted = {a + r + 1 for a in moved}
-            if kept & shifted:
-                continue
-            out.append(tuple(sorted(kept | shifted)))
-    else:
-        steps = -l
-        movable = sorted(set(I) & set(i2))
-        if steps > len(movable):
-            return []
-        for moved in itertools.combinations(movable, steps):
-            kept = set(I) - set(moved)
-            lowered = {a - r - 1 for a in moved}
-            if kept & lowered:
-                continue
-            out.append(tuple(sorted(kept | lowered)))
-    return sorted(set(out))
+    block, shift = (i1, shape.r + 1) if l > 0 else (i2, -(shape.r + 1))
+    out = set()
+    for moved in itertools.combinations(set(I) & set(block), abs(l)):
+        kept = set(I) - set(moved)
+        shifted = {a + shift for a in moved}
+        if not kept & shifted:
+            out.add(tuple(sorted(kept | shifted)))
+    return sorted(out)

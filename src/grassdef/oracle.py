@@ -17,7 +17,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import random
-import time
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, gcd, perm
@@ -140,8 +139,7 @@ class RankAccumulator:
     """
 
     def __init__(self, ncols: int, field: PrimeField | None = None) -> None:
-        if ncols < 0:
-            raise ValueError("ncols must be nonnegative")
+        _check_ints("ncols", (ncols,), 0)
         self.ncols = ncols
         self.field = field
         # lead column -> (lead value, segment after the lead)
@@ -264,9 +262,7 @@ class RationalNormalCurve:
     n: int
 
     def __post_init__(self) -> None:
-        _check_ints("n", (self.n,))
-        if self.n < 1:
-            raise ValueError("n must be a positive integer")
+        _check_ints("n", (self.n,), 1)
 
     @property
     def dim(self) -> int:
@@ -293,9 +289,7 @@ class TangentDevelopable:
     n: int
 
     def __post_init__(self) -> None:
-        _check_ints("n", (self.n,))
-        if self.n < 2:
-            raise ValueError("n must be at least 2")
+        _check_ints("n", (self.n,), 2)
 
     @property
     def dim(self) -> int:
@@ -441,9 +435,7 @@ def jet_matrix(P: PolynomialMap, point, order: int, field: PrimeField | None = N
     of z^alpha in the shifted expansion of each coordinate; this equals the
     classical partial derivative divided by alpha!, so entries stay integral
     and the characteristic never divides a spurious factorial."""
-    _check_ints("order", (order,))
-    if order < 0:
-        raise ValueError("order must be a nonnegative integer")
+    _check_ints("order", (order,), 0)
     point = tuple(point)
     if len(point) != P.domain_dim:
         raise ValueError(f"point must have {P.domain_dim} coordinates")
@@ -557,11 +549,8 @@ def _oracle_field(prime: int | str, trials: int, h: int = 1) -> PrimeField | Non
     non-integer h or trials raises TypeError; h < 1, trials outside
     [1, 64] and a prime that is neither an integer nor "rational" raise
     ValueError."""
-    _check_ints("h and trials", (h, trials))
-    if h < 1:
-        raise ValueError("h must be a positive integer")
-    if not 1 <= trials <= 64:
-        raise ValueError("trials must lie in [1, 64]")
+    _check_ints("h", (h,), 1)
+    _check_ints("trials", (trials,), 1, 64)
     if prime == "rational":
         return None
     if isinstance(prime, int):
@@ -725,11 +714,10 @@ class DefectivityCertificate:
     prime: int | str
     seed: int
     note: str = ""
-    elapsed_ms: float | None = None
 
     def to_dict(self) -> dict:
-        """The certificate under the CLI's keys, elapsed_ms always None so
-        that equal runs give equal dicts."""
+        """The certificate under the CLI's keys; elapsed_ms is always None,
+        kept so that the JSON keys stay as they were."""
         return {
             "shape": self.shape,
             "h": self.h,
@@ -775,7 +763,6 @@ def secant_dimension(
     """
     field = _oracle_field(prime, trials, h)
     _check_terracini_size(shape, h)
-    start = time.perf_counter()
     coordinate = _coordinate_points(shape, h)
     column_of = _survivor_columns(shape, coordinate)
     dropped = shape.num_coords - len(column_of)
@@ -800,7 +787,6 @@ def secant_dimension(
     verdict = CERTIFIED if defect == 0 else DEFECT_EVIDENCE
     if verdict == DEFECT_EVIDENCE:
         note += _EVIDENCE_NOTE
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
     return DefectivityCertificate(
         shape=shape.label,
         h=h,
@@ -812,7 +798,6 @@ def secant_dimension(
         prime=prime,
         seed=seed,
         note=note.strip(),
-        elapsed_ms=elapsed_ms,
     )
 
 
@@ -919,9 +904,7 @@ def _osculating_centers(shape, centers) -> list[tuple[object, int]]:
     checked = []
     for index, order in centers:
         index = _center_index(shape, index)
-        _check_ints("orders", (order,))
-        if order < 0:
-            raise ValueError("orders must be nonnegative integers")
+        _check_ints("orders", (order,), 0)
         for other, _ in checked:
             if isinstance(shape, GrassShape):
                 if set(other) & set(index):
@@ -1024,12 +1007,10 @@ def limit_hyperplane_coeffs(D: int, s: int, sbar: int, k1: int, k2: int) -> Limi
     q = s - D + k2 + 1, normalized to coprime integers with c_0 > 0.
     """
     _check_ints("D, s, sbar, k1 and k2", (D, s, sbar, k1, k2))
-    if k1 < 0 or k2 < 0 or sbar < 0:
-        raise ValueError("sbar, k1, k2 must be nonnegative")
+    _check_ints("sbar, k1 and k2", (sbar, k1, k2), 0)
     if D <= k1 + k2 + 1:
         raise ValueError("need D > k1 + k2 + 1")
-    if not 0 <= s <= D:
-        raise ValueError("need 0 <= s <= D")
+    _check_ints("s", (s,), 0, D)
     if s < D - k2:
         return LimitHyperplane((1,) + (0,) * s, trivial=True)
     # q <= k2 + 1 < D - k1, so the support misses the forced zero range

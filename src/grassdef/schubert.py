@@ -33,7 +33,7 @@ class Partition:
         _check_ints("r and n", (self.r, self.n))
         if not 0 <= self.r < self.n:
             raise ValueError(f"need 0 <= r < n, got r={self.r}, n={self.n}")
-        parts = _check_ints("parts", self.parts)
+        parts = _check_ints("parts", self.parts, 0, self.n - self.r)
         if len(parts) > self.r + 1:
             if any(parts[self.r + 1 :]):
                 raise ValueError(f"at most {self.r + 1} nonzero parts allowed")
@@ -41,8 +41,6 @@ class Partition:
         parts = parts + (0,) * (self.r + 1 - len(parts))
         if any(a < b for a, b in zip(parts, parts[1:])):
             raise ValueError(f"parts must be weakly decreasing, got {parts}")
-        if parts[-1] < 0 or parts[0] > self.n - self.r:
-            raise ValueError(f"parts must lie in [0, {self.n - self.r}], got {parts}")
         object.__setattr__(self, "parts", parts)
 
     @property
@@ -168,14 +166,12 @@ class FerrersDiagram:
     inner: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        outer = _check_ints("row lengths", self.outer)
-        if any(a < 0 for a in outer):
-            raise ValueError("row lengths must be nonnegative")
+        outer = _check_ints("row lengths", self.outer, 0)
         if any(b < a for a, b in zip(outer, outer[1:])):
             raise ValueError("row lengths must be weakly increasing as drawn")
         object.__setattr__(self, "outer", outer)
         if self.inner is not None:
-            inner = _check_ints("inner row lengths", self.inner)
+            inner = _check_ints("inner row lengths", self.inner, 0)
             inner = inner + (0,) * (len(outer) - len(inner))
             if len(inner) != len(outer):
                 raise ValueError("inner diagram has too many rows")

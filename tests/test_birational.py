@@ -52,6 +52,22 @@ def test_ambient_validation():
         Ambient.projective(1)
     with pytest.raises(ValueError):
         Ambient("fano", 3)
+    # built directly, an ambient is checked as the classmethods check it, so
+    # these reach the CLI as a refusal (exit 2), not as an internal error
+    with pytest.raises(ValueError):
+        classify_fano(Ambient("projective", -5), 1)
+    with pytest.raises(ValueError):
+        Ambient("quadric", 1)
+    with pytest.raises(TypeError):
+        Ambient("projective", True)
+    with pytest.raises(ValueError):
+        Ambient("projective", 3, 1)
+    # a dual Grassmannian is normalized as GrassShape normalizes it
+    g = Ambient("grassmannian", 7, 5)
+    assert (g.r, g.n, g.label) == (1, 7, "G(1,7)")
+    assert g == Ambient.grassmannian(5, 7)
+    with pytest.raises(ValueError, match="use Ambient.projective"):
+        Ambient("grassmannian", 4, 3)
 
 
 def test_divisor_and_curve_names():

@@ -52,8 +52,6 @@ def sv_raw_index_pairs(draw):
 
 def test_grass_shape_normalization():
     assert GrassShape(4, 7) == GrassShape(2, 7)
-    assert GrassShape(4, 7).normalized_from == 4
-    assert GrassShape(2, 7).normalized_from is None
     assert GrassShape(4, 7).label == "G(2,7)"
     assert GrassShape(2, 7).dim == 15
     assert GrassShape(4, 7).dim == 15

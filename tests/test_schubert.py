@@ -232,6 +232,9 @@ def test_ferrers_render():
         FerrersDiagram.of_partition(
             Partition(2, 5, (2, 2, 0)), inner=Partition(2, 5, (1, 0, 0))
         )
+    # a negative inner row would let render() mark more boxes than its row has
+    with pytest.raises(ValueError, match="^inner row lengths must be at least 0, got -1$"):
+        FerrersDiagram((1, 2), inner=(-1, 0))
 
 
 @pytest.mark.parametrize("bad", [True, False, 1.7, 1.0, "1", None])

@@ -19,7 +19,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, gcd, perm
+from math import comb, gcd, perm, prod
 
 from .indices import (
     GrassShape,
@@ -255,30 +255,18 @@ def rank(rows, field: PrimeField | None = None) -> int:
 # parametrizations
 
 
-@dataclass(frozen=True)
-class RationalNormalCurve:
-    """The degree n rational normal curve in P^n."""
+class RationalNormalCurve(SegreVeroneseShape):
+    """The degree n rational normal curve in P^n: the Veronese embedding
+    SV(1;n) of P^1, under the label RNC(n).  Its osculating centers are
+    named by coordinate index, 0 or n, the diagonal points 0 and 1."""
 
-    n: int
-
-    def __post_init__(self) -> None:
-        _check_ints("n", (self.n,), 1)
-
-    @property
-    def dim(self) -> int:
-        return 1
-
-    @property
-    def num_coords(self) -> int:
-        return self.n + 1
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.n
+    def __init__(self, n: int) -> None:
+        _check_ints("n", (n,), 1)
+        super().__init__((1,), (n,))
 
     @property
     def label(self) -> str:
-        return f"RNC({self.n})"
+        return f"RNC({self.d[0]})"
 
 
 @dataclass(frozen=True)
@@ -308,7 +296,7 @@ class TangentDevelopable:
         return f"TD({self.n})"
 
 
-OracleShape = GrassShape | SegreVeroneseShape | RationalNormalCurve | TangentDevelopable
+OracleShape = GrassShape | SegreVeroneseShape | TangentDevelopable
 
 
 @dataclass(frozen=True)
@@ -370,9 +358,6 @@ def build_parametrization(shape: OracleShape) -> PolynomialMap:
         return PlueckerMap(shape, (shape.r + 1) * (shape.n + 1), shape.num_coords)
     if isinstance(shape, SegreVeroneseShape):
         return _sv_parametrization(shape)
-    if isinstance(shape, RationalNormalCurve):
-        coords = tuple(((1, (k,)),) for k in range(shape.n + 1))
-        return Parametrization(1, coords)
     if isinstance(shape, TangentDevelopable):
         coords = [((1, (0, 0)),)]
         for k in range(1, shape.n + 1):
@@ -391,7 +376,7 @@ def _coord_degree(shape: OracleShape) -> int:
         return shape.r + 1
     if isinstance(shape, SegreVeroneseShape):
         return shape.d_total
-    if isinstance(shape, (RationalNormalCurve, TangentDevelopable)):
+    if isinstance(shape, TangentDevelopable):
         return shape.n
     raise TypeError(f"unsupported shape {shape!r}")
 
@@ -414,14 +399,14 @@ def _emit_jets(rows, col, value, alpha, free, point, budget, modulus) -> None:
         return
     v, ev = free[0]
     rest = free[1:]
-    power = 1
-    for a in range(ev, -1, -1):
-        if a <= budget:
-            alpha[v] = a
-            scaled = value * comb(ev, a) * power
-            if modulus is not None:
-                scaled %= modulus
-            _emit_jets(rows, col, scaled, alpha, rest, point, budget - a, modulus)
+    top = min(ev, budget)
+    power = pow(point[v], ev - top, modulus)
+    for a in range(top, -1, -1):
+        alpha[v] = a
+        scaled = value * comb(ev, a) * power
+        if modulus is not None:
+            scaled %= modulus
+        _emit_jets(rows, col, scaled, alpha, rest, point, budget - a, modulus)
         power = power * point[v]
         if modulus is not None:
             power %= modulus
@@ -434,7 +419,13 @@ def jet_matrix(P: PolynomialMap, point, order: int, field: PrimeField | None = N
     identically zero rows left out.  The row for alpha holds the coefficient
     of z^alpha in the shifted expansion of each coordinate; this equals the
     classical partial derivative divided by alpha!, so entries stay integral
-    and the characteristic never divides a spurious factorial."""
+    and the characteristic never divides a spurious factorial.
+
+    A Parametrization is counted against _MAX_ENTRIES before anything is
+    built: a monomial with f variables at nonzero point coordinates, of
+    exponents e_v, and a budget b of order minus the weight of its other
+    variables gives one entry per a <= e with |a| <= b, at most
+    min(prod(min(e_v, b) + 1), C(b + f, f)) of them."""
     _check_ints("order", (order,), 0)
     point = tuple(point)
     if len(point) != P.domain_dim:
@@ -443,7 +434,8 @@ def jet_matrix(P: PolynomialMap, point, order: int, field: PrimeField | None = N
     if isinstance(P, PlueckerMap):
         rows = _pluecker_jets(P, point, order, modulus)
         return {key: rows[key] for key in sorted(rows)}
-    rows: dict[tuple[int, ...], dict[int, int]] = {}
+    terms = []
+    entries = 0
     for col, monomials in enumerate(P.coords):
         for coef, expo in monomials:
             forced_weight = 0
@@ -457,9 +449,15 @@ def jet_matrix(P: PolynomialMap, point, order: int, field: PrimeField | None = N
                 else:
                     base[v] = ev
                     forced_weight += ev
-            if forced_weight > order:
+            budget = order - forced_weight
+            if budget < 0:
                 continue
-            _emit_jets(rows, col, coef, base, free, point, order - forced_weight, modulus)
+            entries += min(prod(min(ev, budget) + 1 for _, ev in free), comb(budget + len(free), budget))
+            terms.append((col, coef, base, free, budget))
+    _check_size(f"the jet matrix of {P.ncols} coordinates at order {order}", entries)
+    rows: dict[tuple[int, ...], dict[int, int]] = {}
+    for col, coef, base, free, budget in terms:
+        _emit_jets(rows, col, coef, base, free, point, budget, modulus)
     return {key: rows[key] for key in sorted(rows) if rows[key]}
 
 
@@ -554,8 +552,14 @@ def _oracle_field(prime: int | str, trials: int, h: int = 1) -> PrimeField | Non
     if prime == "rational":
         return None
     if isinstance(prime, int):
-        return PrimeField(prime)
+        return _prime_field(prime)
     raise ValueError('prime must be an integer prime or "rational"')
+
+
+@lru_cache(maxsize=8)
+def _prime_field(p: int) -> PrimeField:
+    """PrimeField(p) once per modulus; its Miller-Rabin test costs as much as a small request."""
+    return PrimeField(p)
 
 
 def _sample_point(P: PolynomialMap, rng: random.Random, field: PrimeField | None):
@@ -587,8 +591,6 @@ def _sample_point(P: PolynomialMap, rng: random.Random, field: PrimeField | None
       least sum n_j + 1 = dim X + 1.  Euler's relation
       sum_v a_{j,v} row(x_{j,v}) = d_j f(a), with a_{j,0} nonzero, puts
       the row of x_{j,0} in their span, so the rank is no more.
-    - RNC(n): the rows (a^k) and (k a^(k-1)) are (1, a) and (0, 1) on the
-      columns 0 and 1: rank 2.
     - TD(n) at (t, u): f(a) and the t and u rows are (1, t + u, t^2 + 2tu),
       (0, 1, 2t + 2u) and (0, 1, 2t) on the columns 0, 1 and 2, of
       determinant -2u: rank 3.
@@ -629,30 +631,27 @@ def _check_terracini_size(shape: OracleShape, k: int) -> None:
 def _coordinate_points(shape, h: int) -> list[tuple[object, int]]:
     """(index, 1) for the first min(h, 2) of two coordinate points of the
     shape: (0, ..., r) and (r+1, ..., 2r+1) on G(r, n), the diagonal points
-    0 and 1 on a Segre-Veronese variety, 0 and n on RNC(n); a tangent
-    developable has none.  The affine tangent space of the cone at such a
-    point is spanned by the unit vectors of the radius 1 ball around its
-    index, so the rank of a stack is the number of columns in the balls plus
-    the rank of the other points' rows on the remaining columns (_stack).
+    0 and 1 on a Segre-Veronese variety; a tangent developable has none.
+    The affine tangent space of the cone at such a point is spanned by the
+    unit vectors of the radius 1 ball around its index, so the rank of a
+    stack is the number of columns in the balls plus the rank of the other
+    points' rows on the remaining columns (_stack).
 
     Soundness for Terracini's lemma: the stacked rank is invariant under the
-    linear group of the embedding (GL_{n+1}, a product of GL_{n_j+1}, GL_2)
-    and lower semicontinuous in the points, so the h-tuples that reach the
+    linear group of the embedding (GL_{n+1}, a product of GL_{n_j+1}) and
+    lower semicontinuous in the points, so the h-tuples that reach the
     generic rank form a dense open invariant set U.  The group is transitive
     on pairs of complementary (r+1)-subspaces (n >= 2r + 1 after
-    normalization), of points that differ in every factor, and of distinct
-    points of P^1, so the orbit of the coordinate pair is dense, meets the
-    open image of U among pairs, and by invariance lies in it.  A general
-    choice of the other points then reaches the generic rank, and an integer
-    specialization reduced modulo p only lowers it: a full rank still
-    certifies the expected dimension.
+    normalization) and of points that differ in every factor, so the orbit
+    of the coordinate pair is dense, meets the open image of U among pairs,
+    and by invariance lies in it.  A general choice of the other points then
+    reaches the generic rank, and an integer specialization reduced modulo p
+    only lowers it: a full rank still certifies the expected dimension.
     """
     if isinstance(shape, GrassShape):
         pair = _canonical_pair(shape)
     elif isinstance(shape, SegreVeroneseShape):
-        pair = [_center_index(shape, value) for value in (0, 1)]
-    elif isinstance(shape, RationalNormalCurve):
-        pair = [0, shape.n]
+        pair = [tuple((value,) * dj for dj in shape.d) for value in (0, 1)]
     else:
         pair = []
     return [(index, 1) for index in pair[:h]]
@@ -876,9 +875,19 @@ def tangential_projection_finite(
 
 
 def _center_index(shape, index):
-    """The coordinate index of one osculating center, validated."""
+    """The coordinate index of one osculating center, validated: an index
+    tuple on G(r, n), a diagonal value or index on a Segre-Veronese
+    variety, and on RNC(n) the coordinate index 0 or n of a diagonal point."""
     if isinstance(shape, GrassShape):
         return _check_grass_index(shape, tuple(index))
+    if isinstance(shape, RationalNormalCurve):
+        _check_ints("rational normal curve centers", (index,))
+        if index not in (0, shape.d[0]):
+            raise ValueError(
+                "rational normal curve centers must be the coordinate "
+                "points with index 0 or n"
+            )
+        index = 1 if index else 0
     if isinstance(shape, SegreVeroneseShape):
         if isinstance(index, int):
             index = tuple((index,) * dj for dj in shape.d)
@@ -889,14 +898,6 @@ def _center_index(shape, index):
                 "coordinate points, constant across all factors"
             )
         return _check_sv_index(shape, index)
-    if isinstance(shape, RationalNormalCurve):
-        _check_ints("rational normal curve centers", (index,))
-        if index not in (0, shape.n):
-            raise ValueError(
-                "rational normal curve centers must be the coordinate "
-                "points with index 0 or n"
-            )
-        return index
     raise TypeError(f"unsupported shape {shape!r}")
 
 
@@ -920,16 +921,14 @@ def _osculating_centers(shape, centers) -> list[tuple[object, int]]:
 
 def _survivor_columns(shape, checked) -> dict[int, int]:
     """The positions of the coordinates outside every ball of radius s_i
-    around the i-th center, each mapped to its place among them.  Curve
-    coordinates are indexed by position; a tangent developable takes no
-    centers."""
-    if isinstance(shape, (RationalNormalCurve, TangentDevelopable)):
-        survivors = [j for j in range(shape.n + 1) if all(abs(j - c) > s for c, s in checked)]
-    else:
-        killed = set()
-        for I, s in checked:
-            killed.update(ball(shape, I, s))
-        survivors = [pos for pos, J in enumerate(enumerate_indices(shape)) if J not in killed]
+    around the i-th center, each mapped to its place among them; with no
+    centers, every position."""
+    if not checked:
+        return {col: col for col in range(shape.num_coords)}
+    killed = set()
+    for I, s in checked:
+        killed.update(ball(shape, I, s))
+    survivors = [pos for pos, J in enumerate(enumerate_indices(shape)) if J not in killed]
     return {col: place for place, col in enumerate(survivors)}
 
 

@@ -8,6 +8,7 @@ proof of non-defectivity, so the certified entries are unconditional.
 
 import json
 import random
+from dataclasses import asdict
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
@@ -192,6 +193,27 @@ def test_grassmannian_jet_cap_accepts_order_one_on_g_5_18():
     shape = GrassShape(5, 18)
     rows = jet_matrix(build_parametrization(shape), grass_coord_point(shape, tuple(range(6))), 1)
     assert rank(rows.values()) == shape.dim + 1
+
+
+def _refuse_emission(*args):
+    raise AssertionError("jets emitted before the size check")
+
+
+def test_parametrization_jet_cap_refuses_before_building(monkeypatch):
+    # at the all-ones point each monomial x^e of SV(2;70) has prod(e_v + 1)
+    # divided powers of order <= 70, which sum to C(75, 5) = 17,259,390;
+    # build_parametrization admits it at N d = 178,920
+    monkeypatch.setattr("grassdef.oracle._emit_jets", _refuse_emission)
+    P = build_parametrization(SegreVeroneseShape((2,), (70,)))
+    point = (1, 1, 1)
+    with pytest.raises(CapExceeded) as exc:
+        jet_matrix(P, point, 70)
+    assert str(exc.value) == (
+        "the jet matrix of 2556 coordinates at order 70 needs about 17259390 entries,"
+        " above the cap of 16000000"
+    )
+    with pytest.raises(CapExceeded):
+        osculating_rank_sweep(P, point, 70)
 
 
 @pytest.mark.parametrize(
@@ -476,8 +498,9 @@ def test_grassmannian_oracle_builds_no_parametrization():
 
 
 def test_rnc_jets_at_origin():
+    # the origin of the chart x0 = 1 of the map (x0, x1) -> (x0^6, ..., x1^6)
     P = build_parametrization(RationalNormalCurve(6))
-    assert osculating_rank_sweep(P, (0,), 4) == [1, 2, 3, 4, 5]
+    assert osculating_rank_sweep(P, (1, 0), 4) == [1, 2, 3, 4, 5]
 
 
 def test_tangent_developable_order_two_rank():
@@ -709,7 +732,7 @@ INTEGER_ARGUMENTS = {
     "Partition.parts": (lambda v: Partition(2, 5, (v,)), 4),
     "FerrersDiagram.outer": (lambda v: FerrersDiagram((v,)), -1),
     "FerrersDiagram.inner": (lambda v: FerrersDiagram((3,), (v,)), -1),
-    "jet_matrix.order": (lambda v: jet_matrix(build_parametrization(RationalNormalCurve(3)), (2,), v), -1),
+    "jet_matrix.order": (lambda v: jet_matrix(build_parametrization(RationalNormalCurve(3)), (1, 2), v), -1),
     "osculating_dim_sv.s": (lambda v: osculating_dim_sv(SegreVeroneseShape((1,), (2,)), v), -1),
     "secant_dimension.h": (lambda v: secant_dimension(GrassShape(1, 4), v), 0),
     "secant_dimension.trials": (lambda v: secant_dimension(GrassShape(1, 4), 2, trials=v), 65),
@@ -841,6 +864,28 @@ def test_osculating_projection_rnc_sweep():
                 RationalNormalCurve(n), [(0, a), (n, b)]
             )
             assert report.status == GENERICALLY_FINITE
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_rational_normal_curve_answers_as_sv_1_n(n):
+    # RNC(n) is SV(1;n) under its own label, with the centers 0 and n named
+    # by coordinate index: n is the diagonal point 1, the coordinate x1^n
+    rnc, sv = RationalNormalCurve(n), SegreVeroneseShape((1,), (n,))
+
+    def same(rnc_report, sv_report):
+        assert rnc_report.shape == f"RNC({n})" and sv_report.shape == f"SV(1;{n})"
+        assert dict(asdict(rnc_report), shape=None) == dict(asdict(sv_report), shape=None)
+
+    for h in range(1, n + 1):
+        same(secant_dimension(rnc, h), secant_dimension(sv, h))
+    for h in (1, 2):
+        same(tangential_projection_finite(rnc, h), tangential_projection_finite(sv, h))
+    for a in range(n):
+        for b in range(n):
+            same(
+                osculating_projection_finite(rnc, [(0, a), (n, b)]),
+                osculating_projection_finite(sv, [(0, a), (1, b)]),
+            )
 
 
 def test_osculating_projection_center_validation():

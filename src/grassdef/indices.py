@@ -218,14 +218,26 @@ def ball(shape: Shape, I, s: int) -> list:
     return [J for J, dists in combos if sum(dists) <= s]
 
 
-def _canonical_pair(shape: GrassShape) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    r = shape.r
-    return tuple(range(r + 1)), tuple(range(r + 1, 2 * r + 2))
+def coordinate_blocks(shape: Shape, k: int) -> list:
+    """The first min(k, alpha) of the shape's alpha disjoint coordinate
+    indices: the blocks I_j = (j(r+1), ..., j(r+1)+r) on G(r, n), with
+    alpha = floor((n+1)/(r+1)), and the diagonal indices v = 0, 1, ... on a
+    Segre-Veronese variety, with alpha = min n_j + 1.  Any two of them share
+    no entry (in any factor part)."""
+    _check_ints("block count", (k,), 0)
+    if isinstance(shape, GrassShape):
+        size = shape.r + 1
+        count = min(k, (shape.n + 1) // size)
+        return [tuple(range(j * size, (j + 1) * size)) for j in range(count)]
+    if isinstance(shape, SegreVeroneseShape):
+        count = min(k, shape.n[0] + 1)
+        return [tuple((v,) * dj for dj in shape.d) for v in range(count)]
+    raise TypeError(f"unsupported shape {shape!r}")
 
 
 def delta_set(shape: GrassShape, I, l: int) -> list:
-    """Indices obtained from I by moving |l| entries between the two blocks
-    of the canonical disjoint pair.
+    """Indices obtained from I by moving |l| entries between the first two
+    coordinate blocks.
 
     With I1 = (0, ..., r) and I2 = (r+1, ..., 2r+1), a positive step l
     replaces l entries i of I lying in I1 by i + r + 1; a negative step
@@ -237,7 +249,7 @@ def delta_set(shape: GrassShape, I, l: int) -> list:
         raise TypeError("delta sets are defined for Grassmannian shapes")
     I = _check_grass_index(shape, I)
     _check_ints("step l", (l,))
-    i1, i2 = _canonical_pair(shape)
+    i1, i2 = coordinate_blocks(shape, 2)
     if l == 0:
         return [I]
     block, shift = (i1, shape.r + 1) if l > 0 else (i2, -(shape.r + 1))

@@ -24,11 +24,11 @@ from math import comb, gcd, perm, prod
 from .indices import (
     GrassShape,
     SegreVeroneseShape,
-    _canonical_pair,
     _check_grass_index,
     _check_ints,
     _check_sv_index,
     ball,
+    coordinate_blocks,
     distance,  # noqa: F401  (bench/test_bench.py looks it up as grassdef.oracle.distance)
     enumerate_indices,
 )
@@ -562,13 +562,14 @@ def _prime_field(p: int) -> PrimeField:
     return PrimeField(p)
 
 
-def _sample_point(P: PolynomialMap, rng: random.Random, field: PrimeField | None):
+def _sample_point(P: PolynomialMap, rng: random.Random, field: PrimeField | None, skip=()):
     """The order 1 jet rows of P at a random point a of the domain with
     coordinates in [1, _COORD_RANGE]: the value row f(a) and one
-    derivative row per domain variable.
+    derivative row per domain variable, less the rows whose exponent vector
+    alpha is in skip (the Euler rows, below).
 
-    They span a space of dimension exactly dim X + 1 over Q and modulo
-    every allowed prime (p >= 2^31 > _COORD_RANGE), because every
+    All of them span a space of dimension exactly dim X + 1 over Q and
+    modulo every allowed prime (p >= 2^31 > _COORD_RANGE), because every
     coordinate a_v is a unit there; so no smoothness check is needed.
     - G(r, n): P is the chart form of the PlueckerMap, A -> Pluecker([I | A]),
       with dim X = (r+1)(n-r) entries of A.  The row of A_ij has a
@@ -590,13 +591,15 @@ def _sample_point(P: PolynomialMap, rng: random.Random, field: PrimeField | None
       matrix whose diagonal entries are nonzero monomials in a: rank at
       least sum n_j + 1 = dim X + 1.  Euler's relation
       sum_v a_{j,v} row(x_{j,v}) = d_j f(a), with a_{j,0} nonzero, puts
-      the row of x_{j,0} in their span, so the rank is no more.
+      the row of x_{j,0} in their span, so the rank is no more.  The
+      relation is linear, so it survives restricting the columns, and
+      _trial_ranks skips these t Euler rows: dim X + 1 rows per point.
     - TD(n) at (t, u): f(a) and the t and u rows are (1, t + u, t^2 + 2tu),
       (0, 1, 2t + 2u) and (0, 1, 2t) on the columns 0, 1 and 2, of
       determinant -2u: rank 3.
     """
     point = tuple(rng.randint(1, _COORD_RANGE) for _ in range(P.domain_dim))
-    return list(jet_matrix(P, point, 1, field).values())
+    return [row for alpha, row in jet_matrix(P, point, 1, field).items() if alpha not in skip]
 
 
 def _maximal_minors(rows, cols) -> dict[tuple[int, ...], int]:
@@ -629,40 +632,40 @@ def _check_terracini_size(shape: OracleShape, k: int) -> None:
 
 
 def _coordinate_points(shape, h: int) -> list[tuple[object, int]]:
-    """(index, 1) for the first min(h, 2) of two coordinate points of the
-    shape: (0, ..., r) and (r+1, ..., 2r+1) on G(r, n), the diagonal points
-    0 and 1 on a Segre-Veronese variety; a tangent developable has none.
-    The affine tangent space of the cone at such a point is spanned by the
-    unit vectors of the radius 1 ball around its index, so the rank of a
-    stack is the number of columns in the balls plus the rank of the other
-    points' rows on the remaining columns (_stack).
+    """(index, 1) for the first k = min(h, alpha) coordinate_blocks of the
+    shape; a tangent developable has none.  The affine tangent space of the
+    cone at such a point is spanned by the unit vectors of the radius 1 ball
+    around its index, so the rank of a stack is the number of columns in the
+    balls plus the rank of the other points' rows on the remaining columns
+    (_stack).
 
     Soundness for Terracini's lemma: the stacked rank is invariant under the
     linear group of the embedding (GL_{n+1}, a product of GL_{n_j+1}) and
     lower semicontinuous in the points, so the h-tuples that reach the
     generic rank form a dense open invariant set U.  The group is transitive
-    on pairs of complementary (r+1)-subspaces (n >= 2r + 1 after
-    normalization) and of points that differ in every factor, so the orbit
-    of the coordinate pair is dense, meets the open image of U among pairs,
-    and by invariance lies in it.  A general choice of the other points then
-    reaches the generic rank, and an integer specialization reduced modulo p
-    only lowers it: a full rank still certifies the expected dimension.
+    on k-tuples of (r+1)-subspaces spanning their direct sum when
+    k(r+1) <= n+1, and on k-tuples of points whose components are linearly
+    independent in every factor when k <= n_j + 1 for all j.  Both sets are
+    dense open, so the orbit of the coordinate k-tuple is dense, meets the
+    open image of U among k-tuples, and by invariance lies in it.  A general
+    choice of the other h - k points then reaches the generic rank, and an
+    integer specialization reduced modulo p only lowers it: a full rank
+    still certifies the expected dimension.  For h <= alpha there are no
+    other points and the union of the balls is the generic span exactly.
     """
-    if isinstance(shape, GrassShape):
-        pair = _canonical_pair(shape)
-    elif isinstance(shape, SegreVeroneseShape):
-        pair = [tuple((value,) * dj for dj in shape.d) for value in (0, 1)]
-    else:
-        pair = []
-    return [(index, 1) for index in pair[:h]]
+    if isinstance(shape, TangentDevelopable):
+        return []
+    return [(index, 1) for index in coordinate_blocks(shape, h)]
 
 
-def _stack(acc: RankAccumulator, P: PolynomialMap, rng: random.Random, points: int, column_of: dict) -> int:
-    """Add to acc the tangent rows of P at the given number of fresh points
-    from _sample_point, restricted to the columns in column_of and
-    renumbered by it, until acc saturates; returns the rank of acc."""
+def _stack(
+    acc: RankAccumulator, P: PolynomialMap, rng: random.Random, points: int, column_of: dict, skip
+) -> int:
+    """Add to acc the tangent rows of P outside skip at the given number of
+    fresh points from _sample_point, restricted to the columns in column_of
+    and renumbered by it, until acc saturates; returns the rank of acc."""
     for _ in range(points):
-        for row in _sample_point(P, rng, acc.field):
+        for row in _sample_point(P, rng, acc.field, skip):
             if acc.saturated:
                 return acc.rank
             restricted = {column_of[c]: v for c, v in row.items() if c in column_of}
@@ -678,18 +681,24 @@ def _trial_ranks(
     tangent spaces of the shape, stacked by _stack on the columns in
     column_of into one RankAccumulator over the field.  The tangent rows
     are those of the chart form of the PlueckerMap on a Grassmannian and of
-    the parametrization on every other shape.  Trial `label` draws all its
-    groups, in order, from one random.Random seeded with the string
-    "seed:label", so a trial is deterministic in (seed, label)."""
+    the parametrization on every other shape, without the x_{j,0} row of
+    each Segre-Veronese factor j (the Euler rows of _sample_point).  Trial
+    `label` draws all its groups, in order, from one random.Random seeded
+    with the string "seed:label", so a trial is deterministic in (seed, label)."""
     if isinstance(shape, GrassShape):
         P = PlueckerMap(shape, shape.dim, shape.num_coords)
     else:
         P = build_parametrization(shape)
+    skip = set()
+    if isinstance(shape, SegreVeroneseShape):
+        # x_{j,0} is the first of the n_j + 1 domain variables of factor j
+        starts = itertools.accumulate((nj + 1 for nj in shape.n[:-1]), initial=0)
+        skip = {tuple(int(v == start) for v in range(P.domain_dim)) for start in starts}
     out = []
     for label in labels:
         rng = random.Random(f"{seed}:{label}")
         acc = RankAccumulator(len(column_of), field)
-        out.append(tuple(_stack(acc, P, rng, points, column_of) for points in groups))
+        out.append(tuple(_stack(acc, P, rng, points, column_of, skip) for points in groups))
     return out
 
 
@@ -740,9 +749,12 @@ def secant_dimension(
 ) -> DefectivityCertificate:
     """Dimension of the h-secant variety of the shape, by stacking the
     affine tangent spaces of the cone at h points (Terracini's lemma): the
-    first min(h, 2) are coordinate points whose tangent spaces drop columns
-    (_coordinate_points), the others random, each contributing the order 1
-    jet rows of _sample_point, at a chart point on a Grassmannian.
+    first min(h, alpha) are coordinate points whose tangent spaces drop
+    columns (_coordinate_points), the others random, each contributing the
+    order 1 jet rows of _sample_point, at a chart point on a Grassmannian.
+    For h <= alpha no point is random, every trial stacks nothing on the
+    survivor columns, and the computed dimension is the exact generic one;
+    a deficit there still reads DefectEvidence.
 
     The expected dimension is min(h (dim X + 1), N + 1) - 1.  Each trial is
     deterministic in (seed, trial index); if the trials disagree one extra
@@ -837,12 +849,12 @@ def tangential_projection_finite(
     otherwise the report status is HypothesisViolated.  Finiteness holds
     exactly when a fresh general tangent space meets the span only in the
     expected way, so the joint rank exceeds the center rank by dim X + 1.
-    The first min(h, 2) centers are coordinate points, as in
-    secant_dimension.
+    The first min(h, 2) centers are coordinate points; taking min(h, alpha),
+    as secant_dimension does, waits for its own argument.
     """
     field = _oracle_field(prime, trials, h)
     _check_terracini_size(shape, h + 1)
-    coordinate = _coordinate_points(shape, h)
+    coordinate = _coordinate_points(shape, min(h, 2))
     column_of = _survivor_columns(shape, coordinate)
     dropped = shape.num_coords - len(column_of)
     dim_x, ambient = shape.dim, shape.ambient_dim

@@ -1,6 +1,8 @@
-"""Coordinate combinatorics: index enumeration, distances, balls and
-delta sets, checked against hand computed values on G(2,5)."""
+"""Coordinate combinatorics: index enumeration, distances, balls,
+coordinate blocks and delta sets, checked against hand computed values on
+G(2,5)."""
 
+import itertools
 from collections import Counter
 from math import comb
 
@@ -17,6 +19,7 @@ from grassdef import (
     grass_distance,
     sv_distance,
 )
+from grassdef.indices import coordinate_blocks
 from strategies import grass_shapes, shape_with_index, shape_with_index_pair, sv_shapes
 
 
@@ -267,6 +270,48 @@ def test_delta_set_members_satisfy_distance_laws(data, l):
     for J in out:
         assert distance(shape, I, J) == abs(l)
         assert distance(shape, J, I1) == distance(shape, I, I1) + l
+
+
+@pytest.mark.parametrize(
+    "shape,k,expected",
+    [
+        (GrassShape(2, 8), 5, [(0, 1, 2), (3, 4, 5), (6, 7, 8)]),
+        (GrassShape(1, 5), 2, [(0, 1), (2, 3)]),
+        (GrassShape(2, 14), 6, [(0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11), (12, 13, 14)]),
+        (GrassShape(3, 9), 5, [(0, 1, 2, 3), (4, 5, 6, 7)]),
+        (SegreVeroneseShape((3, 2), (2, 1)), 9, [((0,), (0, 0)), ((1,), (1, 1)), ((2,), (2, 2))]),
+        (SegreVeroneseShape((1,), (5,)), 3, [((0,) * 5,), ((1,) * 5,)]),
+        (SegreVeroneseShape((4,), (2,)), 0, []),
+    ],
+)
+def test_coordinate_blocks_worked_values(shape, k, expected):
+    assert coordinate_blocks(shape, k) == expected
+
+
+@given(st.one_of(grass_shapes(max_r=3, max_n=15), sv_shapes(max_n=4)), st.integers(0, 8))
+def test_coordinate_blocks_are_disjoint_and_as_many_as_fit(shape, k):
+    blocks = coordinate_blocks(shape, k)
+    assert len(blocks) <= k
+    # distance validates both indices; two indices share no entry in any
+    # part exactly when their distance is the index length (d_total on SV)
+    diameter = shape.r + 1 if isinstance(shape, GrassShape) else shape.d_total
+    for (i, a), (j, b) in itertools.product(enumerate(blocks), repeat=2):
+        assert distance(shape, a, b) == (0 if i == j else diameter)
+    if isinstance(shape, GrassShape):
+        # alpha = floor((n+1)/(r+1)): the blocks fill at most n+1 entries, one more would not fit
+        assert len(blocks) * (shape.r + 1) <= shape.n + 1
+        assert len(blocks) == k or (len(blocks) + 1) * (shape.r + 1) > shape.n + 1
+    else:
+        # alpha = min n_j + 1: one diagonal value per entry of the smallest factor
+        assert len(blocks) <= min(shape.n) + 1
+        assert len(blocks) == k or len(blocks) == min(shape.n) + 1
+
+
+def test_coordinate_blocks_refuse_a_negative_or_non_integer_count():
+    with pytest.raises(ValueError):
+        coordinate_blocks(GrassShape(1, 5), -1)
+    with pytest.raises(TypeError):
+        coordinate_blocks(GrassShape(1, 5), True)
 
 
 @pytest.mark.parametrize(

@@ -463,8 +463,16 @@ def stacked_rank(shape, h, seed, field):
     return rank(rows, field)
 
 
+# alpha = floor((n+1)/(r+1)) on G(r, n) and min n_j + 1 on SV: rows with
+# h <= alpha stack no random point, rows with h = alpha + 1 exactly one
 COORDINATE_POINT_CASES = [
     (GrassShape(1, 5), 2),
+    (GrassShape(1, 5), 3),
+    (GrassShape(2, 8), 3),
+    (GrassShape(2, 11), 4),
+    (SegreVeroneseShape((3,), (4,)), 4),
+    (SegreVeroneseShape((2, 2, 2), (1, 1, 1)), 3),
+    (SegreVeroneseShape((2,), (3,)), 4),
     (GrassShape(2, 6), 3),
     (GrassShape(3, 7), 3),
     (GrassShape(3, 7), 4),
@@ -481,12 +489,74 @@ COORDINATE_POINT_CASES = [
 @pytest.mark.parametrize("prime", [DEFAULT_PRIME, "rational"])
 @pytest.mark.parametrize("shape, h", COORDINATE_POINT_CASES, ids=lambda v: getattr(v, "label", v))
 def test_coordinate_points_keep_the_stacked_rank(shape, h, prime):
-    # two of the h points are coordinate points in secant_dimension; the
-    # rank must be the one of h general points stacked in full
+    # the first min(h, alpha) of the h points are coordinate points in
+    # secant_dimension; the rank must be the one of h general points stacked
+    # in full
     field = None if prime == "rational" else PrimeField(prime)
     for seed in (3, 11):
         cert = secant_dimension(shape, h, trials=1, prime=prime, seed=seed)
         assert cert.computed_dim == stacked_rank(shape, h, seed, field) - 1
+
+
+@pytest.mark.parametrize(
+    "shape, h, trials, draws",
+    [
+        # h <= alpha: every point is a coordinate point
+        (GrassShape(2, 8), 3, 3, 0),
+        (SegreVeroneseShape((3,), (4,)), 4, 3, 0),
+        (GrassShape(1, 5), 3, 3, 0),
+        # h = alpha + 1: one random point per trial (G(2,14) h6 reaches its
+        # target on the column subset at the default seed, so no rerun)
+        (GrassShape(2, 14), 6, 3, 3),
+        (SegreVeroneseShape((2, 2, 2), (1, 1, 1)), 4, 1, 1),
+    ],
+    ids=lambda v: getattr(v, "label", v),
+)
+def test_secant_draws_a_random_point_only_past_alpha(shape, h, trials, draws, monkeypatch):
+    sample = grassdef.oracle._sample_point
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return sample(*args)
+
+    monkeypatch.setattr(grassdef.oracle, "_sample_point", spy)
+    cert = secant_dimension(shape, h, trials=trials)
+    assert len(calls) == draws
+    assert len(set(cert.trials)) == 1
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        SegreVeroneseShape((2, 2, 2), (1, 1, 1)),
+        SegreVeroneseShape((1, 2), (2, 3)),
+        SegreVeroneseShape((3,), (4,)),
+        RationalNormalCurve(8),
+        TangentDevelopable(6),
+        GrassShape(2, 6),
+    ],
+    ids=lambda shape: shape.label,
+)
+@pytest.mark.parametrize("prime", [DEFAULT_PRIME, "rational"])
+def test_trials_feed_dim_x_plus_one_rows_per_point(shape, prime, monkeypatch):
+    # the x_{j,0} row of each Segre-Veronese factor is skipped by Euler's
+    # relation; the rows that are fed still have full rank dim X + 1
+    field = None if prime == "rational" else PrimeField(prime)
+    sample = grassdef.oracle._sample_point
+    drawn = []
+
+    def spy(*args):
+        drawn.append(sample(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(grassdef.oracle, "_sample_point", spy)
+    columns = {c: c for c in range(shape.num_coords)}
+    ranks = grassdef.oracle._trial_ranks(shape, columns, [1], field, 5, range(3))
+    assert ranks == [(shape.dim + 1,)] * 3
+    assert len(drawn) == 3
+    for rows in drawn:
+        assert len(rows) == rank(rows, field) == shape.dim + 1
 
 
 def test_grassmannian_oracle_builds_no_parametrization():
@@ -567,18 +637,20 @@ def test_secant_certificate_serialization():
 
 
 def test_secant_escalates_to_a_rational_trial_when_trials_disagree(monkeypatch):
-    # G(1,5) at h=3: the two coordinate balls leave one column, which only
-    # the random third point reaches; starve its first draw so trial 0 falls short
+    # SV(2;3) at h=4: the three coordinate balls (alpha = 3) leave one column,
+    # which only the random fourth point reaches; starve its first draw so
+    # trial 0 falls short
     sample = grassdef.oracle._sample_point
     calls = []
 
-    def first_draw_empty(P, rng, field):
+    def first_draw_empty(P, rng, field, skip):
         calls.append(field)
-        return [] if len(calls) == 1 else sample(P, rng, field)
+        return [] if len(calls) == 1 else sample(P, rng, field, skip)
 
     monkeypatch.setattr(grassdef.oracle, "_sample_point", first_draw_empty)
     trials = 3
-    cert = secant_dimension(GrassShape(1, 5), 3, trials=trials)
+    cert = secant_dimension(SegreVeroneseShape((2,), (3,)), 4, trials=trials)
+    assert cert.trials == (8, 9, 9, 9)
     assert len(cert.trials) == trials + 1
     assert cert.trials[0] < cert.expected_dim
     assert cert.note.startswith("trials disagreed")
@@ -626,8 +698,7 @@ def full_column_trials(shape, h, trials, prime, seed):
 SUBSET_CASES = [
     (GrassShape(3, 8), 4),
     (GrassShape(3, 9), 5),
-    # certified, but at seed 11 the drawn columns fall short of the target
-    # and the trials rerun on all survivor columns
+    # every point a coordinate point: the target on the survivors is 0
     (GrassShape(2, 8), 3),
     (GrassShape(2, 6), 3),
     (GrassShape(3, 7), 3),

@@ -702,6 +702,21 @@ def _trial_ranks(
     return out
 
 
+def _target_ranks(shape, column_of, groups, field, seed, labels, target) -> list[tuple[int, ...]]:
+    """_trial_ranks on all survivor columns over the field (None for Q),
+    decided modulo p first as secant_dimension argues."""
+    ranks = []
+    if field is None or target < len(column_of):
+        columns = column_of
+        if target < len(column_of):
+            kept = sorted(random.Random(f"{seed}:columns").sample(list(column_of), target))
+            columns = dict(zip(kept, range(target)))
+        ranks = _trial_ranks(shape, columns, groups, field or _prime_field(DEFAULT_PRIME), seed, labels)
+    if ranks != [(target,)] * len(labels):
+        ranks = _trial_ranks(shape, column_of, groups, field, seed, labels)
+    return ranks
+
+
 @dataclass
 class DefectivityCertificate:
     """Outcome of a secant dimension computation.
@@ -760,17 +775,20 @@ def secant_dimension(
     deterministic in (seed, trial index); if the trials disagree one extra
     exact rational trial is run and the best rank over all trials is kept.
 
-    Modulo p, when the target rank expected + 1 - dropped on the survivor
-    columns is below their number, the trials first run on `target` of
-    them drawn by random.Random("seed:columns").  Deleting columns only
-    lowers a rank, and the rank on all survivor columns never exceeds the
-    target, since h tangent spaces span at most expected + 1 dimensions; so
-    a trial that reaches the target on the subset has that rank on all
-    columns.  If any trial falls short, every trial reruns on all survivor
-    columns with the same labels, hence the same points, and the trials,
-    the verdict and the escalation are those of the full-column run.  Over
-    the rationals every trial runs on all columns, because the fraction-free
-    elimination was measured about three times slower on a square subset.
+    Each trial first runs modulo p, the requested prime or DEFAULT_PRIME
+    over the rationals, with the same label and hence the same integer
+    points; when the target rank expected + 1 - dropped on the survivor
+    columns is below their number, on `target` of them drawn by
+    random.Random("seed:columns").  Deleting columns only lowers a rank, and
+    the rank on all survivor columns never exceeds the target in any field,
+    since h tangent spaces span at most expected + 1 dimensions; so a trial
+    that reaches the target on the subset has that rank on all columns.
+    A nonzero target x target minor modulo p reduces from a nonzero integer
+    minor, so the rank over Q is at least the modular rank: a rational
+    trial that reaches the target modulo p has exactly that rank over Q.
+    If any trial falls short, every trial reruns on all survivor columns
+    over the requested field with the same labels, and the trials, the
+    verdict and the escalation are those of the full-column run.
     """
     field = _oracle_field(prime, trials, h)
     _check_terracini_size(shape, h)
@@ -781,16 +799,10 @@ def secant_dimension(
     expected = min(h * (dim_x + 1), ambient + 1) - 1
     groups = [h - len(coordinate)]
     target = expected + 1 - dropped
-    ranks = []
-    if field is not None and target < len(column_of):
-        kept = sorted(random.Random(f"{seed}:columns").sample(list(column_of), target))
-        subset = dict(zip(kept, range(target)))
-        ranks = _trial_ranks(shape, subset, groups, field, seed, range(trials))
-    if ranks != [(target,)] * trials:
-        ranks = _trial_ranks(shape, column_of, groups, field, seed, range(trials))
+    ranks = _target_ranks(shape, column_of, groups, field, seed, range(trials), target)
     note = ""
     if len(set(ranks)) > 1:
-        ranks += _trial_ranks(shape, column_of, groups, None, seed, ["rational"])
+        ranks += _target_ranks(shape, column_of, groups, None, seed, ["rational"], target)
         note = "trials disagreed; escalated to one exact rational trial. "
     results = [dropped + rank - 1 for (rank,) in ranks]
     computed = max(results)

@@ -312,6 +312,16 @@ SMOKE_MATRIX = [
         ),
     ),
     (
+        # rational and certified: decided modulo p on a column subset, where
+        # the fraction-free elimination on all columns took about 130 s
+        ("secant", "--grass", "4", "9", "--h", "8", "--prime", "rational", "--trials", "1"),
+        (
+            '{"computed":207,"defect":0,"elapsed_ms":null,"expected":207,"h":8,'
+            '"prime":"rational","seed":1729,"shape":"G(4,9)","trials":[207],'
+            '"verdict":"CertifiedNonDefective"}'
+        ),
+    ),
+    (
         # the exact branch of the rank kernel: SV(3;4) is 1-defective at h=9
         ("secant", "--sv", "3:4", "--h", "9", "--prime", "rational", "--trials", "1"),
         (

@@ -649,14 +649,23 @@ def test_secant_escalates_to_a_rational_trial_when_trials_disagree(monkeypatch):
 
     monkeypatch.setattr(grassdef.oracle, "_sample_point", first_draw_empty)
     trials = 3
-    cert = secant_dimension(SegreVeroneseShape((2,), (3,)), 4, trials=trials)
+    shape = SegreVeroneseShape((2,), (3,))
+    cert = secant_dimension(shape, 4, trials=trials)
     assert cert.trials == (8, 9, 9, 9)
     assert len(cert.trials) == trials + 1
     assert cert.trials[0] < cert.expected_dim
     assert cert.note.startswith("trials disagreed")
     assert cert.trials[-1] == max(cert.trials) == cert.computed_dim
-    assert calls[-1] is None  # the appended trial ran over the rationals
     assert cert.verdict == CERTIFIED
+    # the appended trial is the fraction-free trial "rational" on all
+    # survivor columns, computed here independently
+    monkeypatch.undo()
+    coordinate = grassdef.oracle._coordinate_points(shape, 4)
+    column_of = grassdef.oracle._survivor_columns(shape, coordinate)
+    groups = [4 - len(coordinate)]
+    exact = grassdef.oracle._trial_ranks(shape, column_of, groups, None, cert.seed, ["rational"])
+    dropped = shape.num_coords - len(column_of)
+    assert [(cert.trials[-1] + 1 - dropped,)] == exact
 
 
 def test_secant_is_deterministic_in_seed():
@@ -719,25 +728,25 @@ def test_secant_trials_equal_the_full_column_trials(shape, h, prime):
         assert cert.trials == full_column_trials(shape, h, trials, prime, seed)
 
 
-def test_secant_trials_run_on_a_column_subset_modulo_p_only(monkeypatch):
+def test_secant_trials_run_on_a_column_subset_modulo_p_first(monkeypatch):
     trial_ranks = grassdef.oracle._trial_ranks
     calls = []
 
-    def spy(shape, column_of, *args):
-        calls.append(column_of)
-        return trial_ranks(shape, column_of, *args)
+    def spy(shape, column_of, groups, field, *args):
+        calls.append((column_of, field))
+        return trial_ranks(shape, column_of, groups, field, *args)
 
     monkeypatch.setattr(grassdef.oracle, "_trial_ranks", spy)
 
     def columns_per_call(shape, h, **kwargs):
-        # (survivor columns, target rank, the column map of each call)
+        # (survivor columns, target rank, (column map, field) of each call)
         calls.clear()
         cert = secant_dimension(shape, h, **kwargs)
         survivors = grassdef.oracle._survivor_columns(
             shape, grassdef.oracle._coordinate_points(shape, h)
         )
         target = cert.expected_dim + 1 - (shape.num_coords - len(survivors))
-        for column_of in calls:
+        for column_of, _ in calls:
             # survivor columns renumbered in sorted order
             assert sorted(column_of) == list(column_of) and set(column_of) <= set(survivors)
             assert list(column_of.values()) == list(range(len(column_of)))
@@ -746,15 +755,51 @@ def test_secant_trials_run_on_a_column_subset_modulo_p_only(monkeypatch):
     # certified: one call on exactly target columns
     survivors, target, seen = columns_per_call(GrassShape(3, 9), 5)
     assert target < len(survivors)
-    assert [len(c) for c in seen] == [target]
+    assert [len(c) for c, _ in seen] == [target]
     # defective: the subset falls short, and the trials rerun on all columns
     survivors, target, seen = columns_per_call(GrassShape(2, 8), 4)
-    assert len(seen) == 2 and len(seen[0]) == target < len(survivors)
-    assert seen[1] == survivors
-    # over the rationals every trial runs on all columns
+    assert len(seen) == 2 and len(seen[0][0]) == target < len(survivors)
+    assert seen[1][0] == survivors
+    # over the rationals a certified trial is decided by one modular call on
+    # target columns
     survivors, target, seen = columns_per_call(GrassShape(3, 9), 5, trials=1, prime="rational")
     assert target < len(survivors)
-    assert seen == [survivors]
+    assert [len(c) for c, _ in seen] == [target]
+    assert isinstance(seen[0][1], PrimeField)
+    # and a defective one reruns fraction-free on all survivor columns
+    survivors, target, seen = columns_per_call(GrassShape(2, 8), 4, trials=1, prime="rational")
+    assert len(seen) == 2 and len(seen[0][0]) == target < len(survivors)
+    assert isinstance(seen[0][1], PrimeField)
+    assert seen[1] == (survivors, None)
+
+
+def test_a_modular_shortfall_is_never_the_rational_answer(monkeypatch):
+    # every modular draw loses its last row, so the modular pass falls short
+    # of the target; only the fraction-free rerun reaches it
+    sample = grassdef.oracle._sample_point
+
+    def drop_last_row_modulo_p(P, rng, field, skip):
+        rows = sample(P, rng, field, skip)
+        return rows if field is None else rows[:-1]
+
+    monkeypatch.setattr(grassdef.oracle, "_sample_point", drop_last_row_modulo_p)
+    cert = secant_dimension(GrassShape(3, 9), 5, trials=1, prime="rational")
+    assert cert.trials == (124,)
+    assert cert.verdict == CERTIFIED
+
+
+def test_a_certified_rational_secant_never_runs_the_exact_branch(monkeypatch):
+    add_row = RankAccumulator.add_row
+    fed = {"exact": 0, "modular": 0}
+
+    def spy(self, row):
+        fed["exact" if self.field is None else "modular"] += 1
+        return add_row(self, row)
+
+    monkeypatch.setattr(RankAccumulator, "add_row", spy)
+    cert = secant_dimension(SegreVeroneseShape((1,), (60,)), 31, trials=1, prime="rational")
+    assert cert.shape == "SV(1;60)" and cert.trials == (60,)
+    assert fed["exact"] == 0 and fed["modular"] > 0
 
 
 def test_secant_parameter_validation():

@@ -369,13 +369,13 @@ def build_parametrization(shape: OracleShape) -> PolynomialMap:
 
 
 def _coord_degree(shape: OracleShape) -> int:
-    """The degree of each coordinate of the shape's parametrization, which
-    is also the length of its index tuples; listing the N indices or one
-    jet of the N coordinates takes N times this."""
+    """The length of a coordinate's index tuple (its degree) and, on a
+    Segre-Veronese variety, of its exponent vector; listing the N indices or
+    monomials, or one jet of the N coordinates, takes N times this."""
     if isinstance(shape, GrassShape):
         return shape.r + 1
     if isinstance(shape, SegreVeroneseShape):
-        return shape.d_total
+        return max(shape.d_total, sum(nj + 1 for nj in shape.n))
     if isinstance(shape, TangentDevelopable):
         return shape.n
     raise TypeError(f"unsupported shape {shape!r}")
@@ -639,19 +639,19 @@ def _coordinate_points(shape, h: int) -> list[tuple[object, int]]:
     balls plus the rank of the other points' rows on the remaining columns
     (_stack).
 
-    Soundness for Terracini's lemma: the stacked rank is invariant under the
-    linear group of the embedding (GL_{n+1}, a product of GL_{n_j+1}) and
-    lower semicontinuous in the points, so the h-tuples that reach the
-    generic rank form a dense open invariant set U.  The group is transitive
-    on k-tuples of (r+1)-subspaces spanning their direct sum when
-    k(r+1) <= n+1, and on k-tuples of points whose components are linearly
-    independent in every factor when k <= n_j + 1 for all j.  Both sets are
-    dense open, so the orbit of the coordinate k-tuple is dense, meets the
-    open image of U among k-tuples, and by invariance lies in it.  A general
-    choice of the other h - k points then reaches the generic rank, and an
-    integer specialization reduced modulo p only lowers it: a full rank
-    still certifies the expected dimension.  For h <= alpha there are no
-    other points and the union of the balls is the generic span exactly.
+    Soundness for Terracini's lemma: the rank after each group of a stack
+    is invariant under the linear group of the embedding (GL_{n+1}, a
+    product of GL_{n_j+1}) and lower semicontinuous in the points, so the
+    tuples on which every group's rank is generic form a dense open
+    invariant set U.  The group is transitive on k-tuples of (r+1)-subspaces
+    spanning their direct sum when k(r+1) <= n+1, and on k-tuples of points
+    whose components are linearly independent in every factor when
+    k <= n_j + 1 for all j.  Both sets are dense open, so the orbit of the
+    coordinate k-tuple is dense, meets the open image of U among k-tuples,
+    and by invariance lies in it.  A general choice of the other points
+    then reaches every generic rank, which an integer specialization reduced
+    modulo p only lowers.  For h <= alpha a secant stack has no other points
+    and the union of the balls is the generic span exactly.
     """
     if isinstance(shape, TangentDevelopable):
         return []
@@ -679,12 +679,10 @@ def _trial_ranks(
 ) -> list[tuple[int, ...]]:
     """One tuple per trial label: the ranks after each group of fresh
     tangent spaces of the shape, stacked by _stack on the columns in
-    column_of into one RankAccumulator over the field.  The tangent rows
-    are those of the chart form of the PlueckerMap on a Grassmannian and of
-    the parametrization on every other shape, without the x_{j,0} row of
-    each Segre-Veronese factor j (the Euler rows of _sample_point).  Trial
-    `label` draws all its groups, in order, from one random.Random seeded
-    with the string "seed:label", so a trial is deterministic in (seed, label)."""
+    column_of into one RankAccumulator over the field.  The rows are those
+    of the chart form of the PlueckerMap on a Grassmannian and of the
+    parametrization otherwise, less the Euler rows of _sample_point.  Trial
+    `label` draws its groups in order from random.Random("seed:label")."""
     if isinstance(shape, GrassShape):
         P = PlueckerMap(shape, shape.dim, shape.num_coords)
     else:
@@ -702,17 +700,27 @@ def _trial_ranks(
     return out
 
 
-def _target_ranks(shape, column_of, groups, field, seed, labels, target) -> list[tuple[int, ...]]:
+def _target_ranks(shape, column_of, groups, field, seed, labels, ceilings) -> list[tuple[int, ...]]:
     """_trial_ranks on all survivor columns over the field (None for Q),
-    decided modulo p first as secant_dimension argues."""
+    with ceilings[i] a rank the stack never exceeds after group i in any
+    field, the last the largest.  Every trial first runs modulo p (the
+    requested prime, or DEFAULT_PRIME over Q) with its label, hence its
+    integer points, on the last ceiling's number of survivor columns drawn
+    by random.Random("seed:columns") when there are more.  Deleting columns
+    only lowers a rank and no stack exceeds its ceiling, so a trial that
+    reaches every ceiling there has those ranks on all columns; a nonzero
+    minor modulo p reduces from a nonzero integer minor, so it has them
+    over Q too.  If any trial falls short, all rerun on every survivor
+    column over the requested field."""
     ranks = []
-    if field is None or target < len(column_of):
+    top = ceilings[-1]
+    if field is None or top < len(column_of):
         columns = column_of
-        if target < len(column_of):
-            kept = sorted(random.Random(f"{seed}:columns").sample(list(column_of), target))
-            columns = dict(zip(kept, range(target)))
+        if top < len(column_of):
+            kept = sorted(random.Random(f"{seed}:columns").sample(list(column_of), top))
+            columns = dict(zip(kept, range(top)))
         ranks = _trial_ranks(shape, columns, groups, field or _prime_field(DEFAULT_PRIME), seed, labels)
-    if ranks != [(target,)] * len(labels):
+    if ranks != [ceilings] * len(labels):
         ranks = _trial_ranks(shape, column_of, groups, field, seed, labels)
     return ranks
 
@@ -774,21 +782,8 @@ def secant_dimension(
     The expected dimension is min(h (dim X + 1), N + 1) - 1.  Each trial is
     deterministic in (seed, trial index); if the trials disagree one extra
     exact rational trial is run and the best rank over all trials is kept.
-
-    Each trial first runs modulo p, the requested prime or DEFAULT_PRIME
-    over the rationals, with the same label and hence the same integer
-    points; when the target rank expected + 1 - dropped on the survivor
-    columns is below their number, on `target` of them drawn by
-    random.Random("seed:columns").  Deleting columns only lowers a rank, and
-    the rank on all survivor columns never exceeds the target in any field,
-    since h tangent spaces span at most expected + 1 dimensions; so a trial
-    that reaches the target on the subset has that rank on all columns.
-    A nonzero target x target minor modulo p reduces from a nonzero integer
-    minor, so the rank over Q is at least the modular rank: a rational
-    trial that reaches the target modulo p has exactly that rank over Q.
-    If any trial falls short, every trial reruns on all survivor columns
-    over the requested field with the same labels, and the trials, the
-    verdict and the escalation are those of the full-column run.
+    _target_ranks decides the trials; h tangent spaces span at most
+    expected + 1 dimensions, so expected + 1 - dropped is the ceiling.
     """
     field = _oracle_field(prime, trials, h)
     _check_terracini_size(shape, h)
@@ -798,11 +793,11 @@ def secant_dimension(
     dim_x, ambient = shape.dim, shape.ambient_dim
     expected = min(h * (dim_x + 1), ambient + 1) - 1
     groups = [h - len(coordinate)]
-    target = expected + 1 - dropped
-    ranks = _target_ranks(shape, column_of, groups, field, seed, range(trials), target)
+    ceilings = (expected + 1 - dropped,)
+    ranks = _target_ranks(shape, column_of, groups, field, seed, range(trials), ceilings)
     note = ""
     if len(set(ranks)) > 1:
-        ranks += _target_ranks(shape, column_of, groups, None, seed, ["rational"], target)
+        ranks += _target_ranks(shape, column_of, groups, None, seed, ["rational"], ceilings)
         note = "trials disagreed; escalated to one exact rational trial. "
     results = [dropped + rank - 1 for (rank,) in ranks]
     computed = max(results)
@@ -861,17 +856,19 @@ def tangential_projection_finite(
     otherwise the report status is HypothesisViolated.  Finiteness holds
     exactly when a fresh general tangent space meets the span only in the
     expected way, so the joint rank exceeds the center rank by dim X + 1.
-    The first min(h, 2) centers are coordinate points; taking min(h, alpha),
-    as secant_dimension does, waits for its own argument.
+    The first min(h, alpha) centers are coordinate points
+    (_coordinate_points), and trials are decided by _target_ranks with the
+    ceilings min(k (dim X + 1), N) - dropped for k = h and h + 1 points.
     """
     field = _oracle_field(prime, trials, h)
     _check_terracini_size(shape, h + 1)
-    coordinate = _coordinate_points(shape, min(h, 2))
+    coordinate = _coordinate_points(shape, h)
     column_of = _survivor_columns(shape, coordinate)
     dropped = shape.num_coords - len(column_of)
     dim_x, ambient = shape.dim, shape.ambient_dim
     groups = [h - len(coordinate), 1]
-    ranks = _trial_ranks(shape, column_of, groups, field, seed, range(trials))
+    ceilings = tuple(min(k * (dim_x + 1), shape.num_coords) - dropped for k in (h, h + 1))
+    ranks = _target_ranks(shape, column_of, groups, field, seed, range(trials), ceilings)
     center, joint = (dropped + rank for rank in max(ranks))
     if ambient - center < dim_x:
         status = HYPOTHESIS_VIOLATED
@@ -972,7 +969,8 @@ def osculating_projection_finite(
     the surviving coordinates.  The status is GenericallyFinite when the
     restricted order 1 jet at a general point has full rank dim X + 1,
     ConstantMap when no coordinate survives or the restricted rank is at
-    most 1, and FiberEvidence otherwise.
+    most 1, and FiberEvidence otherwise.  Trials are decided by
+    _target_ranks with the ceiling min(dim X + 1, survivors).
     """
     field = _oracle_field(prime, trials)
     if not centers:
@@ -992,7 +990,8 @@ def osculating_projection_finite(
     if not survivors:
         base.note = "every coordinate lies in the span of the osculating centers"
         return base
-    ranks = _trial_ranks(shape, survivors, [1], field, seed, range(trials))
+    ceilings = (min(dim_x + 1, len(survivors)),)
+    ranks = _target_ranks(shape, survivors, [1], field, seed, range(trials), ceilings)
     best = base.restricted_rank = max(rank for (rank,) in ranks)
     if best == dim_x + 1:
         base.status = GENERICALLY_FINITE

@@ -374,6 +374,29 @@ SMOKE_MATRIX = [
         ),
     ),
     (
+        # alpha = 3: all three centers are coordinate points
+        ("tangproj", "--grass", "2", "8", "--h", "3"),
+        (
+            '{"ambient_dim":83,"center_rank":57,"h":3,"joint_rank":74,'
+            '"kind":"tangential","note":"rank over a random specialization only '
+            'bounds the generic rank from below; matching the expected dimension '
+            'is a certificate, a deficit is evidence of defectivity but not a '
+            'proof","shape":"G(2,8)","status":"FiberEvidence","variety_dim":18}'
+        ),
+    ),
+    (
+        # rational and finite: decided modulo p on a column subset
+        (
+            "oscproj", "--grass", "2", "7", "--centers", "0,1,2;3,4,5", "--orders", "1,1",
+            "--prime", "rational", "--trials", "1",
+        ),
+        (
+            '{"ambient_dim":55,"kind":"osculating","note":"","restricted_rank":16,'
+            '"shape":"G(2,7)","status":"GenericallyFinite","survivors":24,'
+            '"variety_dim":15}'
+        ),
+    ),
+    (
         ("schubert", "dim", "--r", "2", "--n", "5", "--lambda", "2,2,1"),
         (
             '{"codim":5,"complementary":[1,1,2],"dim":4,"lambda":[2,2,1],"n":5,'

@@ -6,6 +6,7 @@ rational arithmetic; a modular rank equal to the expected dimension is a
 proof of non-defectivity, so the certified entries are unconditional.
 """
 
+import itertools
 import json
 import random
 from dataclasses import asdict
@@ -218,10 +219,16 @@ def test_parametrization_jet_cap_refuses_before_building(monkeypatch):
 
 @pytest.mark.parametrize(
     "shape, entries",
-    [(SegreVeroneseShape((1,), (4000,)), 16004000), (RationalNormalCurve(5000), 25005000)],
+    [
+        (SegreVeroneseShape((1,), (4000,)), 16004000),
+        (RationalNormalCurve(5000), 25005000),
+        (SegreVeroneseShape((1000,), (2,)), 502002501),
+    ],
 )
 def test_parametrization_cap_counts_coordinate_degrees(shape, entries):
-    # N coordinates of degree 4000 and 5000: N times the index length
+    # N coordinates of degree 4000 and 5000: N times the index length; the
+    # 501,501 quadrics of SV(1000;2) each store an exponent vector of length
+    # 1001, far more than their degree 2
     with pytest.raises(CapExceeded) as exc:
         build_parametrization(shape)
     assert str(exc.value) == (
@@ -448,19 +455,37 @@ def test_sampled_tangent_rows_have_full_rank(shape, prime):
         assert rank(_sample_point(P, rng, field), field) == shape.dim + 1
 
 
-def stacked_rank(shape, h, seed, field):
-    """Rank of the tangent spaces at h random points, none of them a
-    coordinate point: chart rows on a Grassmannian, order 1 jets otherwise."""
+def stacked_ranks(shape, h, seed, field):
+    """Ranks of the tangent spaces at the first 1, ..., h of a sequence of
+    random points, none of them a coordinate point: chart rows on a
+    Grassmannian, order 1 jets otherwise.  Integer rows that are
+    independent modulo p are independent over Q, so over Q the modular
+    ranks are taken when each equals the number of rows stacked, and the
+    rows are eliminated fraction-free otherwise."""
     rng = random.Random(f"stack:{seed}")
-    rows = []
+    points = []
     for _ in range(h):
         if isinstance(shape, GrassShape):
-            rows += chart_rows(shape, chart_point(shape, rng.random()))
+            points.append(chart_rows(shape, chart_point(shape, rng.random())))
         else:
             P = build_parametrization(shape)
             point = [rng.randint(1, 1 << 20) for _ in range(P.domain_dim)]
-            rows += jet_matrix(P, point, 1, field).values()
-    return rank(rows, field)
+            points.append(list(jet_matrix(P, point, 1, field).values()))
+
+    def ranks_over(f):
+        acc = RankAccumulator(shape.num_coords, f)
+        out = []
+        for rows in points:
+            for row in rows:
+                acc.add_row(row)
+            out.append(acc.rank)
+        return out
+
+    if field is None:
+        modular = ranks_over(PrimeField(DEFAULT_PRIME))
+        if modular == list(itertools.accumulate(len(rows) for rows in points)):
+            return modular
+    return ranks_over(field)
 
 
 # alpha = floor((n+1)/(r+1)) on G(r, n) and min n_j + 1 on SV: rows with
@@ -489,30 +514,46 @@ COORDINATE_POINT_CASES = [
 @pytest.mark.parametrize("prime", [DEFAULT_PRIME, "rational"])
 @pytest.mark.parametrize("shape, h", COORDINATE_POINT_CASES, ids=lambda v: getattr(v, "label", v))
 def test_coordinate_points_keep_the_stacked_rank(shape, h, prime):
-    # the first min(h, alpha) of the h points are coordinate points in
-    # secant_dimension; the rank must be the one of h general points stacked
-    # in full
+    # the first min(h, alpha) of the h points are coordinate points, both
+    # in secant_dimension and as the centers of tangential_projection_finite;
+    # the ranks must be those of h and h + 1 general points stacked in full
     field = None if prime == "rational" else PrimeField(prime)
     for seed in (3, 11):
+        low, high = stacked_ranks(shape, h + 1, seed, field)[-2:]
         cert = secant_dimension(shape, h, trials=1, prime=prime, seed=seed)
-        assert cert.computed_dim == stacked_rank(shape, h, seed, field) - 1
+        assert cert.computed_dim == low - 1
+        report = tangential_projection_finite(shape, h, trials=1, prime=prime, seed=seed)
+        assert (report.center_rank, report.joint_rank) == (low, high)
+
+
+DRAW_CASES = [
+    # h <= alpha: every point is a coordinate point
+    (secant_dimension, GrassShape(2, 8), 3, 3, 0),
+    (secant_dimension, SegreVeroneseShape((3,), (4,)), 4, 3, 0),
+    (secant_dimension, GrassShape(1, 5), 3, 3, 0),
+    # h = alpha + 1: one random point per trial (G(2,14) h6 reaches its
+    # target on the column subset at the default seed, so no rerun)
+    (secant_dimension, GrassShape(2, 14), 6, 3, 3),
+    (secant_dimension, SegreVeroneseShape((2, 2, 2), (1, 1, 1)), 4, 1, 1),
+    # all four centers are coordinate points (alpha = 4), and each trial
+    # draws only the fresh point; with min(h, 2) coordinate centers it drew
+    # three points per trial.  The trials reach their ceilings on the column
+    # subset, so no rerun draws again
+    (tangential_projection_finite, GrassShape(2, 11), 4, 3, 3),
+]
 
 
 @pytest.mark.parametrize(
-    "shape, h, trials, draws",
-    [
-        # h <= alpha: every point is a coordinate point
-        (GrassShape(2, 8), 3, 3, 0),
-        (SegreVeroneseShape((3,), (4,)), 4, 3, 0),
-        (GrassShape(1, 5), 3, 3, 0),
-        # h = alpha + 1: one random point per trial (G(2,14) h6 reaches its
-        # target on the column subset at the default seed, so no rerun)
-        (GrassShape(2, 14), 6, 3, 3),
-        (SegreVeroneseShape((2, 2, 2), (1, 1, 1)), 4, 1, 1),
+    "oracle, shape, h, trials, draws",
+    DRAW_CASES,
+    ids=[
+        ("tangproj-" if oracle is tangential_projection_finite else "") + "-".join(
+            (shape.label, str(h), str(trials), str(draws))
+        )
+        for oracle, shape, h, trials, draws in DRAW_CASES
     ],
-    ids=lambda v: getattr(v, "label", v),
 )
-def test_secant_draws_a_random_point_only_past_alpha(shape, h, trials, draws, monkeypatch):
+def test_secant_draws_a_random_point_only_past_alpha(oracle, shape, h, trials, draws, monkeypatch):
     sample = grassdef.oracle._sample_point
     calls = []
 
@@ -521,9 +562,10 @@ def test_secant_draws_a_random_point_only_past_alpha(shape, h, trials, draws, mo
         return sample(*args)
 
     monkeypatch.setattr(grassdef.oracle, "_sample_point", spy)
-    cert = secant_dimension(shape, h, trials=trials)
+    report = oracle(shape, h, trials=trials)
     assert len(calls) == draws
-    assert len(set(cert.trials)) == 1
+    if oracle is secant_dimension:
+        assert len(set(report.trials)) == 1
 
 
 @pytest.mark.parametrize(
@@ -728,6 +770,42 @@ def test_secant_trials_equal_the_full_column_trials(shape, h, prime):
         assert cert.trials == full_column_trials(shape, h, trials, prime, seed)
 
 
+def full_column_ranks(shape, column_of, groups, field, seed, labels, ceilings):
+    """_target_ranks without its modular pass: every trial on all survivor
+    columns over the requested field."""
+    return grassdef.oracle._trial_ranks(shape, column_of, groups, field, seed, labels)
+
+
+PROJECTION_CASES = [
+    (tangential_projection_finite, GrassShape(2, 6), 1, GENERICALLY_FINITE),
+    (tangential_projection_finite, GrassShape(2, 11), 4, GENERICALLY_FINITE),
+    (tangential_projection_finite, GrassShape(2, 8), 3, FIBER_EVIDENCE),
+    (tangential_projection_finite, GrassShape(2, 6), 3, HYPOTHESIS_VIOLATED),
+    (tangential_projection_finite, SegreVeroneseShape((3,), (4,)), 3, GENERICALLY_FINITE),
+    (osculating_projection_finite, GrassShape(2, 7), [((0, 1, 2), 1), ((3, 4, 5), 1)], GENERICALLY_FINITE),
+    (osculating_projection_finite, GrassShape(1, 4), [((0, 1), 1)], FIBER_EVIDENCE),
+    (osculating_projection_finite, GrassShape(2, 5), [((0, 1, 2), 2)], CONSTANT_MAP),
+    (osculating_projection_finite, SegreVeroneseShape((1, 1), (2, 2)), [(0, 2)], GENERICALLY_FINITE),
+]
+
+
+@pytest.mark.parametrize("prime", [DEFAULT_PRIME, "rational"])
+@pytest.mark.parametrize(
+    "oracle, shape, argument, status",
+    PROJECTION_CASES,
+    ids=[f"{oracle.__name__[:3]}-{shape.label}-{status}" for oracle, shape, _, status in PROJECTION_CASES],
+)
+def test_projection_reports_equal_the_full_column_runs(oracle, shape, argument, status, prime, monkeypatch):
+    trials = 1 if prime == "rational" else DEFAULT_TRIALS
+    for seed in (3, 11):
+        report = oracle(shape, argument, trials=trials, prime=prime, seed=seed)
+        with monkeypatch.context() as patch:
+            patch.setattr(grassdef.oracle, "_target_ranks", full_column_ranks)
+            reference = oracle(shape, argument, trials=trials, prime=prime, seed=seed)
+        assert report.status == status
+        assert asdict(report) == asdict(reference)
+
+
 def test_secant_trials_run_on_a_column_subset_modulo_p_first(monkeypatch):
     trial_ranks = grassdef.oracle._trial_ranks
     calls = []
@@ -799,6 +877,15 @@ def test_a_certified_rational_secant_never_runs_the_exact_branch(monkeypatch):
     monkeypatch.setattr(RankAccumulator, "add_row", spy)
     cert = secant_dimension(SegreVeroneseShape((1,), (60,)), 31, trials=1, prime="rational")
     assert cert.shape == "SV(1;60)" and cert.trials == (60,)
+    assert fed["exact"] == 0 and fed["modular"] > 0
+    # the projections reach their ceilings modulo p under the same rule
+    fed.update(exact=0, modular=0)
+    report = tangential_projection_finite(GrassShape(2, 11), 4, trials=1, prime="rational")
+    assert (report.center_rank, report.joint_rank, report.status) == (112, 140, GENERICALLY_FINITE)
+    assert fed["exact"] == 0 and fed["modular"] > 0
+    fed.update(exact=0, modular=0)
+    report = osculating_projection_finite(GrassShape(3, 9), [((0, 1, 2, 3), 1)], trials=1, prime="rational")
+    assert (report.restricted_rank, report.status) == (25, GENERICALLY_FINITE)
     assert fed["exact"] == 0 and fed["modular"] > 0
 
 

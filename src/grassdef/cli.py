@@ -32,6 +32,7 @@ import os
 import random
 import sys
 from dataclasses import fields, is_dataclass
+from functools import lru_cache
 
 from .bounds import aop_bound, grass_bound, linear_bound, sv_bound
 from .birational import (
@@ -43,7 +44,7 @@ from .birational import (
     mori_chambers_g1n1,
     spherical_status,
 )
-from .indices import GrassShape, SegreVeroneseShape
+from .indices import GrassShape, SegreVeroneseShape, _check_ints
 from .oracle import (
     DEFAULT_PRIME,
     DEFAULT_SEED,
@@ -330,7 +331,7 @@ def cmd_spherical(args) -> int:
     if getattr(args, "grass", None) is not None:
         r, n = args.grass
     else:
-        r, n = 0, args.proj
+        r, n = 0, _check_ints("n", (args.proj,), 1)[0]
     report = spherical_status(r, n, args.k)
     label = f"G({report.r},{report.n})" if report.r >= 1 else f"P{report.n}"
     word = "spherical" if report.spherical else "not spherical"
@@ -473,10 +474,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """main's parser, built once per process: parse_args returns a fresh
+    namespace and reports errors by SystemExit, so calls share it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, prod
 
 
@@ -175,9 +176,9 @@ def _part_distance_from(a):
 
 def sv_distance(I, J) -> int:
     """Sum over factors of the multiset distance d_j - |I^j cap J^j|; parts
-    may be unsorted.  Being additive over factors lets ``ball`` tabulate
-    each factor's parts on their own.  Indices whose factor counts or part
-    lengths differ raise ValueError."""
+    may be unsorted.  Being additive over factors lets ``_distance_table``
+    tabulate each factor's parts on their own.  Indices whose factor counts
+    or part lengths differ raise ValueError."""
     if list(map(len, I)) != list(map(len, J)):
         raise ValueError(f"indices of different shapes: {I} and {J}")
     return sum(_part_distance_from(tuple(a))(sorted(b)) for a, b in zip(I, J))
@@ -198,24 +199,27 @@ def distance(shape: Shape, I, J) -> int:
     return dist(check(shape, I), check(shape, J))
 
 
-def ball(shape: Shape, I, s: int) -> list:
-    """Indices at distance at most s from I, in ``enumerate_indices`` order.
+@lru_cache(maxsize=8)
+def _distance_table(shape: Shape, I) -> tuple[tuple, tuple[int, ...]]:
+    """The shape's indices in ``enumerate_indices`` order and the distance of
+    each from the checked index I.  No public function is called, so public
+    call counts do not depend on what the cache holds."""
+    if isinstance(shape, GrassShape):
+        indices = tuple(itertools.combinations(range(shape.n + 1), shape.r + 1))
+        center = set(I)
+        return indices, tuple(len(I) - len(center.intersection(J)) for J in indices)
+    parts = _factor_parts(shape)
+    distances = [map(_part_distance_from(a), table) for a, table in zip(I, parts)]
+    return tuple(itertools.product(*parts)), tuple(map(sum, itertools.product(*distances)))
 
-    A Grassmannian J is in the ball when it keeps at least |I| - s entries of
-    I.  SV distances add over factors, so each part's distance to I's part is
-    tabulated once per factor; one ``product`` walks the parts as
-    ``enumerate_indices`` does and their distances in step, which gives the
-    full scan's list in its order."""
+
+def ball(shape: Shape, I, s: int) -> list:
+    """Indices at distance at most s from I, in ``enumerate_indices`` order,
+    as a fresh list filtered from the center's ``_distance_table``."""
     _check_ints("radius", (s,), 0)
     check, _ = _metric(shape)
-    I = check(shape, I)
-    if isinstance(shape, GrassShape):
-        center = set(I)
-        return [J for J in enumerate_indices(shape) if len(center.intersection(J)) >= len(I) - s]
-    parts = _factor_parts(shape)
-    distances = [list(map(_part_distance_from(a), table)) for a, table in zip(I, parts)]
-    combos = zip(itertools.product(*parts), itertools.product(*distances))
-    return [J for J, dists in combos if sum(dists) <= s]
+    indices, distances = _distance_table(shape, check(shape, I))
+    return list(itertools.compress(indices, [d <= s for d in distances]))
 
 
 def coordinate_blocks(shape: Shape, k: int) -> list:

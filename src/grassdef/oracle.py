@@ -27,7 +27,7 @@ from .indices import (
     _check_grass_index,
     _check_ints,
     _check_sv_index,
-    ball,
+    _distance_table,
     coordinate_blocks,
     distance,  # noqa: F401  (bench/test_bench.py looks it up as grassdef.oracle.distance)
     enumerate_indices,
@@ -941,15 +941,13 @@ def _osculating_centers(shape, centers) -> list[tuple[object, int]]:
 
 
 def _survivor_columns(shape, checked) -> dict[int, int]:
-    """The positions of the coordinates outside every ball of radius s_i
-    around the i-th center, each mapped to its place among them; with no
-    centers, every position."""
-    if not checked:
-        return {col: col for col in range(shape.num_coords)}
-    killed = set()
+    """The positions of the coordinates farther than s_i from the i-th
+    center for every i, read from the centers' distance tables, each mapped
+    to its place among them; with no centers, every position."""
+    survivors = range(shape.num_coords)
     for I, s in checked:
-        killed.update(ball(shape, I, s))
-    survivors = [pos for pos, J in enumerate(enumerate_indices(shape)) if J not in killed]
+        distances = _distance_table(shape, I)[1]
+        survivors = [pos for pos in survivors if distances[pos] > s]
     return {col: place for place, col in enumerate(survivors)}
 
 

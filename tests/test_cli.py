@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import grassdef.cli
 from grassdef.cli import main
 
 
@@ -240,6 +241,17 @@ def test_spherical_subcommand(capsys):
     _, out, _ = run(capsys, "--json", "spherical", "--proj", "4", "--k", "5")
     payload = json.loads(out)
     assert payload["spherical"] is True and payload["rule"] == "toric"
+
+
+def test_spherical_refuses_a_projective_dimension_below_one_by_n(capsys):
+    # classify refuses --proj in the same terms, at its own lower bound 2
+    for n in ("0", "-3"):
+        code, out, err = run(capsys, "spherical", "--proj", n, "--k", "1")
+        assert (code, out) == (2, "")
+        assert err == f"error: n must be at least 1, got {n}\n"
+    code, out, _ = run(capsys, "spherical", "--proj", "1", "--k", "1")
+    assert code == 0
+    assert out.startswith("P1 blown up at k=1 general points: spherical (rule=toric, f=0)")
 
 
 def test_effcone_subcommand(capsys):
@@ -612,3 +624,45 @@ def test_missing_required_flag_exits_nonzero(capsys):
     code = main(["secant", "--grass", "1", "4"])
     capsys.readouterr()
     assert code not in (0, None)
+
+
+PARSER_REUSE_CALLS = [
+    ("--json", "bound", "--grass", "4", "29"),
+    # argparse errors: a missing required flag, an unknown subcommand
+    ("secant", "--grass", "1", "4"),
+    ("frobnicate",),
+    ("--help",),
+    ("schubert", "mult", "--help"),
+    # refusals by ValueError after parsing
+    ("classify", "--proj", "0", "--k", "1"),
+    ("spherical", "--proj", "0", "--k", "1"),
+    ("schubert", "mult", "--r", "1", "--n", "4", "--lambda", "2,1", "--mu", "3,2"),
+    ("schubert", "dim", "--r", "1", "--n", "4", "--lambda", "2,1"),
+    ("secant", "--grass", "1", "4", "--h", "2", "--seed", "7"),
+    ("--json", "oscproj", "--sv", "1:7", "--centers", "0;1", "--orders", "2,2"),
+    ("bound", "--grass", "4", "29"),
+]
+
+
+def test_in_process_calls_share_one_parser_and_answer_as_a_fresh_one(capsys, monkeypatch):
+    cli = grassdef.cli
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = [run(capsys, *argv) for argv in PARSER_REUSE_CALLS]
+    assert [code for code, _, _ in fresh] == [0, 2, 2, 0, 0, 2, 2, 0, 0, 0, 0, 0]
+    monkeypatch.undo()
+
+    builds = []
+    build = cli.build_parser
+
+    def spy():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    cli._parser.cache_clear()
+    try:
+        shared = [run(capsys, *argv) for argv in PARSER_REUSE_CALLS * 2]
+    finally:
+        cli._parser.cache_clear()
+    assert shared == fresh * 2
+    assert len(builds) == 1

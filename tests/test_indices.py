@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 
 from grassdef import (
     GrassShape,
+    RationalNormalCurve,
     SegreVeroneseShape,
     ball,
     delta_set,
@@ -19,7 +20,7 @@ from grassdef import (
     grass_distance,
     sv_distance,
 )
-from grassdef.indices import coordinate_blocks
+from grassdef.indices import _distance_table, coordinate_blocks
 from strategies import grass_shapes, shape_with_index, shape_with_index_pair, sv_shapes
 
 
@@ -182,6 +183,51 @@ def test_ball_makes_no_distance_calls(monkeypatch):
         for s in range(r + 2):
             size = sum(comb(r + 1, t) * comb(n - r, t) for t in range(s + 1))
             assert len(ball(shape, tuple(range(r + 1)), s)) == size
+
+
+def sublevel_balls(shape, I, top: int) -> list[list]:
+    """The balls of radius 0..top around I, by the distance."""
+    distances = [distance(shape, I, J) for J in enumerate_indices(shape)]
+    return [[J for J, d in zip(enumerate_indices(shape), distances) if d <= s] for s in range(top + 1)]
+
+
+def test_ball_returns_a_fresh_list():
+    for shape, I in ((GrassShape(2, 6), (0, 1, 2)), (SegreVeroneseShape((1, 2), (2, 1)), ((0, 1), (2,)))):
+        first = ball(shape, I, 1)
+        expected = list(first)
+        first.append("junk")
+        first[0] = None
+        assert ball(shape, I, 1) == expected
+        first.clear()
+        assert ball(shape, I, 1) == expected
+
+
+def test_ball_tables_are_bounded_and_answers_survive_eviction():
+    maxsize = _distance_table.cache_info().maxsize
+    assert maxsize is not None
+    shape = GrassShape(2, 6)
+    centers = enumerate_indices(shape)[: maxsize + 3]
+    expected = {I: sublevel_balls(shape, I, 3) for I in centers}
+    _distance_table.cache_clear()
+    for _ in range(2):
+        for I in centers:
+            assert [ball(shape, I, s) for s in range(4)] == expected[I]
+        info = _distance_table.cache_info()
+        assert info.currsize == maxsize
+    # the second round found none of its centers: each was evicted first
+    assert info.misses == 2 * len(centers)
+    sv = SegreVeroneseShape((1, 1), (2, 1))
+    for I in enumerate_indices(sv):
+        assert [ball(sv, I, s) for s in range(4)] == sublevel_balls(sv, I, 3)
+
+
+def test_rational_normal_curve_balls_equal_sv_1_n_balls():
+    for n in (1, 2, 5, 12):
+        curve, sv = RationalNormalCurve(n), SegreVeroneseShape((1,), (n,))
+        for I in (((0,) * n,), ((1,) * n,), ((0,) + (1,) * (n - 1),)):
+            expected = sublevel_balls(sv, I, n + 1)
+            assert [ball(curve, I, s) for s in range(n + 2)] == expected
+            assert [ball(sv, I, s) for s in range(n + 2)] == expected
 
 
 @pytest.mark.parametrize(

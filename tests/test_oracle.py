@@ -42,6 +42,7 @@ from grassdef import (
     TangentDevelopable,
     anticanonical,
     ball,
+    distance,
     build_parametrization,
     classify_fano,
     effective_cone,
@@ -255,7 +256,7 @@ def _refuse_enumeration(*args):
 )
 def test_terracini_cap_refuses_before_sampling(call, monkeypatch):
     monkeypatch.setattr("grassdef.oracle.enumerate_indices", _refuse_enumeration)
-    monkeypatch.setattr("grassdef.oracle.ball", _refuse_enumeration)
+    monkeypatch.setattr("grassdef.oracle._distance_table", _refuse_enumeration)
     build_parametrization.cache_clear()
     with pytest.raises(CapExceeded, match="above the cap of 16000000"):
         call()
@@ -730,6 +731,45 @@ def test_secant_saturates_at_ambient():
     cert = secant_dimension(RationalNormalCurve(4), 5)
     assert cert.expected_dim == 4
     assert cert.computed_dim == 4
+
+
+def killed_by_distance(shape, checked) -> dict[int, int]:
+    """The survivor columns by their definition: every index within
+    distance s_i of the i-th center is killed, and the others are numbered
+    in enumeration order."""
+    survivors = [
+        pos
+        for pos, J in enumerate(enumerate_indices(shape))
+        if all(distance(shape, I, J) > s for I, s in checked)
+    ]
+    return {col: place for place, col in enumerate(survivors)}
+
+
+def test_survivor_columns_match_their_definition():
+    oracle = grassdef.oracle
+    cases = []
+    # the osculating bench's oscproj shapes, from one coordinate center
+    for r, n in ((1, 4), (1, 5), (2, 5), (2, 6), (2, 7), (3, 7), (3, 8)):
+        for s in range(r + 3):
+            cases.append((GrassShape(r, n), [(tuple(range(r + 1)), s)]))
+    sv = (((1, 1), (2, 2)), ((2,), (3,)), ((3,), (3,)), ((1, 1, 1), (1, 1, 1)), ((1, 2), (2, 1)), ((1, 2), (2, 2)))
+    for ns, ds in sv:
+        for s in range(sum(ds) + 2):
+            cases.append((SegreVeroneseShape(ns, ds), [(0, s)]))
+    for n in range(3, 11):
+        for a in range(n):
+            for b in range(n - a):
+                cases.append((RationalNormalCurve(n), [(0, a), (n, b)]))
+    cases.append((GrassShape(2, 7), [((0, 1, 2), 1), ((3, 4, 5), 1)]))
+    for shape, centers in cases:
+        checked = oracle._osculating_centers(shape, centers)
+        assert oracle._survivor_columns(shape, checked) == killed_by_distance(shape, checked)
+    # secant coordinate points, and none on a tangent developable
+    for shape, h in ((GrassShape(4, 9), 8), (SegreVeroneseShape((1,), (60,)), 31), (GrassShape(2, 14), 6)):
+        coordinate = oracle._coordinate_points(shape, h)
+        assert len(coordinate) >= 2
+        assert oracle._survivor_columns(shape, coordinate) == killed_by_distance(shape, coordinate)
+    assert oracle._survivor_columns(TangentDevelopable(5), []) == {c: c for c in range(6)}
 
 
 def full_column_trials(shape, h, trials, prime, seed):

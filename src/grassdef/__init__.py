@@ -1,182 +1,66 @@
 """Secant defectivity bounds, exact jet-rank oracles, Schubert calculus and
-blow-up classification for Grassmannians and Segre-Veronese varieties."""
+blow-up classification for Grassmannians and Segre-Veronese varieties.
 
-from .bounds import (
-    BoundReport,
-    aop_bound,
-    grass_bound,
-    h_m,
-    linear_bound,
-    osculating_dim_grass,
-    osculating_dim_sv,
-    sv_bound,
-)
-from .birational import (
-    FANO,
-    KNOWN_MDS,
-    MDS_UNKNOWN,
-    NEITHER,
-    WEAK_FANO_ONLY,
-    Ambient,
-    Chamber,
-    ChamberDecomposition,
-    ConeData,
-    CurveClass,
-    DivisorClass,
-    FanoReport,
-    MDSReport,
-    SphericalReport,
-    anticanonical,
-    classify_fano,
-    curve_e,
-    curve_h,
-    curve_l,
-    divisor_E,
-    divisor_H,
-    effective_cone,
-    intersect,
-    mds_status,
-    mori_chambers_g1n1,
-    mori_cone_generators,
-    spherical_status,
-    top_self_intersection,
-)
-from .indices import (
-    GrassShape,
-    SegreVeroneseShape,
-    Shape,
-    ball,
-    delta_set,
-    distance,
-    enumerate_indices,
-    grass_distance,
-    sv_distance,
-)
-from .oracle import (
-    CERTIFIED,
-    CONSTANT_MAP,
-    DEFAULT_PRIME,
-    DEFAULT_SEED,
-    DEFAULT_TRIALS,
-    DEFECT_EVIDENCE,
-    FIBER_EVIDENCE,
-    GENERICALLY_FINITE,
-    HYPOTHESIS_VIOLATED,
-    CapExceeded,
-    DefectivityCertificate,
-    LimitHyperplane,
-    Parametrization,
-    PrimeField,
-    ProjectionReport,
-    RankAccumulator,
-    RationalNormalCurve,
-    TangentDevelopable,
-    build_parametrization,
-    is_probable_prime,
-    jet_matrix,
-    limit_hyperplane_coeffs,
-    osculating_projection_finite,
-    osculating_rank_sweep,
-    rank,
-    secant_dimension,
-    tangential_projection_finite,
-)
-from .schubert import (
-    FerrersDiagram,
-    Partition,
-    complementary,
-    contains,
-    grass_degree,
-    multiplicity,
-    rectangle_count,
-    schubert_codim,
-    schubert_dim,
-    singular_locus,
-)
+``import grassdef`` loads no submodule: each export below is looked up in
+its defining module when it is first asked for (PEP 562), and again on
+every later lookup, so a name rebound in that module, by a tracer or a
+monkeypatch, is what ``grassdef.<name>`` returns.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Ambient",
-    "BoundReport",
-    "CERTIFIED",
-    "CONSTANT_MAP",
-    "CapExceeded",
-    "Chamber",
-    "ChamberDecomposition",
-    "ConeData",
-    "CurveClass",
-    "DEFAULT_PRIME",
-    "DEFAULT_SEED",
-    "DEFAULT_TRIALS",
-    "DEFECT_EVIDENCE",
-    "DefectivityCertificate",
-    "DivisorClass",
-    "FANO",
-    "FIBER_EVIDENCE",
-    "FanoReport",
-    "FerrersDiagram",
-    "GENERICALLY_FINITE",
-    "GrassShape",
-    "HYPOTHESIS_VIOLATED",
-    "KNOWN_MDS",
-    "LimitHyperplane",
-    "MDSReport",
-    "MDS_UNKNOWN",
-    "NEITHER",
-    "Parametrization",
-    "Partition",
-    "PrimeField",
-    "ProjectionReport",
-    "RankAccumulator",
-    "RationalNormalCurve",
-    "SegreVeroneseShape",
-    "Shape",
-    "SphericalReport",
-    "TangentDevelopable",
-    "WEAK_FANO_ONLY",
-    "anticanonical",
-    "aop_bound",
-    "ball",
-    "build_parametrization",
-    "classify_fano",
-    "complementary",
-    "contains",
-    "curve_e",
-    "curve_h",
-    "curve_l",
-    "delta_set",
-    "distance",
-    "divisor_E",
-    "divisor_H",
-    "effective_cone",
-    "enumerate_indices",
-    "grass_bound",
-    "grass_degree",
-    "grass_distance",
-    "h_m",
-    "intersect",
-    "is_probable_prime",
-    "jet_matrix",
-    "limit_hyperplane_coeffs",
-    "linear_bound",
-    "mds_status",
-    "mori_chambers_g1n1",
-    "mori_cone_generators",
-    "multiplicity",
-    "osculating_dim_grass",
-    "osculating_dim_sv",
-    "osculating_projection_finite",
-    "osculating_rank_sweep",
-    "rank",
-    "rectangle_count",
-    "schubert_codim",
-    "schubert_dim",
-    "secant_dimension",
-    "singular_locus",
-    "spherical_status",
-    "sv_bound",
-    "sv_distance",
-    "tangential_projection_finite",
-    "top_self_intersection",
-]
+# defining module -> the names the package exports from it
+_EXPORTS = {
+    "bounds": (
+        "BoundReport", "aop_bound", "grass_bound", "h_m", "linear_bound",
+        "osculating_dim_grass", "osculating_dim_sv", "sv_bound",
+    ),
+    "birational": (
+        "FANO", "KNOWN_MDS", "MDS_UNKNOWN", "NEITHER", "WEAK_FANO_ONLY",
+        "Ambient", "Chamber", "ChamberDecomposition", "ConeData", "CurveClass",
+        "DivisorClass", "FanoReport", "MDSReport", "SphericalReport",
+        "anticanonical", "classify_fano", "curve_e", "curve_h", "curve_l",
+        "divisor_E", "divisor_H", "effective_cone", "intersect", "mds_status",
+        "mori_chambers_g1n1", "mori_cone_generators", "spherical_status",
+        "top_self_intersection",
+    ),
+    "indices": (
+        "CapExceeded", "GrassShape", "SegreVeroneseShape", "Shape", "ball",
+        "delta_set", "distance", "enumerate_indices", "grass_distance",
+        "sv_distance",
+    ),
+    "oracle": (
+        "CERTIFIED", "CONSTANT_MAP", "DEFAULT_PRIME", "DEFAULT_SEED",
+        "DEFAULT_TRIALS", "DEFECT_EVIDENCE", "FIBER_EVIDENCE",
+        "GENERICALLY_FINITE", "HYPOTHESIS_VIOLATED", "DefectivityCertificate",
+        "LimitHyperplane", "Parametrization", "PrimeField", "ProjectionReport",
+        "RankAccumulator", "RationalNormalCurve", "TangentDevelopable",
+        "build_parametrization", "is_probable_prime", "jet_matrix",
+        "limit_hyperplane_coeffs", "osculating_projection_finite",
+        "osculating_rank_sweep", "rank", "secant_dimension",
+        "tangential_projection_finite",
+    ),
+    "schubert": (
+        "FerrersDiagram", "Partition", "complementary", "contains",
+        "grass_degree", "multiplicity", "rectangle_count", "schubert_codim",
+        "schubert_dim", "singular_locus",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    # not cached in globals(): a cached name would outlive a rebinding
+    if name in _MODULE_OF:
+        return getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_EXPORTS})

@@ -13,10 +13,11 @@ dream space status.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from math import comb
+from math import comb, log10
 
-from .indices import GrassShape, _check_ints
+from .indices import GrassShape, _check_digits, _check_ints, _check_size
 from .schubert import grass_degree
 
 GRASS = "grassmannian"
@@ -208,15 +209,20 @@ def anticanonical(ambient: Ambient, k: int) -> DivisorClass:
     """The anticanonical class of the blow-up at k general points:
     index(ambient) H - (dim - 1) sum_i E_i."""
     _check_ints("k", (k,), 0)
+    _check_size(f"the anticanonical class of {ambient.label} at k = {k}", k)
     return DivisorClass(ambient.index, (ambient.dim - 1,) * k)
 
 
 def top_self_intersection(ambient: Ambient, D: DivisorClass) -> int:
     """Top self-intersection D^dim on the blow-up: with H^dim = deg and
     E_i^dim = (-1)^{dim - 1} all cross terms vanish, giving
-    a^dim deg - sum_i b_i^dim."""
-    d = ambient.dim
-    return D.a**d * ambient.degree - sum(bi**d for bi in D.b)
+    a^dim deg - sum_i b_i^dim.  Its terms are bounded by deg m^dim, m the
+    largest |coefficient|, so k + 1 of them by (k + 1) deg m^dim, and a
+    bound too long to print is refused before any power is taken."""
+    d, deg = ambient.dim, ambient.degree
+    m = max(map(abs, (D.a, *D.b, 1)))
+    _check_digits(f"D^{d} on {ambient.label} at k = {D.k}", log10((D.k + 1) * deg) + d * log10(m))
+    return D.a**d * deg - sum(bi**d for bi in D.b)
 
 
 @dataclass(frozen=True)
@@ -257,39 +263,41 @@ def mori_cone_generators(ambient: Ambient, k: int) -> ConeData:
         )
     if k == 0:
         return ConeData((curve_h(0),), PROVEN, "picard-rank-one-homogeneous")
-    es = tuple(curve_e(i, k) for i in range(k))
-    ls = tuple(curve_l(i, k) for i in range(k))
+
+    def proven(provenance: str, *families: tuple[int, int], note: str = "") -> ConeData:
+        # e_1..e_k, then for each (c, s) the classes c h - e_S over the
+        # s-subsets S, lexicographically; counted against the cap first
+        count = k + sum(comb(k, s) for _, s in families)
+        _check_size(f"the Mori cone of {ambient.label} at k = {k} ({count} curve classes)", count * k)
+        classes = [curve_e(i, k) for i in range(k)]
+        for c, s in families:
+            for S in itertools.combinations(range(k), s):
+                m = [0] * k
+                for i in S:
+                    m[i] = 1
+                classes.append(CurveClass(c, tuple(m)))
+        return ConeData(tuple(classes), PROVEN, provenance, note)
+
+    lines = (1, 1)  # l_i = h - e_i
     if ambient.kind == GRASS:
         if k <= ambient.codim + 1:
-            return ConeData(
-                es + ls,
-                PROVEN,
+            return proven(
                 "picard-rank-one-covered-by-lines",
-                "valid for k up to codim + 1; the same list is known for "
+                lines,
+                note="valid for k up to codim + 1; the same list is known for "
                 "k up to codim + 2",
             )
         return ConeData((), UNKNOWN, "none")
     if ambient.kind == QUADRIC:
         if k <= 2:
-            return ConeData(es + ls, PROVEN, "picard-rank-one-covered-by-lines")
+            return proven("picard-rank-one-covered-by-lines", lines)
         if k <= _mori_range_quadric(ambient.n):
-            conics = tuple(
-                CurveClass(2, tuple(1 if i in (a, b, c) else 0 for i in range(k)))
-                for a in range(k)
-                for b in range(a + 1, k)
-                for c in range(b + 1, k)
-            )
-            return ConeData(es + ls + conics, PROVEN, "general-points-on-quadric-conics")
+            return proven("general-points-on-quadric-conics", lines, (2, 3))
         return ConeData((), UNKNOWN, "none")
     if k == 1:
-        return ConeData(es + ls, PROVEN, "picard-rank-one-covered-by-lines")
+        return proven("picard-rank-one-covered-by-lines", lines)
     if k <= 2 * ambient.n:
-        lines = tuple(
-            CurveClass(1, tuple(1 if i in (a, b) else 0 for i in range(k)))
-            for a in range(k)
-            for b in range(a + 1, k)
-        )
-        return ConeData(es + lines, PROVEN, "general-points-on-projective-space-lines")
+        return proven("general-points-on-projective-space-lines", (1, 2))
     return ConeData((), UNKNOWN, "none")
 
 

@@ -20,8 +20,10 @@ certificate's to_dict() (renamed keys).  Only classify, which combines
 three reports, and schubert, which has no report object, build a dict.
 
 Exit codes: 0 on success, 2 on invalid arguments or violated preconditions,
-3 when a computation is refused because it exceeds the oracle's size cap,
-4 when an internal consistency check fails (an ArithmeticError).
+3 when a computation is refused by the size cap (indices._check_size),
+because its result has more digits than Python prints (_check_digits), or
+because a value overflows a float or a machine-sized integer, 4 when an
+internal consistency check fails (any other ArithmeticError).
 """
 
 from __future__ import annotations
@@ -29,50 +31,20 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 from dataclasses import fields, is_dataclass
 from functools import lru_cache
 
-from .bounds import aop_bound, grass_bound, linear_bound, sv_bound
-from .birational import (
-    Ambient,
-    DivisorClass,
-    classify_fano,
-    effective_cone,
-    mds_status,
-    mori_chambers_g1n1,
-    spherical_status,
-)
-from .indices import GrassShape, SegreVeroneseShape, _check_ints
-from .oracle import (
-    DEFAULT_PRIME,
-    DEFAULT_SEED,
-    DEFAULT_TRIALS,
-    CapExceeded,
-    limit_hyperplane_coeffs,
-    osculating_projection_finite,
-    secant_dimension,
-    tangential_projection_finite,
-)
-from .schubert import (
-    FerrersDiagram,
-    Partition,
-    complementary,
-    contains,
-    grass_degree,
-    multiplicity,
-    schubert_codim,
-    schubert_dim,
-    singular_locus,
-)
+from .indices import CapExceeded, GrassShape, SegreVeroneseShape, _check_ints
 
 
 def _plain(value):
     """The JSON form of a report: a DivisorClass by its name, a dataclass as
     the dict of its fields, a tuple or list as a list, a dict entry by
-    entry; anything else is already plain."""
-    if isinstance(value, DivisorClass):
+    entry; anything else is already plain.  A DivisorClass exists only once
+    its module is loaded, so a call that never loads it never imports it."""
+    birational = sys.modules.get(f"{__package__}.birational")
+    if birational is not None and isinstance(value, birational.DivisorClass):
         return value.name
     if is_dataclass(value):
         return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
@@ -122,6 +94,8 @@ def _oracle_options(args) -> dict:
     from --trials, --prime (an integer or 'rational') and --seed (an integer
     or 'random'), the seed defaulting to GRASSDEF_SEED and then to
     DEFAULT_SEED.  No other subcommand reads GRASSDEF_SEED."""
+    from .oracle import DEFAULT_PRIME, DEFAULT_SEED, DEFAULT_TRIALS
+
     prime = DEFAULT_PRIME if args.prime is None else args.prime
     if prime != "rational":
         try:
@@ -132,6 +106,8 @@ def _oracle_options(args) -> dict:
     if seed is None:
         seed = DEFAULT_SEED
     elif seed == "random":
+        import random
+
         seed = random.SystemRandom().randrange(1 << 64)
     else:
         try:
@@ -143,10 +119,13 @@ def _oracle_options(args) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands; each imports the functions it calls from their defining
+# module when it runs, so a call loads only the layers it uses
 
 
 def cmd_bound(args) -> int:
+    from .bounds import aop_bound, grass_bound, linear_bound, sv_bound
+
     shape = _resolve_shape(args)
     if isinstance(shape, GrassShape):
         rule = args.rule
@@ -160,6 +139,8 @@ def cmd_bound(args) -> int:
 
 
 def cmd_secant(args) -> int:
+    from .oracle import secant_dimension
+
     options = _oracle_options(args)
     cert = secant_dimension(_resolve_shape(args), args.h, **options)
     text = (
@@ -172,6 +153,8 @@ def cmd_secant(args) -> int:
 
 
 def cmd_oscproj(args) -> int:
+    from .oracle import osculating_projection_finite
+
     options = _oracle_options(args)
     shape = _resolve_shape(args)
     orders = _parse_ints(args.orders)
@@ -200,6 +183,8 @@ def cmd_oscproj(args) -> int:
 
 
 def cmd_tangproj(args) -> int:
+    from .oracle import tangential_projection_finite
+
     options = _oracle_options(args)
     report = tangential_projection_finite(_resolve_shape(args), args.h, **options)
     text = (
@@ -215,6 +200,18 @@ def cmd_tangproj(args) -> int:
 
 
 def cmd_schubert(args) -> int:
+    from .schubert import (
+        FerrersDiagram,
+        Partition,
+        complementary,
+        contains,
+        grass_degree,
+        multiplicity,
+        schubert_codim,
+        schubert_dim,
+        singular_locus,
+    )
+
     sub = args.sub
     if sub == "degree":
         value = grass_degree(args.r, args.n)
@@ -260,6 +257,8 @@ def cmd_schubert(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .birational import Ambient, classify_fano, mds_status, spherical_status
+
     k = args.k
     if getattr(args, "grass", None) is not None:
         r, n = args.grass
@@ -306,6 +305,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_chambers(args) -> int:
+    from .birational import mori_chambers_g1n1
+
     dec = mori_chambers_g1n1(args.n)
     lines = [
         f"Mori chamber decomposition of G(1,{dec.n}) blown up at one point",
@@ -328,6 +329,8 @@ def cmd_chambers(args) -> int:
 
 
 def cmd_spherical(args) -> int:
+    from .birational import spherical_status
+
     if getattr(args, "grass", None) is not None:
         r, n = args.grass
     else:
@@ -345,6 +348,8 @@ def cmd_spherical(args) -> int:
 
 
 def cmd_effcone(args) -> int:
+    from .birational import effective_cone
+
     shape = _resolve_shape(args)
     cone = effective_cone(shape.r, shape.n, args.k)
     label = f"{shape.label} blown up at k={args.k} general points"
@@ -359,6 +364,8 @@ def cmd_effcone(args) -> int:
 
 
 def cmd_limit_hyperplane(args) -> int:
+    from .oracle import limit_hyperplane_coeffs
+
     section = limit_hyperplane_coeffs(args.D, args.s, args.sbar, args.k1, args.k2)
     text = "coefficients: (" + ", ".join(str(c) for c in section.coeffs) + ")"
     if section.trivial:
@@ -488,7 +495,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except CapExceeded as exc:
+    except (CapExceeded, OverflowError) as exc:
+        # an OverflowError is Python refusing a value too large for a float
+        # or a machine-sized integer, such as the power of a huge dimension
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 3
     except (ValueError, TypeError) as exc:

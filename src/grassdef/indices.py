@@ -6,16 +6,48 @@ weakly increasing d_j-tuple with entries in {0, ..., n_j} per factor.  Both
 families carry a distance function; balls in that distance control which
 coordinates a given osculating space touches, and the delta sets below are
 the combinatorial core of the degeneration argument behind the bounds
-module.
+module.  Being the leaf every layer imports, it also holds the one size
+cap and the fraction-free elimination that schubert and oracle share.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, prod
+
+# the one size cap on the entries a request may build (pivot store, index
+# list, monomial list, jet matrix, curve classes), that is 4000 coordinates
+# at full rank
+_MAX_ENTRIES = 4000 * 4000
+
+
+class CapExceeded(RuntimeError):
+    """Raised when a request would build more than _MAX_ENTRIES entries, or
+    answer with an integer too long to print, instead of silently taking
+    unbounded time or memory."""
+
+
+def _check_size(label: str, entries: int) -> None:
+    if entries > _MAX_ENTRIES:
+        raise CapExceeded(
+            f"{label} needs about {entries} entries, above the cap of {_MAX_ENTRIES}"
+        )
+
+
+def _check_digits(label: str, log10: float) -> None:
+    """Refuse a result of about 10**log10 with more decimal digits than str()
+    converts (sys.get_int_max_str_digits(), 0 for no limit).  The 1e-6
+    margin absorbs the float error of log10, so whatever passes prints."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and log10 > limit - 1e-6:
+        raise CapExceeded(
+            f"{label} has about {int(log10) + 1} digits, above the limit of {limit} "
+            "on printed integers"
+        )
 
 
 def _check_ints(name: str, values, low: int | None = None, high: int | None = None) -> tuple[int, ...]:
@@ -264,3 +296,39 @@ def delta_set(shape: GrassShape, I, l: int) -> list:
         if not kept & shifted:
             out.add(tuple(sorted(kept | shifted)))
     return sorted(out)
+
+
+def _bareiss(matrix: list[list[int]]) -> tuple[int, list[list[int]]]:
+    """Fraction-free forward elimination of an n x (n + k) integer matrix,
+    shared by the Schubert multiplicities and the limit hyperplane solve.
+
+    Returns the sign of the row swaps and the reduced rows, whose square
+    part is upper triangular with last diagonal entry sign * det; it is set
+    to 0, and elimination stops, at a column with no pivot.  Step c sets
+    m[i][j] = (m[c][c] m[i][j] - m[i][c] m[c][j]) / (previous pivot) below
+    the pivot row.  By Sylvester's identity that is a (c+1) x (c+1) minor
+    of the row-swapped input, so every division is exact (Bareiss, Math.
+    Comp. 22, 1968), and a remainder raises ArithmeticError.  For [A | b]
+    with A invertible, det * x is integral by Cramer's rule, so solving
+    for it by back-substitution divides exactly as well.
+    """
+    m = [list(row) for row in matrix]
+    n = len(m)
+    sign, prev = 1, 1
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if m[i][c]), None)
+        if pivot is None:
+            m[-1][n - 1] = 0
+            break
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            sign = -sign
+        top, p = m[c], m[c][c]
+        for row in m[c + 1 :]:
+            f, row[c] = row[c], 0
+            for j in range(c + 1, len(row)):
+                row[j], rem = divmod(p * row[j] - f * top[j], prev)
+                if rem:
+                    raise ArithmeticError(f"a Bareiss step left remainder {rem} at column {c}")
+        prev = p
+    return sign, m

@@ -22,10 +22,13 @@ from functools import lru_cache
 from math import comb, gcd, perm, prod
 
 from .indices import (
+    CapExceeded,  # noqa: F401  (grassdef.oracle.CapExceeded is grassdef.CapExceeded)
     GrassShape,
     SegreVeroneseShape,
+    _bareiss,
     _check_grass_index,
     _check_ints,
+    _check_size,
     _check_sv_index,
     _distance_table,
     coordinate_blocks,
@@ -38,9 +41,6 @@ DEFAULT_TRIALS = 3
 DEFAULT_SEED = 1729
 
 _COORD_RANGE = 1 << 20  # sample point coordinates uniformly in [1, 2^20]
-# the one size cap on the entries a request may build (pivot store, index
-# list, monomial list, jet matrix), that is 4000 coordinates at full rank
-_MAX_ENTRIES = 4000 * 4000
 
 CERTIFIED = "CertifiedNonDefective"
 DEFECT_EVIDENCE = "DefectEvidence"
@@ -54,18 +54,6 @@ _EVIDENCE_NOTE = (
     "below; matching the expected dimension is a certificate, a deficit is "
     "evidence of defectivity but not a proof"
 )
-
-
-class CapExceeded(RuntimeError):
-    """Raised when a request would build more than _MAX_ENTRIES entries,
-    instead of silently taking unbounded time or memory."""
-
-
-def _check_size(label: str, entries: int) -> None:
-    if entries > _MAX_ENTRIES:
-        raise CapExceeded(
-            f"{label} needs about {entries} entries, above the cap of {_MAX_ENTRIES}"
-        )
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -200,41 +188,6 @@ class RankAccumulator:
             bisect.insort(leads, first + at)
             pivots[first + at] = pivot
         return len(pivots)
-
-
-def _bareiss(matrix: list[list[int]]) -> tuple[int, list[list[int]]]:
-    """Fraction-free forward elimination of an n x (n + k) integer matrix.
-
-    Returns the sign of the row swaps and the reduced rows, whose square
-    part is upper triangular with last diagonal entry sign * det; it is set
-    to 0, and elimination stops, at a column with no pivot.  Step c sets
-    m[i][j] = (m[c][c] m[i][j] - m[i][c] m[c][j]) / (previous pivot) below
-    the pivot row.  By Sylvester's identity that is a (c+1) x (c+1) minor
-    of the row-swapped input, so every division is exact (Bareiss, Math.
-    Comp. 22, 1968), and a remainder raises ArithmeticError.  For [A | b]
-    with A invertible, det * x is integral by Cramer's rule, so solving
-    for it by back-substitution divides exactly as well.
-    """
-    m = [list(row) for row in matrix]
-    n = len(m)
-    sign, prev = 1, 1
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c]), None)
-        if pivot is None:
-            m[-1][n - 1] = 0
-            break
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            sign = -sign
-        top, p = m[c], m[c][c]
-        for row in m[c + 1 :]:
-            f, row[c] = row[c], 0
-            for j in range(c + 1, len(row)):
-                row[j], rem = divmod(p * row[j] - f * top[j], prev)
-                if rem:
-                    raise ArithmeticError(f"a Bareiss step left remainder {rem} at column {c}")
-        prev = p
-    return sign, m
 
 
 def rank(rows, field: PrimeField | None = None) -> int:

@@ -10,10 +10,9 @@ multiplicity of a Schubert variety along a smaller one by fraction-free
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb, factorial, lgamma, log
 
-from .indices import GrassShape, _check_ints
-from .oracle import _bareiss
+from .indices import GrassShape, _bareiss, _check_digits, _check_ints
 
 
 @dataclass(frozen=True)
@@ -138,9 +137,14 @@ def _int_det(matrix: list[list[int]]) -> int:
 
 def grass_degree(r: int, n: int) -> int:
     """Degree of G(r, n) in the Pluecker embedding, by the hook length
-    formula on the (r+1) x (n-r) rectangle of GrassShape(r, n)."""
+    formula on the (r+1) x (n-r) rectangle of GrassShape(r, n).  The hooks
+    of the rows are i, ..., i + cols - 1 for i = 1..rows, so the log-gamma
+    size of the degree refuses one too long to print before any factorial
+    is built."""
     shape = GrassShape(r, n)
     rows, cols = shape.r + 1, shape.n - shape.r
+    ln = lgamma(rows * cols + 1) - sum(lgamma(cols + i) - lgamma(i) for i in range(1, rows + 1))
+    _check_digits(f"the degree of {shape.label}", ln / log(10))
     hooks = 1
     for i in range(rows):
         for j in range(cols):

@@ -11,6 +11,7 @@ from grassdef import (
     NEITHER,
     WEAK_FANO_ONLY,
     Ambient,
+    CapExceeded,
     CurveClass,
     DivisorClass,
     anticanonical,
@@ -142,6 +143,31 @@ def test_mori_cone_generator_ranges():
     assert [c.name for c in mori_cone_generators(p3, 1).generators] == ["e1", "h-e1"]
     assert mori_cone_generators(p3, 6).status == "proven"
     assert mori_cone_generators(p3, 7).status == "unknown"
+
+
+def test_mori_cone_generators_in_their_order():
+    q3 = [c.name for c in mori_cone_generators(Ambient.quadric(3), 4).generators]
+    assert q3 == [
+        "e1", "e2", "e3", "e4", "h-e1", "h-e2", "h-e3", "h-e4",
+        "2h-e1-e2-e3", "2h-e1-e2-e4", "2h-e1-e3-e4", "2h-e2-e3-e4",
+    ]
+    p3 = [c.name for c in mori_cone_generators(Ambient.projective(3), 3).generators]
+    assert p3 == ["e1", "e2", "e3", "h-e1-e2", "h-e1-e3", "h-e2-e3"]
+
+
+def test_large_blow_ups_are_refused_before_they_are_built():
+    # in range, but C(500, 2) + 500 classes of length 500 exceed the cap
+    with pytest.raises(CapExceeded, match=r"the Mori cone of P300 at k = 500 \(125250 curve classes\)"):
+        mori_cone_generators(Ambient.projective(300), 500)
+    with pytest.raises(CapExceeded, match="the anticanonical class of P3 at k = 16000001"):
+        anticanonical(Ambient.projective(3), 16_000_001)
+    # (k + 1) deg m^dim bounds D^dim: 2 * 1371^1370 has 4299 digits, so the
+    # product is computed; 2 * 1400^1399 has 4402, so it is refused unbuilt
+    p1370 = Ambient.projective(1370)
+    assert len(str(top_self_intersection(p1370, anticanonical(p1370, 1)))) == 4298
+    p1399 = Ambient.projective(1399)
+    with pytest.raises(CapExceeded, match=r"D\^1399 on P1399 at k = 1 has about 4402 digits"):
+        top_self_intersection(p1399, anticanonical(p1399, 1))
 
 
 FANO_VERDICTS = [

@@ -2,6 +2,7 @@
 exit codes, seeding, and the size cap."""
 
 import json
+import time
 
 import pytest
 
@@ -666,3 +667,103 @@ def test_in_process_calls_share_one_parser_and_answer_as_a_fresh_one(capsys, mon
         cli._parser.cache_clear()
     assert shared == fresh * 2
     assert len(builds) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # in range for P^300, but its C(500, 2) + 500 curve classes of length 500
+        # are counted against the cap before any is built
+        (
+            ("classify", "--proj", "300", "--k", "500"),
+            "the Mori cone of P300 at k = 500 (125250 curve classes) needs about"
+            " 62625000 entries, above the cap of 16000000",
+        ),
+        (
+            ("classify", "--grass", "1", "4", "--k", "100000000"),
+            "the anticanonical class of G(1,4) at k = 100000000 needs about"
+            " 100000000 entries, above the cap of 16000000",
+        ),
+        # results longer than the 4300 digits Python prints an integer with
+        (
+            ("classify", "--grass", "1", "3000", "--k", "1"),
+            "D^5998 on G(1,3000) at k = 1 has about 24461 digits, above the limit"
+            " of 4300 on printed integers",
+        ),
+        (
+            ("schubert", "degree", "--r", "200", "--n", "1000"),
+            "the degree of G(200,1000) has about 344387 digits, above the limit"
+            " of 4300 on printed integers",
+        ),
+    ],
+)
+def test_cap_refuses_large_blow_ups_and_degrees_quickly(capsys, argv, message):
+    for prefix in ((), ("--json",)):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *prefix, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (3, "", f"cap exceeded: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("classify", "--proj", "1" + "0" * 3000, "--k", "0"), "int too large to convert to float"),
+        (("schubert", "dim", "--r", "1", "--n", "1" + "0" * 3000, "--lambda", "1"), "cannot fit 'int' into an index-sized integer"),
+    ],
+    ids=["classify", "schubert-dim"],
+)
+def test_an_overflow_of_a_huge_argument_is_a_refusal_not_an_internal_error(capsys, argv, message):
+    assert run(capsys, *argv) == (3, "", f"cap exceeded: {message}\n")
+
+
+def test_classify_answers_a_huge_k_out_of_the_cone_range_by_the_table(capsys):
+    # the 2k curve classes of length k are never built outside their range
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "--json", "classify", "--grass", "1", "4", "--k", "100000")
+    assert time.perf_counter() - start < 5.0
+    payload = json.loads(out)
+    assert code == 0
+    assert (payload["verdict"], payload["source"], payload["cone_status"]) == ("Neither", "table", "unknown")
+    assert payload["top_anticanonical"] == 5**6 * (5 - 100000)
+
+
+# subcommands -> grassdef submodules none of them may load in a fresh process
+IMPORT_BUDGET = [
+    ([("bound", "--grass", "4", "29"), ("bound", "--sv", "1,1:2,2")], {"oracle", "birational", "schubert"}),
+    (
+        [
+            ("schubert", "mult", "--r", "4", "--n", "9", "--lambda", "2,2,2,1,0", "--mu", "3,3,3,3,2"),
+            ("schubert", "degree", "--r", "2", "--n", "5"),
+            ("classify", "--grass", "1", "4", "--k", "3"),
+            ("chambers", "--n", "5"),
+            ("spherical", "--grass", "1", "5", "--k", "2"),
+            ("effcone", "--grass", "1", "5", "--k", "3"),
+        ],
+        {"oracle"},
+    ),
+    (
+        [
+            ("secant", "--grass", "1", "4", "--h", "2"),
+            ("oscproj", "--sv", "1:7", "--centers", "0;1", "--orders", "2,2"),
+            ("tangproj", "--grass", "2", "8", "--h", "3", "--trials", "1"),
+        ],
+        {"birational", "schubert"},
+    ),
+]
+
+
+@pytest.mark.parametrize("calls, unused", IMPORT_BUDGET, ids=["bound", "closed-form", "oracle"])
+def test_each_subcommand_family_loads_only_its_layers(fresh_python, calls, unused):
+    child = (
+        "import json, sys\n"
+        "from grassdef.cli import main\n"
+        "codes = [main(['--json', *argv]) for argv in json.loads(sys.argv[1])]\n"
+        "loaded = sorted(m.split('.')[1] for m in sys.modules if m.startswith('grassdef.'))\n"
+        "print(json.dumps([codes, loaded]), file=sys.stderr)\n"
+    )
+    proc = fresh_python(child, json.dumps(calls))
+    codes, loaded = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert codes == [0] * len(calls)
+    assert "cli" in loaded and "indices" in loaded
+    assert not unused & set(loaded), loaded

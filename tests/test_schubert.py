@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from grassdef import (
+    CapExceeded,
     FerrersDiagram,
     Partition,
     complementary,
@@ -198,6 +199,17 @@ def test_grass_degree_values():
     assert grass_degree(1, 3) == 2
     assert grass_degree(1, 4) == 5
     assert grass_degree(2, 5) == 42
+
+
+def test_grass_degree_refuses_a_degree_too_long_to_print(monkeypatch):
+    # deg G(1,7153) has 4300 digits, the most Python prints by default, and
+    # deg G(1,7154) has 4301; G(200,1000) is refused before its factorial
+    assert len(str(grass_degree(1, 7153))) == 4300
+    for r, n in ((1, 7154), (200, 1000)):
+        with pytest.raises(CapExceeded, match=f"the degree of G\\({r},{n}\\) has about"):
+            grass_degree(r, n)
+    monkeypatch.setattr("sys.get_int_max_str_digits", lambda: 0)  # no limit
+    assert grass_degree(1, 7154) > 10**4300
 
 
 def test_grass_degree_matches_tableaux_count():

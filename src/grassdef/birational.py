@@ -400,10 +400,14 @@ def spherical_status(r: int, n: int, k: int) -> SphericalReport:
     (r, n) normalized by GrassShape to n >= 2r + 1 and reported so.  For
     r = 0 the blow-up of P^n is toric exactly up to n + 1 points.  For r >= 1
     the blow-up is spherical exactly when k = 1, or k = 2 with r = 1 or
-    n = 2r + 1 or n = 2r + 2, or k = 3 with (r, n) = (1, 5)."""
+    n = 2r + 1 or n = 2r + 2, or k = 3 with (r, n) = (1, 5).  The count
+    f(r, n), about n^2 / 2, is refused before any report prints it when it
+    is too long to print."""
     r = GrassShape(r, n).r
     _check_ints("k", (k,), 1)
     f = _f_value(r, n)
+    if f:
+        _check_digits("the count f(r, n) = (n - 2r - 2)(n - 4r - 1)/2", log10(abs(f)))
     if r == 0:
         if k <= n + 1:
             return SphericalReport(

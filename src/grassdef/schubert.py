@@ -2,15 +2,19 @@
 multiplicities, and degrees of Grassmannians.
 
 Partitions here index Schubert varieties with respect to a fixed complete
-flag.  The multiplicity routine evaluates the determinantal formula for the
-multiplicity of a Schubert variety along a smaller one by fraction-free
-(Bareiss) elimination, in integers throughout.
+flag.  The multiplicity routine splits the determinantal formula for the
+multiplicity of a Schubert variety along a smaller one into the diagonal
+blocks of a block triangular matrix, and evaluates each block of size at
+least 2 by fraction-free (Bareiss) elimination, in integers throughout.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb, factorial, lgamma, log
+from operator import ge
 
 from .indices import GrassShape, _bareiss, _check_digits, _check_ints
 
@@ -57,7 +61,7 @@ class Partition:
                 out.append((a, 1))
         return out
 
-    @property
+    @cached_property
     def label(self) -> str:
         return "(" + ",".join(str(a) for a in self.parts) + ")"
 
@@ -82,7 +86,7 @@ def contains(lam: Partition, mu: Partition) -> bool:
     exactly when mu dominates lam componentwise."""
     if (lam.r, lam.n) != (mu.r, mu.n):
         raise ValueError("partitions must index the same Grassmannian")
-    return all(b >= a for a, b in zip(lam.parts, mu.parts))
+    return all(map(ge, mu.parts, lam.parts))
 
 
 def singular_locus(p: Partition) -> list[Partition]:
@@ -118,16 +122,34 @@ def multiplicity(lam: Partition, mu: Partition) -> int:
     t_l = n - r + l - lambda_l and s_l = #{ j : mu_j - j < lambda_l - l };
     the multiplicity is |det M| for M[k][l] = C(t_l, (k - 1) - s_l),
     computed by fraction-free elimination with no rational arithmetic.
+
+    Only the blocks that are not forced are eliminated.  Number the rows
+    k - 1 = 0..r and take the columns in reverse order, c = r + 1 - l, with
+    sigma_c = s_{r+1-c}.  As lambda_l - l strictly decreases in l, sigma is
+    weakly increasing.  Containment gives sigma_c <= c, since every j <= l
+    has mu_j - j >= lambda_j - j >= lambda_l - l.  Column c vanishes in the
+    rows above sigma_c, so wherever sigma_q = q every column from q on
+    vanishes in rows 0..q-1: the matrix is block lower triangular there,
+    and |det M| is the product of the |det| of its diagonal blocks.  A 1 x 1
+    block is C(t, 0) = 1, so only blocks of size at least 2 are eliminated.
+    As j - mu_j strictly increases in j, each s_l is one bisection.
     """
     if not contains(lam, mu):
         raise ValueError("multiplicity needs mu componentwise above lam")
     size = lam.r + 1
-    lshift = [lam.parts[l] - (l + 1) for l in range(size)]
-    mshift = [mu.parts[j] - (j + 1) for j in range(size)]
-    t = [lam.n - lam.r + (l + 1) - lam.parts[l] for l in range(size)]
-    s = [sum(1 for v in mshift if v < lshift[l]) for l in range(size)]
-    matrix = [[comb(t[l], k - s[l]) if k - s[l] >= 0 else 0 for l in range(size)] for k in range(size)]
-    return abs(_int_det(matrix))
+    keys = [j - b for j, b in enumerate(mu.parts, 1)]
+    columns = range(size, 0, -1)
+    t = [lam.n - lam.r + l - lam.parts[l - 1] for l in columns]
+    sigma = [size - bisect_right(keys, l - lam.parts[l - 1]) for l in columns]
+    result, start = 1, 0
+    for q in range(1, size + 1):
+        if q == size or sigma[q] == q:
+            rows = range(start, q)
+            if len(rows) > 1:
+                block = [[comb(t[c], k - sigma[c]) if k >= sigma[c] else 0 for c in rows] for k in rows]
+                result *= abs(_int_det(block))
+            start = q
+    return result
 
 
 def _int_det(matrix: list[list[int]]) -> int:

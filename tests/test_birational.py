@@ -2,6 +2,8 @@
 numerical pairings, Fano tables against computed cone pairings, spherical
 and Mori dream space status, effective cones and Mori chambers."""
 
+from math import isqrt
+
 import pytest
 
 from grassdef import (
@@ -258,6 +260,20 @@ def test_spherical_rules():
     assert report.rule == "orbit-codimension"
     assert "1" in report.evidence
     assert spherical_status(1, 4, 3).rule == "too-many-points"
+
+
+def test_spherical_refuses_a_count_too_long_to_print(monkeypatch):
+    # f(0, n) = (n - 2)(n - 1)/2; the first n whose count reaches 10^4300
+    # (4301 digits) is refused, and an n some 10^-5 below it prints 4300 digits
+    first = isqrt(2 * 10**4300)
+    while (first - 2) * (first - 1) // 2 < 10**4300:
+        first += 1
+    below = first - first // 10**5
+    assert len(str(spherical_status(0, below, 1).f_value)) == 4300
+    with pytest.raises(CapExceeded, match=r"the count f\(r, n\) = .* has about 4301 digits"):
+        spherical_status(0, first, 1)
+    monkeypatch.setattr("sys.get_int_max_str_digits", lambda: 0)  # no limit
+    assert spherical_status(0, first, 1).f_value >= 10**4300
 
 
 def test_spherical_table():

@@ -424,6 +424,11 @@ SMOKE_MATRIX = [
         ("schubert", "mult", "--r", "4", "--n", "9", "--lambda", "2,2,2,1,0", "--mu", "3,3,3,3,2"),
         '{"lambda":[2,2,2,1,0],"mu":[3,3,3,3,2],"multiplicity":14}',
     ),
+    # no block split: the whole 5 x 5 determinant is eliminated
+    (
+        ("schubert", "mult", "--r", "4", "--n", "9", "--lambda", "4,3,3,1,0", "--mu", "5,5,5,5,5"),
+        '{"lambda":[4,3,3,1,0],"mu":[5,5,5,5,5],"multiplicity":195}',
+    ),
     (
         ("schubert", "contains", "--r", "2", "--n", "5", "--lambda", "1,0,0", "--mu", "2,2,0"),
         '{"contains":true,"lambda":[1,0,0],"mu":[2,2,0]}',
@@ -694,6 +699,11 @@ def test_in_process_calls_share_one_parser_and_answer_as_a_fresh_one(capsys, mon
             ("schubert", "degree", "--r", "200", "--n", "1000"),
             "the degree of G(200,1000) has about 344387 digits, above the limit"
             " of 4300 on printed integers",
+        ),
+        (
+            ("spherical", "--proj", "1" + "0" * 3000, "--k", "1"),
+            "the count f(r, n) = (n - 2r - 2)(n - 4r - 1)/2 has about 6000 digits,"
+            " above the limit of 4300 on printed integers",
         ),
     ],
 )

@@ -256,11 +256,13 @@ def test_limit_hyperplane_coeffs_match_a_rational_solve():
     assert checked > 500
 
 
-def test_multiplicity_is_the_docstring_determinant_on_g38():
-    r, n = 3, 8
+def docstring_matrices(r: int, n: int):
+    """For every containing pair of G(r, n): lam, mu, the full (r+1) x (r+1)
+    matrix of the multiplicity docstring built as written, and whether its
+    columns in reverse order never split, that is sigma_q != q for every
+    q = 1..r."""
     parts = itertools.combinations_with_replacement(range(n - r, -1, -1), r + 1)
     partitions = [Partition(r, n, p) for p in parts]
-    pairs = 0
     for lam in partitions:
         for mu in partitions:
             if not contains(lam, mu):
@@ -270,9 +272,27 @@ def test_multiplicity_is_the_docstring_determinant_on_g38():
             t = [n - r + (l + 1) - lam.parts[l] for l in range(r + 1)]
             s = [sum(1 for v in mshift if v < lshift[l]) for l in range(r + 1)]
             matrix = [[comb(t[l], k - s[l]) if k >= s[l] else 0 for l in range(r + 1)] for k in range(r + 1)]
-            assert multiplicity(lam, mu) == abs(rational_det(matrix))
-            pairs += 1
+            unsplit = all(s[r - q] != q for q in range(1, r + 1))
+            yield lam, mu, matrix, unsplit
+
+
+def test_multiplicity_is_the_docstring_determinant_on_g38():
+    pairs = 0
+    for lam, mu, matrix, _ in docstring_matrices(3, 8):
+        assert multiplicity(lam, mu) == abs(rational_det(matrix))
+        pairs += 1
     assert pairs > 1000
+
+
+def test_multiplicity_is_the_unsplit_docstring_determinant_on_g49():
+    # the full matrix through the integer determinant, which is checked
+    # against rational_det above; 3124 pairs have a single 5 x 5 block
+    pairs = unsplit_pairs = 0
+    for lam, mu, matrix, unsplit in docstring_matrices(4, 9):
+        assert multiplicity(lam, mu) == abs(schubert._int_det(matrix))
+        pairs += 1
+        unsplit_pairs += unsplit
+    assert (pairs, unsplit_pairs) == (19404, 3124)
 
 
 def test_bareiss_refuses_a_division_with_remainder():

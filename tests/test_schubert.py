@@ -2,6 +2,8 @@
 multiplicities and degrees, pinned against hand computed examples and a
 standard tableaux counting oracle."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -193,6 +195,24 @@ def test_multiplicity_at_least_two_on_singular_components():
 def test_multiplicity_requires_containment():
     with pytest.raises(ValueError):
         multiplicity(Partition(2, 5, (2, 2, 0)), Partition(2, 5, (1, 0, 0)))
+
+
+@pytest.mark.parametrize("check", [contains, multiplicity])
+def test_partitions_of_different_grassmannians_are_refused(check):
+    for other in (Partition(2, 6, (2, 2, 0)), Partition(1, 5, (2, 2, 0))):
+        with pytest.raises(ValueError, match="the same Grassmannian"):
+            check(Partition(2, 5, (1, 0, 0)), other)
+
+
+def test_label_is_cached_outside_equality_hash_and_repr():
+    p = Partition(4, 9, (2, 2, 2, 1))
+    fresh = Partition(4, 9, (2, 2, 2, 1, 0))
+    before = (repr(p), hash(p), dataclasses.asdict(p))
+    assert p.label == "(2,2,2,1,0)"
+    assert p.label is p.label
+    assert (repr(p), hash(p), dataclasses.asdict(p)) == before
+    assert p == fresh and hash(p) == hash(fresh)
+    assert dataclasses.asdict(p) == {"r": 4, "n": 9, "parts": (2, 2, 2, 1, 0)}
 
 
 def test_grass_degree_values():

@@ -407,7 +407,7 @@ def spherical_status(r: int, n: int, k: int) -> SphericalReport:
     _check_ints("k", (k,), 1)
     f = _f_value(r, n)
     if f:
-        _check_digits("the count f(r, n) = (n - 2r - 2)(n - 4r - 1)/2", log10(abs(f)))
+        _check_digits("the count f(r, n) = (n - 2r - 2)(n - 4r - 1)/2", log10(abs(f)), f)
     if r == 0:
         if k <= n + 1:
             return SphericalReport(

@@ -10,6 +10,7 @@ general points an inductive osculating degeneration can absorb.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 from .indices import GrassShape, SegreVeroneseShape, _check_ints
@@ -168,9 +169,11 @@ def osculating_dim_grass(r: int, n: int, s: int) -> int:
     return sum(comb(r + 1, l) * comb(n - r, l) for l in range(1, top + 1))
 
 
-def _sv_level_counts(shape: SegreVeroneseShape) -> list[int]:
+@lru_cache(maxsize=8)
+def _sv_level_counts(shape: SegreVeroneseShape) -> tuple[int, ...]:
     # coefficient list of prod_j sum_{l=0}^{d_j} C(n_j + l - 1, l) x^l;
-    # entry l counts the monomials contributing to the l-th osculating level
+    # entry l counts the monomials contributing to the l-th osculating level;
+    # built once per shape, since a sweep asks for every level
     counts = [1]
     for nj, dj in zip(shape.n, shape.d):
         factor = [comb(nj + l - 1, l) for l in range(dj + 1)]
@@ -181,7 +184,7 @@ def _sv_level_counts(shape: SegreVeroneseShape) -> list[int]:
             for l, b in enumerate(factor):
                 new[i + l] += a * b
         counts = new
-    return counts
+    return tuple(counts)
 
 
 def osculating_dim_sv(shape: SegreVeroneseShape, s: int) -> int:

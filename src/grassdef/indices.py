@@ -38,15 +38,17 @@ def _check_size(label: str, entries: int) -> None:
         )
 
 
-def _check_digits(label: str, log10: float) -> None:
+def _check_digits(label: str, log10: float, value: int | None = None) -> None:
     """Refuse a result of about 10**log10 with more decimal digits than str()
     converts (sys.get_int_max_str_digits(), 0 for no limit).  The 1e-6
-    margin absorbs the float error of log10, so whatever passes prints."""
+    margin absorbs the float error of log10, so whatever passes prints.  A
+    caller that holds the integer passes it as value, and within the margin
+    it is refused exactly when |value| >= 10**limit."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and log10 > limit - 1e-6:
+    if limit and log10 > limit - 1e-6 and (value is None or abs(value) >= 10**limit):
+        digits = int(log10) + 1 if value is None else max(int(log10), limit) + 1
         raise CapExceeded(
-            f"{label} has about {int(log10) + 1} digits, above the limit of {limit} "
-            "on printed integers"
+            f"{label} has about {digits} digits, above the limit of {limit} on printed integers"
         )
 
 
@@ -234,8 +236,10 @@ def distance(shape: Shape, I, J) -> int:
 @lru_cache(maxsize=8)
 def _distance_table(shape: Shape, I) -> tuple[tuple, tuple[int, ...]]:
     """The shape's indices in ``enumerate_indices`` order and the distance of
-    each from the checked index I.  No public function is called, so public
-    call counts do not depend on what the cache holds."""
+    each from the index I, which is checked here, so once per cached center.
+    No public function is called, so public call counts do not depend on
+    what the cache holds."""
+    I = _metric(shape)[0](shape, I)
     if isinstance(shape, GrassShape):
         indices = tuple(itertools.combinations(range(shape.n + 1), shape.r + 1))
         center = set(I)
@@ -250,7 +254,12 @@ def ball(shape: Shape, I, s: int) -> list:
     as a fresh list filtered from the center's ``_distance_table``."""
     _check_ints("radius", (s,), 0)
     check, _ = _metric(shape)
-    indices, distances = _distance_table(shape, check(shape, I))
+    key = tuple(I) if isinstance(shape, GrassShape) else tuple(map(tuple, I))
+    entries = key if isinstance(shape, GrassShape) else itertools.chain.from_iterable(key)
+    # a center of exact ints, whose equal keys are equal centers, is checked
+    # in the cached table; any other, such as one whose bools or floats
+    # equal valid entries, is checked on every call
+    indices, distances = _distance_table(shape, key if set(map(type, entries)) == {int} else check(shape, I))
     return list(itertools.compress(indices, [d <= s for d in distances]))
 
 

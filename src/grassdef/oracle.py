@@ -255,10 +255,13 @@ OracleShape = GrassShape | SegreVeroneseShape | TangentDevelopable
 @dataclass(frozen=True)
 class Parametrization:
     """A polynomial map from affine domain_dim-space, one coordinate per
-    tuple of (coefficient, exponent vector) monomials."""
+    tuple of (coefficient, exponent vector) monomials.  blocks are ranges
+    of domain variables in each of which every coordinate is homogeneous,
+    the factors of a Segre-Veronese variety; _held reads them."""
 
     domain_dim: int
     coords: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
+    blocks: tuple[range, ...] = ()
 
     @property
     def ncols(self) -> int:
@@ -295,7 +298,8 @@ def _sv_parametrization(shape: SegreVeroneseShape) -> Parametrization:
             for value in part:
                 expo[off + value] += 1
         coords.append(((1, tuple(expo)),))
-    return Parametrization(total, tuple(coords))
+    blocks = tuple(range(off, off + nj + 1) for off, nj in zip(offsets, shape.n))
+    return Parametrization(total, tuple(coords), blocks)
 
 
 @lru_cache(maxsize=None)
@@ -366,26 +370,29 @@ def _emit_jets(rows, col, value, alpha, free, point, budget, modulus) -> None:
     alpha[v] = 0
 
 
-def jet_matrix(P: PolynomialMap, point, order: int, field: PrimeField | None = None) -> dict:
+def jet_matrix(P: PolynomialMap, point, order: int, field: PrimeField | None = None, held=()) -> dict:
     """The divided-power derivative rows of P at the point up to the given
     order, as {alpha: sparse row} in increasing alpha over |alpha| <= order,
     identically zero rows left out.  The row for alpha holds the coefficient
     of z^alpha in the shifted expansion of each coordinate; this equals the
     classical partial derivative divided by alpha!, so entries stay integral
-    and the characteristic never divides a spurious factorial.
+    and the characteristic never divides a spurious factorial.  The domain
+    variables in held are not shifted: the rows whose alpha differentiates
+    one of them are neither built nor returned.
 
     A Parametrization is counted against _MAX_ENTRIES before anything is
-    built: a monomial with f variables at nonzero point coordinates, of
-    exponents e_v, and a budget b of order minus the weight of its other
-    variables gives one entry per a <= e with |a| <= b, at most
-    min(prod(min(e_v, b) + 1), C(b + f, f)) of them."""
+    built: a monomial with f variables outside held at nonzero point
+    coordinates, of exponents e_v, and a budget b of order minus the weight
+    of its variables at zero coordinates gives one entry per a <= e with
+    |a| <= b, at most min(prod(min(e_v, b) + 1), C(b + f, f)) of them."""
     _check_ints("order", (order,), 0)
     point = tuple(point)
     if len(point) != P.domain_dim:
         raise ValueError(f"point must have {P.domain_dim} coordinates")
     modulus = field.p if field is not None else None
+    held = frozenset(held)
     if isinstance(P, PlueckerMap):
-        rows = _pluecker_jets(P, point, order, modulus)
+        rows = _pluecker_jets(P, point, order, modulus, held)
         return {key: rows[key] for key in sorted(rows)}
     terms = []
     entries = 0
@@ -397,7 +404,9 @@ def jet_matrix(P: PolynomialMap, point, order: int, field: PrimeField | None = N
             for v, ev in enumerate(expo):
                 if not ev:
                     continue
-                if point[v]:
+                if v in held:
+                    coef *= pow(point[v], ev, modulus)
+                elif point[v]:
                     free.append((v, ev))
                 else:
                     base[v] = ev
@@ -414,8 +423,9 @@ def jet_matrix(P: PolynomialMap, point, order: int, field: PrimeField | None = N
     return {key: rows[key] for key in sorted(rows) if rows[key]}
 
 
-def _pluecker_jets(P: PlueckerMap, point, order: int, modulus: int | None):
-    """The jet rows of a PlueckerMap at a point, from minors of M = [I | A].
+def _pluecker_jets(P: PlueckerMap, point, order: int, modulus: int | None, held: frozenset):
+    """The jet rows of a PlueckerMap at a point, from minors of M = [I | A],
+    less those that differentiate a variable in held.
     Maximal minors are linear in each row, so the coefficient of z^alpha in
     det((M + z)[:, J]), z supported on the free columns that A fills,
     vanishes unless alpha picks one entry (i, j_i) in each row i of a set
@@ -445,6 +455,10 @@ def _pluecker_jets(P: PlueckerMap, point, order: int, modulus: int | None):
         for i in range(size)
     ]
     column = {J: pos for pos, J in enumerate(enumerate_indices(shape))}
+    # the columns that A fills where some variable is not held
+    shifted = [
+        j for j in range(width - f, width) if not held.issuperset(range(j - width + f, P.domain_dim, f))
+    ]
     # minors are reduced once, so m - v negates them in either field
     m = modulus or 0
     rows = {}
@@ -455,7 +469,10 @@ def _pluecker_jets(P: PlueckerMap, point, order: int, modulus: int | None):
             minors = [(K, v % m if m else v) for K, v in _maximal_minors(others, cols).items()]
             minors = [(K, v) for K, v in minors if v]
             parity = sum(S)
-            for js in itertools.permutations(range(width - f, width), t):
+            for js in itertools.permutations(shifted, t):
+                alpha = [i * f + j - (width - f) for i, j in zip(S, js)]
+                if not held.isdisjoint(alpha):
+                    continue
                 row = {}
                 for K, v in minors:
                     e = parity
@@ -468,19 +485,71 @@ def _pluecker_jets(P: PlueckerMap, point, order: int, modulus: int | None):
                     else:
                         row[column[K]] = m - v if e & 1 else v
                 if row:
-                    alpha = [0] * P.domain_dim
-                    for i, j in zip(S, js):
-                        alpha[i * f + j - (width - f)] = 1
-                    rows[tuple(alpha)] = row
+                    key = [0] * P.domain_dim
+                    for v in alpha:
+                        key[v] = 1
+                    rows[tuple(key)] = row
     return rows
+
+
+def _held(P: PolynomialMap, point, field: PrimeField | None) -> frozenset[int]:
+    """The held variables of osculating_rank_sweep at the point; none at a
+    point of the wrong length, which jet_matrix refuses."""
+    m = field.p if field is not None else 0
+    unit = (lambda v: v % m) if m else bool
+    if len(point) != P.domain_dim:
+        return frozenset()
+    if isinstance(P, Parametrization):
+        return frozenset(next((v for v in block if unit(point[v])), None) for block in P.blocks) - {None}
+    size, width = P.shape.r + 1, P.shape.n + 1
+    if P.domain_dim != size * width:
+        return frozenset()
+    # fraction-free elimination of the rows not yet pivoted; each pivot is a
+    # unit, so every step is invertible over the field
+    rows, cols = [point[i * width : (i + 1) * width] for i in range(size)], []
+    for c in range(width):
+        top = next((row for row in rows if unit(row[c])), None)
+        if top is not None:
+            rows.remove(top)
+            rows = [[top[c] * a - row[c] * b for a, b in zip(row, top)] for row in rows]
+            cols.append(c)
+    return frozenset(i * width + c for i in range(size) for c in cols) if len(cols) == size else frozenset()
 
 
 def osculating_rank_sweep(P: PolynomialMap, point, s_max: int, field: PrimeField | None = None) -> list[int]:
     """Rank of the order s jet matrix of P at the point for every
     s = 0, ..., s_max, computed with a single elimination pass by feeding
-    rows level by level."""
+    rows level by level.
+
+    The rows that differentiate a held variable are neither built nor fed,
+    and every rank stays the same, over Q and modulo every allowed p.
+    _held names, in each block of a Parametrization, the first variable
+    whose coordinate is a unit in the field, and on the full-form
+    PlueckerMap the variables of the first r + 1 columns, in order, that
+    are linearly independent at the point, if there are r + 1; nothing on
+    the chart form or a TangentDevelopable.  Write D_beta for the classical derivative of the
+    coordinates at the point a; the jet row of beta is D_beta / beta!, and
+    where it is nonzero beta! is a unit: its prime factors are at most the
+    degree of a coordinate, which the size cap keeps below 2^31 <= p.
+    - Segre-Veronese: every coordinate is homogeneous of degree d_j in the
+      variables x_{j,v} of factor j, so sum_v x_{j,v} d_{j,v} F = d_j F.
+      Differentiating by beta and evaluating at a gives
+      sum_v a_{j,v} D_{beta + e_{j,v}} = (d_j - |beta_j|) D_beta, where
+      |beta_j| counts the derivatives in factor j.  With a_{j,h} a unit,
+      D_{beta + e_{j,h}} lies in the span of D_beta and of the
+      D_{beta + e_{j,v}} with v != h.
+    - Full-form PlueckerMap: every maximal minor F of the matrix X satisfies
+      sum_c x_{kc} d_{ic} F = delta_{ik} F, GL_{r+1} acting on the rows.
+      Differentiating by beta adds only terms of order |beta|:
+      sum_c a_{kc} D_{beta + e_{ic}} is a combination of rows of order
+      |beta| for every k.  With the columns H invertible at a, these r + 1
+      equations give each D_{beta + e_{ic}}, c in H, from rows of order
+      |beta| and the D_{beta + e_{ic'}} with c' outside H.
+    By induction on the order, and then on the number of held variables that
+    beta differentiates, every row that differentiates a held variable lies
+    in the span of the rows of no higher order that differentiate none."""
     by_level: dict[int, list] = {}
-    for key, row in jet_matrix(P, point, s_max, field).items():
+    for key, row in jet_matrix(P, point, s_max, field, _held(P, point, field)).items():
         by_level.setdefault(sum(key), []).append(row)
     acc = RankAccumulator(P.ncols, field)
     out = []
@@ -515,11 +584,11 @@ def _prime_field(p: int) -> PrimeField:
     return PrimeField(p)
 
 
-def _sample_point(P: PolynomialMap, rng: random.Random, field: PrimeField | None, skip=()):
+def _sample_point(P: PolynomialMap, rng: random.Random, field: PrimeField | None):
     """The order 1 jet rows of P at a random point a of the domain with
     coordinates in [1, _COORD_RANGE]: the value row f(a) and one
-    derivative row per domain variable, less the rows whose exponent vector
-    alpha is in skip (the Euler rows, below).
+    derivative row per domain variable, less the rows of the held
+    variables, which lie in the span of the others (osculating_rank_sweep).
 
     All of them span a space of dimension exactly dim X + 1 over Q and
     modulo every allowed prime (p >= 2^31 > _COORD_RANGE), because every
@@ -542,17 +611,15 @@ def _sample_point(P: PolynomialMap, rng: random.Random, field: PrimeField | None
       of the I_{j,v} (v >= 1) that change one entry of the j-th part of I_0
       to v, f(a) and the rows of the x_{j,v} with v >= 1 form a triangular
       matrix whose diagonal entries are nonzero monomials in a: rank at
-      least sum n_j + 1 = dim X + 1.  Euler's relation
-      sum_v a_{j,v} row(x_{j,v}) = d_j f(a), with a_{j,0} nonzero, puts
-      the row of x_{j,0} in their span, so the rank is no more.  The
-      relation is linear, so it survives restricting the columns, and
-      _trial_ranks skips these t Euler rows: dim X + 1 rows per point.
+      least sum n_j + 1 = dim X + 1.  Every a_{j,0} is a unit, so _held
+      names the t variables x_{j,0}, whose rows lie in that span, also on
+      any subset of the columns: dim X + 1 rows per point.
     - TD(n) at (t, u): f(a) and the t and u rows are (1, t + u, t^2 + 2tu),
       (0, 1, 2t + 2u) and (0, 1, 2t) on the columns 0, 1 and 2, of
       determinant -2u: rank 3.
     """
     point = tuple(rng.randint(1, _COORD_RANGE) for _ in range(P.domain_dim))
-    return [row for alpha, row in jet_matrix(P, point, 1, field).items() if alpha not in skip]
+    return list(jet_matrix(P, point, 1, field, _held(P, point, field)).values())
 
 
 def _maximal_minors(rows, cols) -> dict[tuple[int, ...], int]:
@@ -611,14 +678,12 @@ def _coordinate_points(shape, h: int) -> list[tuple[object, int]]:
     return [(index, 1) for index in coordinate_blocks(shape, h)]
 
 
-def _stack(
-    acc: RankAccumulator, P: PolynomialMap, rng: random.Random, points: int, column_of: dict, skip
-) -> int:
-    """Add to acc the tangent rows of P outside skip at the given number of
-    fresh points from _sample_point, restricted to the columns in column_of
-    and renumbered by it, until acc saturates; returns the rank of acc."""
+def _stack(acc: RankAccumulator, P: PolynomialMap, rng: random.Random, points: int, column_of: dict) -> int:
+    """Add to acc the tangent rows of P at the given number of fresh points
+    from _sample_point, restricted to the columns in column_of and
+    renumbered by it, until acc saturates; returns the rank of acc."""
     for _ in range(points):
-        for row in _sample_point(P, rng, acc.field, skip):
+        for row in _sample_point(P, rng, acc.field):
             if acc.saturated:
                 return acc.rank
             restricted = {column_of[c]: v for c, v in row.items() if c in column_of}
@@ -634,22 +699,17 @@ def _trial_ranks(
     tangent spaces of the shape, stacked by _stack on the columns in
     column_of into one RankAccumulator over the field.  The rows are those
     of the chart form of the PlueckerMap on a Grassmannian and of the
-    parametrization otherwise, less the Euler rows of _sample_point.  Trial
+    parametrization otherwise, less the held rows of _sample_point.  Trial
     `label` draws its groups in order from random.Random("seed:label")."""
     if isinstance(shape, GrassShape):
         P = PlueckerMap(shape, shape.dim, shape.num_coords)
     else:
         P = build_parametrization(shape)
-    skip = set()
-    if isinstance(shape, SegreVeroneseShape):
-        # x_{j,0} is the first of the n_j + 1 domain variables of factor j
-        starts = itertools.accumulate((nj + 1 for nj in shape.n[:-1]), initial=0)
-        skip = {tuple(int(v == start) for v in range(P.domain_dim)) for start in starts}
     out = []
     for label in labels:
         rng = random.Random(f"{seed}:{label}")
         acc = RankAccumulator(len(column_of), field)
-        out.append(tuple(_stack(acc, P, rng, points, column_of, skip) for points in groups))
+        out.append(tuple(_stack(acc, P, rng, points, column_of) for points in groups))
     return out
 
 

@@ -270,6 +270,10 @@ def test_spherical_refuses_a_count_too_long_to_print(monkeypatch):
         first += 1
     below = first - first // 10**5
     assert len(str(spherical_status(0, below, 1).f_value)) == 4300
+    # float log10 rounds these 4300-digit counts to 4300.0; the held integer
+    # decides them exactly
+    for d in range(-3, 3):
+        assert len(str(spherical_status(0, isqrt(2 * 10**4300) + d, 1).f_value)) == 4300
     with pytest.raises(CapExceeded, match=r"the count f\(r, n\) = .* has about 4301 digits"):
         spherical_status(0, first, 1)
     monkeypatch.setattr("sys.get_int_max_str_digits", lambda: 0)  # no limit

@@ -23,6 +23,7 @@ from grassdef import (
     spherical_status,
     sv_bound,
 )
+from grassdef.bounds import _sv_level_counts
 from strategies import sv_shapes
 
 # max_h values of the main bound on small parameter pairs
@@ -269,6 +270,13 @@ def test_osculating_dim_sv_values():
     assert osculating_dim_sv(big, 5) == 59
     assert osculating_dim_sv(big, 6) == 59
     assert osculating_dim_sv(SegreVeroneseShape((1, 1, 1), (1, 1, 1)), 1) == 3
+
+
+def test_osculating_dim_sv_counts_levels_once_per_shape():
+    _sv_level_counts.cache_clear()
+    shape = SegreVeroneseShape((1,), (299,))
+    assert [osculating_dim_sv(shape, s) for s in range(301)] == list(range(300)) + [299]
+    assert _sv_level_counts.cache_info().misses == 1
 
 
 @given(sv_shapes(), st.integers(0, 8))

@@ -20,7 +20,7 @@ from grassdef import (
     grass_distance,
     sv_distance,
 )
-from grassdef.indices import _distance_table, coordinate_blocks
+from grassdef.indices import _check_grass_index, _check_sv_index, _distance_table, coordinate_blocks
 from strategies import grass_shapes, shape_with_index, shape_with_index_pair, sv_shapes
 
 
@@ -183,6 +183,39 @@ def test_ball_makes_no_distance_calls(monkeypatch):
         for s in range(r + 2):
             size = sum(comb(r + 1, t) * comb(n - r, t) for t in range(s + 1))
             assert len(ball(shape, tuple(range(r + 1)), s)) == size
+
+
+def test_ball_checks_a_center_once_and_refuses_invalid_ones_every_time(monkeypatch):
+    calls = []
+
+    def spy(check):
+        return lambda shape, I: calls.append(I) or check(shape, I)
+
+    monkeypatch.setattr("grassdef.indices._check_sv_index", spy(_check_sv_index))
+    monkeypatch.setattr("grassdef.indices._check_grass_index", spy(_check_grass_index))
+    _distance_table.cache_clear()
+    shape = SegreVeroneseShape((1,), (299,))
+    center = ((0,) * 299,)
+    for s in range(shape.d_total + 1):
+        assert len(ball(shape, center, s)) == s + 1
+    assert ball(shape, [[0] * 299], 1) == ball(shape, center, 1)
+    assert len(calls) == 1
+    # entries equal to valid ones but of another type are checked every time
+    for bad in (False, 0.0):
+        for _ in range(2):
+            with pytest.raises(TypeError, match="expected integer index entries"):
+                ball(shape, ((bad,) + (0,) * 298,), 1)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="must be weakly increasing"):
+            ball(shape, ((1,) + (0,) * 298,), 1)
+    grass = GrassShape(2, 5)
+    ball(grass, (0, 1, 2), 1)
+    for _ in range(2):
+        with pytest.raises(TypeError, match="expected integer index entries"):
+            ball(grass, (0, 1, 2.0), 1)
+        with pytest.raises(ValueError, match="must be strictly increasing"):
+            ball(grass, (0, 2, 1), 1)
+    assert len(calls) == 12
 
 
 def sublevel_balls(shape, I, top: int) -> list[list]:

@@ -64,7 +64,7 @@ from grassdef import (
     tangential_projection_finite,
 )
 from grassdef.bounds import grass_bound
-from grassdef.oracle import PlueckerMap, _sample_point
+from grassdef.oracle import PlueckerMap, _held, _sample_point
 
 
 def grass_coord_point(shape, I):
@@ -214,8 +214,22 @@ def test_parametrization_jet_cap_refuses_before_building(monkeypatch):
         "the jet matrix of 2556 coordinates at order 70 needs about 17259390 entries,"
         " above the cap of 16000000"
     )
-    with pytest.raises(CapExceeded):
-        osculating_rank_sweep(P, point, 70)
+    # the sweep holds x_0, so the monomial x^e has prod_{v >= 1}(e_v + 1)
+    # entries: C(74, 4) on SV(2;70), and C(28, 12) = 30,421,755 on SV(8;12)
+    P = build_parametrization(SegreVeroneseShape((8,), (12,)))
+    with pytest.raises(CapExceeded) as exc:
+        osculating_rank_sweep(P, (1,) * 9, 12)
+    assert str(exc.value) == (
+        "the jet matrix of 125970 coordinates at order 12 needs about 30421755 entries,"
+        " above the cap of 16000000"
+    )
+
+
+def test_sweep_answers_sv_2_30_at_the_all_ones_point():
+    # C(35, 5) = 324,632 jet entries in full, C(34, 4) = 46,376 with x_0 held
+    P = build_parametrization(SegreVeroneseShape((2,), (30,)))
+    ranks = osculating_rank_sweep(P, (1, 1, 1), 30, PrimeField(DEFAULT_PRIME))
+    assert ranks == [comb(s + 2, 2) for s in range(31)]
 
 
 @pytest.mark.parametrize(
@@ -261,6 +275,26 @@ def test_terracini_cap_refuses_before_sampling(call, monkeypatch):
     with pytest.raises(CapExceeded, match="above the cap of 16000000"):
         call()
     assert build_parametrization.cache_info().misses == 0
+
+
+def test_held_variables_are_pivot_columns_and_first_units_per_factor():
+    field = PrimeField(DEFAULT_PRIME)
+    G = build_parametrization(GrassShape(1, 4))
+    # columns 0 and 1 are proportional, so columns 0 and 2 are held in both
+    # rows; a matrix of rank 1 holds nothing
+    assert _held(G, (1, 2, 0, 0, 1, 2, 4, 1, 0, 0), field) == {0, 2, 5, 7}
+    assert _held(G, (1, 2, 0, 0, 1, 2, 4, 0, 0, 2), None) == frozenset()
+    assert _held(PlueckerMap(GrassShape(1, 4), 6, 10), (1,) * 6, field) == frozenset()
+    # the factors x_0, x_1 and y_0, y_1, y_2; p is a unit over Q only
+    sv = build_parametrization(SegreVeroneseShape((1, 2), (2, 2)))
+    point = (0, 3, DEFAULT_PRIME, 0, 5)
+    assert _held(sv, point, None) == {1, 2}
+    assert _held(sv, point, field) == {1, 4}
+    assert _held(build_parametrization(TangentDevelopable(4)), (2, 3), field) == frozenset()
+    # a point of the wrong length holds nothing, so jet_matrix refuses it
+    for P, point in ((G, (1, 0, 0, 0, 0, 1)), (sv, (1, 0, 0, 1))):
+        with pytest.raises(ValueError, match=f"^point must have {P.domain_dim} coordinates$"):
+            osculating_rank_sweep(P, point, 2, field)
 
 
 def test_jets_at_coordinate_points_are_singleton_rows():
@@ -583,7 +617,7 @@ def test_secant_draws_a_random_point_only_past_alpha(oracle, shape, h, trials, d
 )
 @pytest.mark.parametrize("prime", [DEFAULT_PRIME, "rational"])
 def test_trials_feed_dim_x_plus_one_rows_per_point(shape, prime, monkeypatch):
-    # the x_{j,0} row of each Segre-Veronese factor is skipped by Euler's
+    # the x_{j,0} row of each Segre-Veronese factor is held by Euler's
     # relation; the rows that are fed still have full rank dim X + 1
     field = None if prime == "rational" else PrimeField(prime)
     sample = grassdef.oracle._sample_point
@@ -686,9 +720,9 @@ def test_secant_escalates_to_a_rational_trial_when_trials_disagree(monkeypatch):
     sample = grassdef.oracle._sample_point
     calls = []
 
-    def first_draw_empty(P, rng, field, skip):
+    def first_draw_empty(P, rng, field):
         calls.append(field)
-        return [] if len(calls) == 1 else sample(P, rng, field, skip)
+        return [] if len(calls) == 1 else sample(P, rng, field)
 
     monkeypatch.setattr(grassdef.oracle, "_sample_point", first_draw_empty)
     trials = 3
@@ -896,8 +930,8 @@ def test_a_modular_shortfall_is_never_the_rational_answer(monkeypatch):
     # of the target; only the fraction-free rerun reaches it
     sample = grassdef.oracle._sample_point
 
-    def drop_last_row_modulo_p(P, rng, field, skip):
-        rows = sample(P, rng, field, skip)
+    def drop_last_row_modulo_p(P, rng, field):
+        rows = sample(P, rng, field)
         return rows if field is None else rows[:-1]
 
     monkeypatch.setattr(grassdef.oracle, "_sample_point", drop_last_row_modulo_p)

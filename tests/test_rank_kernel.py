@@ -8,7 +8,9 @@ probability.
 
 The integer determinant behind Schubert multiplicities and the solve
 behind limit hyperplanes are checked against Fraction eliminations kept
-here.
+here.  The osculating sweep, which leaves out the rows of its held
+variables, is checked level by level against the rank of the full jet
+matrix.
 """
 
 import itertools
@@ -16,13 +18,17 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from grassdef import (
     DEFAULT_PRIME,
+    GrassShape,
     Partition,
     PrimeField,
     RankAccumulator,
+    RationalNormalCurve,
+    SegreVeroneseShape,
+    TangentDevelopable,
     contains,
     limit_hyperplane_coeffs,
     multiplicity,
@@ -30,6 +36,7 @@ from grassdef import (
     rank,
     schubert,
 )
+from strategies import sv_shapes
 
 P = DEFAULT_PRIME
 FIELD = PrimeField(P)
@@ -154,6 +161,59 @@ def test_unit_rows_reduce_against_a_dense_pivot():
     assert acc.add_row({2: 5}) == 4
     assert acc.saturated
     assert acc.add_row({3: 1}) == 4
+
+
+@st.composite
+def jet_cases(draw):
+    """A polynomial map, a point and an order.  The map is the full or the
+    chart form of a small Grassmannian's PlueckerMap, or the
+    parametrization of a Segre-Veronese variety, a rational normal curve or
+    a tangent developable.  The point is a coordinate point or has entries
+    in [-3, 3], zeros and negatives included, some shifted by multiples of
+    p, which are units over Q but zero modulo p."""
+    kind = draw(st.sampled_from(["grass", "chart", "sv", "rnc", "td"]))
+    if kind in ("grass", "chart"):
+        r = draw(st.integers(0, 2))
+        shape = GrassShape(r, draw(st.integers(2 * r + 1, min(2 * r + 3, 6))))
+        top = shape.r + 2
+    else:
+        shape = draw({
+            "sv": sv_shapes(max_factors=2, max_n=2),
+            "rnc": st.builds(RationalNormalCurve, st.integers(1, 6)),
+            "td": st.builds(TangentDevelopable, st.integers(2, 6)),
+        }[kind])
+        top = 3 if kind == "td" else shape.d_total + 1
+    if kind == "chart":
+        poly = oracle.PlueckerMap(shape, shape.dim, shape.num_coords)
+    else:
+        poly = oracle.build_parametrization(shape)
+    if kind == "grass" and draw(st.booleans()):
+        index = sorted(draw(st.sets(st.integers(0, shape.n), min_size=shape.r + 1, max_size=shape.r + 1)))
+        point = [int(c == j) for j in index for c in range(shape.n + 1)]
+    elif kind in ("sv", "rnc") and draw(st.booleans()):
+        ones = [draw(st.integers(0, nj)) for nj in shape.n]
+        point = [int(v == one) for nj, one in zip(shape.n, ones) for v in range(nj + 1)]
+    else:
+        entry = st.builds(lambda v, k: v + k * P, st.integers(-3, 3), st.sampled_from([0, 0, 0, 1, -1]))
+        point = draw(st.lists(entry, min_size=poly.domain_dim, max_size=poly.domain_dim))
+    return poly, tuple(point), draw(st.integers(0, top))
+
+
+@pytest.mark.parametrize("field", [FIELD, None], ids=["modp", "rational"])
+@given(case=jet_cases())
+# the first 2 x 2 block of G(1,4) is singular here, so columns 0 and 2 are held
+@example(case=(oracle.build_parametrization(GrassShape(1, 4)), (1, 2, 0, 0, 1, 2, 4, 1, 0, 0), 3))
+# the coordinate point of (1, 3, 5), and a point of rank 1, which holds nothing
+@example(case=(oracle.build_parametrization(GrassShape(2, 5)), (0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1), 3))
+@example(case=(oracle.build_parametrization(GrassShape(2, 5)), (0, 0, 0, 1, 0, 0) * 3, 3))
+# the first coordinate of each factor is 0 here, so x_{j,1} is held
+@example(case=(oracle.build_parametrization(SegreVeroneseShape((1, 2), (2, 3))), (0, 5, 0, -2, 3), 6))
+@example(case=(oracle.build_parametrization(SegreVeroneseShape((2,), (3,))), (0, 1, 0), 4))
+def test_osculating_sweep_matches_the_full_jet_ranks(case, field):
+    poly, point, s_max = case
+    full = oracle.jet_matrix(poly, point, s_max, field)
+    expected = [rank([row for alpha, row in full.items() if sum(alpha) <= s], field) for s in range(s_max + 1)]
+    assert oracle.osculating_rank_sweep(poly, point, s_max, field) == expected
 
 
 def rational_det(matrix: list[list[int]]) -> Fraction:

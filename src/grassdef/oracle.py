@@ -18,8 +18,9 @@ import bisect
 import itertools
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, gcd, perm, prod
+from operator import mul
 
 from .indices import (
     CapExceeded,  # noqa: F401  (grassdef.oracle.CapExceeded is grassdef.CapExceeded)
@@ -267,6 +268,29 @@ class Parametrization:
     def ncols(self) -> int:
         return len(self.coords)
 
+    @cached_property
+    def _tangent_table(self):
+        """The top exponent of every variable; every monomial as its
+        coefficient and the places of its powers in the list of the powers
+        0, ..., top of each variable in turn; and for the value row, whose v
+        is None, and then every variable v, last first, (v, terms): one
+        (column, monomial, exponent of v) per monomial in which v occurs,
+        or with exponent 1 per monomial for the value row.  _sample_point
+        reads it."""
+        expos = [expo for coord in self.coords for _, expo in coord]
+        tops = [max((expo[v] for expo in expos), default=0) for v in range(self.domain_dim)]
+        offsets = [sum(tops[:v]) + v for v in range(self.domain_dim)]
+        monomials, terms = [], [[] for _ in range(self.domain_dim + 1)]
+        for col, coord in enumerate(self.coords):
+            for coef, expo in coord:
+                terms[-1].append((col, len(monomials), 1))
+                for v, e in enumerate(expo):
+                    if e:
+                        terms[v].append((col, len(monomials), e))
+                monomials.append((coef, tuple(offsets[v] + e for v, e in enumerate(expo) if e)))
+        rows = [(None, tuple(terms[-1]))] + [(v, tuple(terms[v])) for v in reversed(range(self.domain_dim))]
+        return tuple(tops), tuple(monomials), tuple(rows)
+
 
 @dataclass(frozen=True)
 class PlueckerMap:
@@ -275,11 +299,37 @@ class PlueckerMap:
     domain_dim / (r+1) columns row by row: every column, so [I | A] = A,
     for the domain_dim = (r+1)(n+1) of build_parametrization, and the n - r
     columns of the standard chart for domain_dim = dim X, the chart form
-    _trial_ranks samples.  Jets come from _pluecker_jets."""
+    _trial_ranks samples.  Jets come from _pluecker_jets; _sample_point reads
+    the chart form's order 1 rows through _chart_table."""
 
     shape: GrassShape
     domain_dim: int
     ncols: int
+
+    @cached_property
+    def _chart_table(self):
+        """For every entry A_ij of the chart form, last first, the pairs
+        (column of K + {j}, source) over the r-subsets K of the other
+        columns of [I | A] in increasing order, where the source is the
+        column of K + {i}, plus N when K has an odd number of elements
+        between i and j.  Adding one column to every K keeps their order,
+        so the columns of the indices that hold j but not i pair off in
+        order with those that hold i but not j.  _sample_point reads it."""
+        size, width, N = self.shape.r + 1, self.shape.n + 1, self.ncols
+        masks = [sum(1 << c for c in J) for J in enumerate_indices(self.shape)]
+        holding = [[pos for pos, mask in enumerate(masks) if mask >> c & 1] for c in range(width)]
+        table = []
+        for i in reversed(range(size)):
+            for j in reversed(range(size, width)):
+                between = (1 << j) - (2 << i)
+                targets = [pos for pos in holding[j] if not masks[pos] >> i & 1]
+                sources = [
+                    pos + N * ((masks[pos] & between).bit_count() & 1)
+                    for pos in holding[i]
+                    if not masks[pos] >> j & 1
+                ]
+                table.append(tuple(zip(targets, sources)))
+        return tuple(table)
 
 
 PolynomialMap = Parametrization | PlueckerMap
@@ -617,9 +667,54 @@ def _sample_point(P: PolynomialMap, rng: random.Random, field: PrimeField | None
     - TD(n) at (t, u): f(a) and the t and u rows are (1, t + u, t^2 + 2tu),
       (0, 1, 2t + 2u) and (0, 1, 2t) on the columns 0, 1 and 2, of
       determinant -2u: rank 3.
+
+    The rows are those of jet_matrix(P, a, 1, field, _held(P, a, field)),
+    entry for entry and in its order, but every derivative row is read
+    from the point's own coordinates through a table of the map that does
+    not depend on a, built once per map object:
+    - Chart form, M = [I | A]: for a column j of A in J, the row i not in
+      J and K = J - {j}, dp_J/dA_ij = (-1)^(pos+q) p_{K+{i}}, with pos and q
+      the elements of K below j and below i; as i < j, pos + q has the
+      parity of the elements of K between i and j.  Laplace expansion
+      along row i gives (-1)^(i+pos) times the minor of the other rows on
+      K, and expanding p_{K+{i}} along its column i, which is e_i, gives
+      (-1)^(i+q) times the same minor; for i in J that minor has the zero
+      column i.  So f(a) = _maximal_minors(M) once, and the row of A_ij
+      gathers +-p_{K+{i}} from it (PlueckerMap._chart_table).  Any other
+      PlueckerMap takes jet_matrix.
+    - Parametrization: the derivative of c a^e along v is e_v c a^e / a_v.
+      Every a_v lies in [1, _COORD_RANGE], so it divides exactly over Q and
+      is a unit modulo every allowed p; each monomial is evaluated once and
+      its terms gathered (Parametrization._tangent_table), the rows of the
+      variables _held names left out.
     """
     point = tuple(rng.randint(1, _COORD_RANGE) for _ in range(P.domain_dim))
-    return list(jet_matrix(P, point, 1, field, _held(P, point, field)).values())
+    m = field.p if field is not None else 0
+    if isinstance(P, Parametrization):
+        held = _held(P, point, field)
+        tops, monomials, table = P._tangent_table
+        step = (lambda x, a: x * a % m) if m else mul
+        powers = [x for a, top in zip(point, tops) for x in itertools.accumulate([a] * top, step, initial=1)]
+        values = [coef * prod(map(powers.__getitem__, places)) for coef, places in monomials]
+        rows = []
+        for v, terms in table:
+            if v in held:
+                continue
+            total = {}
+            for c, k, e in terms:
+                total[c] = total.get(c, 0) + e * values[k]
+            unit = 1 if v is None else pow(point[v], -1, m) if m else point[v]
+            rows.append({c: w for c, x in total.items() if (w := x * unit % m if m else x // unit)})
+        return rows
+    if P.domain_dim != P.shape.dim:
+        return list(jet_matrix(P, point, 1, field, _held(P, point, field)).values())
+    size, f = P.shape.r + 1, P.shape.n - P.shape.r
+    matrix = [[int(c == i) for c in range(size)] + list(point[i * f : (i + 1) * f]) for i in range(size)]
+    value = [v % m if m else v for v in _maximal_minors(matrix, range(size + f)).values()]
+    signed = value + [m - v if v else 0 for v in value]
+    return [{c: v for c, v in enumerate(value) if v}] + [
+        {c: w for c, source in pairs if (w := signed[source])} for pairs in P._chart_table
+    ]
 
 
 def _maximal_minors(rows, cols) -> dict[tuple[int, ...], int]:
@@ -645,7 +740,10 @@ def _check_terracini_size(shape: OracleShape, k: int) -> None:
     """Refuse stacking the tangent spaces at k points of the shape when it
     builds more than _MAX_ENTRIES entries: for N coordinates the
     RankAccumulator holds at most N min(k (dim X + 1), N) of them, and the
-    indices and jets behind the rows take N times _coord_degree."""
+    indices and jets behind the rows take N times _coord_degree.  This also
+    counts the table _sample_point reads, one entry per variable of A and
+    column on the chart form, or per variable of a monomial: at most
+    N max(dim X, _coord_degree), as N >= dim X + 1."""
     N = shape.num_coords
     entries = N * max(min(k * (shape.dim + 1), N), _coord_degree(shape))
     _check_size(f"the Terracini matrix of {shape.label} at {k} point(s)", entries)

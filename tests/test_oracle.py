@@ -9,9 +9,9 @@ proof of non-defectivity, so the certified entries are unconditional.
 import itertools
 import json
 import random
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, gcd
 
 import pytest
@@ -642,6 +642,66 @@ def test_grassmannian_oracle_builds_no_parametrization():
     tangential_projection_finite(GrassShape(2, 6), 1, trials=1)
     osculating_projection_finite(GrassShape(2, 5), [((0, 1, 2), 1)], trials=1)
     assert build_parametrization.cache_info().misses == 0
+
+
+TABLE_MAPS = [
+    (lambda: chart_map(GrassShape(2, 6)), "_chart_table"),
+    (lambda: replace(build_parametrization(SegreVeroneseShape((1, 2), (2, 3)))), "_tangent_table"),
+    (lambda: replace(build_parametrization(TangentDevelopable(4))), "_tangent_table"),
+]
+
+
+@pytest.mark.parametrize("make, name", TABLE_MAPS, ids=["chart", "sv", "td"])
+def test_tangent_tables_stay_outside_equality_hash_repr_and_asdict(make, name):
+    fresh, used = make(), make()
+    _sample_point(used, random.Random(0), None)
+    assert name in vars(used) and name not in vars(fresh)
+    assert used == fresh and hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh) and name not in repr(used)
+    assert asdict(used) == asdict(fresh) and name not in asdict(used)
+
+
+def count_builds(monkeypatch, cls, name) -> list:
+    """Replace the cached table `name` of cls by one that records the map
+    object of every build."""
+    build = vars(cls)[name].func
+    builds = []
+
+    def counted(P):
+        builds.append(P)
+        return build(P)
+
+    table = cached_property(counted)
+    table.__set_name__(cls, name)
+    monkeypatch.setattr(cls, name, table)
+    return builds
+
+
+def test_tangent_tables_are_built_once_per_map_object(monkeypatch):
+    # a CLI call builds its parametrization, and so its table, once; the
+    # bench clears the cache before every case, so it pays the same
+    builds = count_builds(monkeypatch, grassdef.oracle.Parametrization, "_tangent_table")
+    shape = SegreVeroneseShape((1,), (7,))
+    build_parametrization.cache_clear()
+    secant_dimension(shape, 4)
+    secant_dimension(shape, 4)
+    assert len(builds) == 1
+    build_parametrization.cache_clear()
+    secant_dimension(shape, 4)
+    assert len(builds) == 2 and builds[0] is not builds[1]
+    # the chart form is made by each _trial_ranks call that draws a point;
+    # at seed 1 the column subset falls short, so there are two
+    charts = count_builds(monkeypatch, PlueckerMap, "_chart_table")
+    trial_ranks = grassdef.oracle._trial_ranks
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return trial_ranks(*args)
+
+    monkeypatch.setattr(grassdef.oracle, "_trial_ranks", spy)
+    secant_dimension(GrassShape(2, 7), 3, seed=1)
+    assert len(charts) == len(calls) == 2 and charts[0] is not charts[1]
 
 
 def test_rnc_jets_at_origin():

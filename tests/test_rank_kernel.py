@@ -10,10 +10,12 @@ The integer determinant behind Schubert multiplicities and the solve
 behind limit hyperplanes are checked against Fraction eliminations kept
 here.  The osculating sweep, which leaves out the rows of its held
 variables, is checked level by level against the rank of the full jet
-matrix.
+matrix, and the sampled tangent rows, read from a table of the map,
+against the order 1 jet rows they replace.
 """
 
 import itertools
+import random
 from fractions import Fraction
 from math import comb, gcd, lcm
 
@@ -214,6 +216,57 @@ def test_osculating_sweep_matches_the_full_jet_ranks(case, field):
     full = oracle.jet_matrix(poly, point, s_max, field)
     expected = [rank([row for alpha, row in full.items() if sum(alpha) <= s], field) for s in range(s_max + 1)]
     assert oracle.osculating_rank_sweep(poly, point, s_max, field) == expected
+
+
+@st.composite
+def sampled_maps(draw):
+    """A map that the secant trials sample: the chart form of G(r, n) with
+    r <= 3 and n <= 8, or of G(4,9), or the parametrization of a
+    Segre-Veronese variety, a rational normal curve or a tangent
+    developable; or the full form of a small Grassmannian, which takes
+    jet_matrix itself."""
+    kind = draw(st.sampled_from(["chart", "g49", "full", "sv", "rnc", "td"]))
+    if kind == "full":
+        r = draw(st.integers(0, 2))
+        return oracle.build_parametrization(GrassShape(r, draw(st.integers(2 * r + 1, 6))))
+    if kind in ("chart", "g49"):
+        r = draw(st.integers(0, 3)) if kind == "chart" else 4
+        shape = GrassShape(r, draw(st.integers(2 * r + 1, 8)) if kind == "chart" else 9)
+        return oracle.PlueckerMap(shape, shape.dim, shape.num_coords)
+    return oracle.build_parametrization(draw({
+        "sv": sv_shapes(),
+        "rnc": st.builds(RationalNormalCurve, st.integers(1, 8)),
+        "td": st.builds(TangentDevelopable, st.integers(2, 8)),
+    }[kind]))
+
+
+class RecordingRandom(random.Random):
+    """A random stream that keeps the integers it hands out."""
+
+    def __init__(self, seed) -> None:
+        super().__init__(seed)
+        self.drawn = []
+
+    def randint(self, a, b):
+        self.drawn.append(super().randint(a, b))
+        return self.drawn[-1]
+
+
+@pytest.mark.parametrize("coord_range", [oracle._COORD_RANGE, 3], ids=["2^20", "3"])
+@pytest.mark.parametrize("field", [FIELD, PrimeField(2**32 - 5), None], ids=["modp", "mod-2^32-5", "rational"])
+@given(poly=sampled_maps(), seed=st.integers(0, 2**32))
+def test_sampled_rows_are_the_order_1_jet_rows_at_the_drawn_point(poly, seed, field, coord_range):
+    # with coordinates in [1, 3] they repeat, and minors and monomials
+    # coincide or vanish
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_COORD_RANGE", coord_range)
+        rng = RecordingRandom(seed)
+        rows = oracle._sample_point(poly, rng, field)
+    point = tuple(rng.drawn)
+    assert len(point) == poly.domain_dim and all(1 <= a <= coord_range for a in point)
+    expected = oracle.jet_matrix(poly, point, 1, field, oracle._held(poly, point, field))
+    # the same rows in the same order, each with its entries in the same order
+    assert [list(row.items()) for row in rows] == [list(row.items()) for row in expected.values()]
 
 
 def rational_det(matrix: list[list[int]]) -> Fraction:

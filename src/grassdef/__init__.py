@@ -36,11 +36,10 @@ _EXPORTS = {
         "DEFAULT_TRIALS", "DEFECT_EVIDENCE", "FIBER_EVIDENCE",
         "GENERICALLY_FINITE", "HYPOTHESIS_VIOLATED", "DefectivityCertificate",
         "LimitHyperplane", "Parametrization", "PrimeField", "ProjectionReport",
-        "RankAccumulator", "RationalNormalCurve", "TangentDevelopable",
-        "build_parametrization", "is_probable_prime", "jet_matrix",
-        "limit_hyperplane_coeffs", "osculating_projection_finite",
-        "osculating_rank_sweep", "rank", "secant_dimension",
-        "tangential_projection_finite",
+        "RankAccumulator", "RationalNormalCurve", "build_parametrization",
+        "is_probable_prime", "jet_matrix", "limit_hyperplane_coeffs",
+        "osculating_projection_finite", "osculating_rank_sweep", "rank",
+        "secant_dimension", "tangential_projection_finite",
     ),
     "schubert": (
         "FerrersDiagram", "Partition", "complementary", "contains",

@@ -3,13 +3,13 @@
 Secant dimensions, generic finiteness of tangential and osculating
 projections, and limit hyperplane coefficients.  Grassmannian jets of
 every order are signed minors of the Pluecker map, in its chart form for
-tangent spaces at general points and on whole matrices otherwise; the
-other shapes use explicit polynomial parametrizations.  Arithmetic runs
-over a fixed large prime field by default: a full-rank specialization
-proves a lower bound on the generic rank, so agreement with the expected
-dimension is a certificate, while a deficient rank is evidence of
-defectivity but not a proof.  A rational trial can be requested for exact
-cross-checks.
+tangent spaces at general points and on whole matrices otherwise;
+Segre-Veronese varieties use their monomial parametrization.  Arithmetic
+runs over a fixed large prime field by default: a full-rank
+specialization proves a lower bound on the generic rank, so agreement
+with the expected dimension is a certificate, while a deficient rank is
+evidence of defectivity but not a proof.  A rational trial can be
+requested for exact cross-checks.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .indices import (
     CapExceeded,  # noqa: F401  (grassdef.oracle.CapExceeded is grassdef.CapExceeded)
     GrassShape,
     SegreVeroneseShape,
+    Shape,
     _bareiss,
     _check_grass_index,
     _check_ints,
@@ -224,45 +225,15 @@ class RationalNormalCurve(SegreVeroneseShape):
 
 
 @dataclass(frozen=True)
-class TangentDevelopable:
-    """The tangent developable surface of the degree n rational normal
-    curve."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        _check_ints("n", (self.n,), 2)
-
-    @property
-    def dim(self) -> int:
-        return 2
-
-    @property
-    def num_coords(self) -> int:
-        return self.n + 1
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.n
-
-    @property
-    def label(self) -> str:
-        return f"TD({self.n})"
-
-
-OracleShape = GrassShape | SegreVeroneseShape | TangentDevelopable
-
-
-@dataclass(frozen=True)
 class Parametrization:
-    """A polynomial map from affine domain_dim-space, one coordinate per
-    tuple of (coefficient, exponent vector) monomials.  blocks are ranges
-    of domain variables in each of which every coordinate is homogeneous,
-    the factors of a Segre-Veronese variety; _held reads them."""
+    """A monomial map from affine domain_dim-space, one exponent vector per
+    coordinate, with coefficient 1.  blocks are ranges of domain variables
+    in each of which every coordinate is homogeneous, the factors of a
+    Segre-Veronese variety; _held reads them."""
 
     domain_dim: int
-    coords: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
-    blocks: tuple[range, ...] = ()
+    coords: tuple[tuple[int, ...], ...]
+    blocks: tuple[range, ...]
 
     @property
     def ncols(self) -> int:
@@ -270,26 +241,19 @@ class Parametrization:
 
     @cached_property
     def _tangent_table(self):
-        """The top exponent of every variable; every monomial as its
-        coefficient and the places of its powers in the list of the powers
-        0, ..., top of each variable in turn; and for the value row, whose v
-        is None, and then every variable v, last first, (v, terms): one
-        (column, monomial, exponent of v) per monomial in which v occurs,
-        or with exponent 1 per monomial for the value row.  _sample_point
+        """The top exponent of every variable; for every column the places
+        of its powers in the list of the powers 0, ..., top of each variable
+        in turn; and for every variable v, last first, (v, terms): one
+        (column, exponent of v) per column in which v occurs.  _sample_point
         reads it."""
-        expos = [expo for coord in self.coords for _, expo in coord]
-        tops = [max((expo[v] for expo in expos), default=0) for v in range(self.domain_dim)]
+        tops = [max((expo[v] for expo in self.coords), default=0) for v in range(self.domain_dim)]
         offsets = [sum(tops[:v]) + v for v in range(self.domain_dim)]
-        monomials, terms = [], [[] for _ in range(self.domain_dim + 1)]
-        for col, coord in enumerate(self.coords):
-            for coef, expo in coord:
-                terms[-1].append((col, len(monomials), 1))
-                for v, e in enumerate(expo):
-                    if e:
-                        terms[v].append((col, len(monomials), e))
-                monomials.append((coef, tuple(offsets[v] + e for v, e in enumerate(expo) if e)))
-        rows = [(None, tuple(terms[-1]))] + [(v, tuple(terms[v])) for v in reversed(range(self.domain_dim))]
-        return tuple(tops), tuple(monomials), tuple(rows)
+        places = tuple(tuple(offsets[v] + e for v, e in enumerate(expo) if e) for expo in self.coords)
+        rows = tuple(
+            (v, tuple((col, expo[v]) for col, expo in enumerate(self.coords) if expo[v]))
+            for v in reversed(range(self.domain_dim))
+        )
+        return tuple(tops), places, rows
 
 
 @dataclass(frozen=True)
@@ -347,44 +311,36 @@ def _sv_parametrization(shape: SegreVeroneseShape) -> Parametrization:
         for part, off in zip(I, offsets):
             for value in part:
                 expo[off + value] += 1
-        coords.append(((1, tuple(expo)),))
+        coords.append(tuple(expo))
     blocks = tuple(range(off, off + nj + 1) for off, nj in zip(offsets, shape.n))
     return Parametrization(total, tuple(coords), blocks)
 
 
 @lru_cache(maxsize=None)
-def build_parametrization(shape: OracleShape) -> PolynomialMap:
+def build_parametrization(shape: Shape) -> PolynomialMap:
     """The polynomial map of an affine chart cone of the shape, with
     coordinates in enumerate_indices order: the PlueckerMap of maximal
     minors on a Grassmannian, which only the jet paths use (the secant and
-    projection tests take its chart form), and one monomial per coordinate
-    on a Segre-Veronese variety.  N coordinates times _coord_degree are checked
-    against _MAX_ENTRIES before anything is built."""
+    projection tests take its chart form), and one exponent vector per
+    coordinate on a Segre-Veronese variety.  N coordinates times
+    _coord_degree are checked against _MAX_ENTRIES before anything is
+    built."""
     _check_size(f"the parametrization of {shape.label}", shape.num_coords * _coord_degree(shape))
     if isinstance(shape, GrassShape):
         return PlueckerMap(shape, (shape.r + 1) * (shape.n + 1), shape.num_coords)
     if isinstance(shape, SegreVeroneseShape):
         return _sv_parametrization(shape)
-    if isinstance(shape, TangentDevelopable):
-        coords = [((1, (0, 0)),)]
-        for k in range(1, shape.n + 1):
-            monomials = [(1, (k, 0))]
-            monomials.append((k, (k - 1, 1)))
-            coords.append(tuple(monomials))
-        return Parametrization(2, tuple(coords))
     raise TypeError(f"unsupported shape {shape!r}")
 
 
-def _coord_degree(shape: OracleShape) -> int:
+def _coord_degree(shape: Shape) -> int:
     """The length of a coordinate's index tuple (its degree) and, on a
     Segre-Veronese variety, of its exponent vector; listing the N indices or
-    monomials, or one jet of the N coordinates, takes N times this."""
+    exponent vectors, or one jet of the N coordinates, takes N times this."""
     if isinstance(shape, GrassShape):
         return shape.r + 1
     if isinstance(shape, SegreVeroneseShape):
         return max(shape.d_total, sum(nj + 1 for nj in shape.n))
-    if isinstance(shape, TangentDevelopable):
-        return shape.n
     raise TypeError(f"unsupported shape {shape!r}")
 
 
@@ -394,15 +350,10 @@ def _coord_degree(shape: OracleShape) -> int:
 
 def _emit_jets(rows, col, value, alpha, free, point, budget, modulus) -> None:
     if not free:
-        key = tuple(alpha)
-        row = rows.setdefault(key, {})
-        acc = row.get(col, 0) + value
         if modulus is not None:
-            acc %= modulus
-        if acc:
-            row[col] = acc
-        else:
-            row.pop(col, None)
+            value %= modulus
+        if value:
+            rows.setdefault(tuple(alpha), {})[col] = value
         return
     v, ev = free[0]
     rest = free[1:]
@@ -431,10 +382,12 @@ def jet_matrix(P: PolynomialMap, point, order: int, field: PrimeField | None = N
     one of them are neither built nor returned.
 
     A Parametrization is counted against _MAX_ENTRIES before anything is
-    built: a monomial with f variables outside held at nonzero point
+    built: a coordinate with f variables outside held at nonzero point
     coordinates, of exponents e_v, and a budget b of order minus the weight
     of its variables at zero coordinates gives one entry per a <= e with
-    |a| <= b, at most min(prod(min(e_v, b) + 1), C(b + f, f)) of them."""
+    |a| <= b, at most min(prod(min(e_v, b) + 1), C(b + f, f)) of them.  It
+    is the only entry of its column in the row of a, so the rows need no
+    accumulation."""
     _check_ints("order", (order,), 0)
     point = tuple(point)
     if len(point) != P.domain_dim:
@@ -446,31 +399,31 @@ def jet_matrix(P: PolynomialMap, point, order: int, field: PrimeField | None = N
         return {key: rows[key] for key in sorted(rows)}
     terms = []
     entries = 0
-    for col, monomials in enumerate(P.coords):
-        for coef, expo in monomials:
-            forced_weight = 0
-            free: list[tuple[int, int]] = []
-            base = [0] * P.domain_dim
-            for v, ev in enumerate(expo):
-                if not ev:
-                    continue
-                if v in held:
-                    coef *= pow(point[v], ev, modulus)
-                elif point[v]:
-                    free.append((v, ev))
-                else:
-                    base[v] = ev
-                    forced_weight += ev
-            budget = order - forced_weight
-            if budget < 0:
+    for col, expo in enumerate(P.coords):
+        coef = 1
+        forced_weight = 0
+        free: list[tuple[int, int]] = []
+        base = [0] * P.domain_dim
+        for v, ev in enumerate(expo):
+            if not ev:
                 continue
-            entries += min(prod(min(ev, budget) + 1 for _, ev in free), comb(budget + len(free), budget))
-            terms.append((col, coef, base, free, budget))
+            if v in held:
+                coef *= pow(point[v], ev, modulus)
+            elif point[v]:
+                free.append((v, ev))
+            else:
+                base[v] = ev
+                forced_weight += ev
+        budget = order - forced_weight
+        if budget < 0:
+            continue
+        entries += min(prod(min(ev, budget) + 1 for _, ev in free), comb(budget + len(free), budget))
+        terms.append((col, coef, base, free, budget))
     _check_size(f"the jet matrix of {P.ncols} coordinates at order {order}", entries)
     rows: dict[tuple[int, ...], dict[int, int]] = {}
     for col, coef, base, free, budget in terms:
         _emit_jets(rows, col, coef, base, free, point, budget, modulus)
-    return {key: rows[key] for key in sorted(rows) if rows[key]}
+    return {key: rows[key] for key in sorted(rows)}
 
 
 def _pluecker_jets(P: PlueckerMap, point, order: int, modulus: int | None, held: frozenset):
@@ -577,7 +530,7 @@ def osculating_rank_sweep(P: PolynomialMap, point, s_max: int, field: PrimeField
     whose coordinate is a unit in the field, and on the full-form
     PlueckerMap the variables of the first r + 1 columns, in order, that
     are linearly independent at the point, if there are r + 1; nothing on
-    the chart form or a TangentDevelopable.  Write D_beta for the classical derivative of the
+    the chart form.  Write D_beta for the classical derivative of the
     coordinates at the point a; the jet row of beta is D_beta / beta!, and
     where it is nonzero beta! is a unit: its prime factors are at most the
     degree of a coordinate, which the size cap keeps below 2^31 <= p.
@@ -664,9 +617,6 @@ def _sample_point(P: PolynomialMap, rng: random.Random, field: PrimeField | None
       least sum n_j + 1 = dim X + 1.  Every a_{j,0} is a unit, so _held
       names the t variables x_{j,0}, whose rows lie in that span, also on
       any subset of the columns: dim X + 1 rows per point.
-    - TD(n) at (t, u): f(a) and the t and u rows are (1, t + u, t^2 + 2tu),
-      (0, 1, 2t + 2u) and (0, 1, 2t) on the columns 0, 1 and 2, of
-      determinant -2u: rank 3.
 
     The rows are those of jet_matrix(P, a, 1, field, _held(P, a, field)),
     entry for entry and in its order, but every derivative row is read
@@ -682,29 +632,33 @@ def _sample_point(P: PolynomialMap, rng: random.Random, field: PrimeField | None
       column i.  So f(a) = _maximal_minors(M) once, and the row of A_ij
       gathers +-p_{K+{i}} from it (PlueckerMap._chart_table).  Any other
       PlueckerMap takes jet_matrix.
-    - Parametrization: the derivative of c a^e along v is e_v c a^e / a_v.
+    - Parametrization: the derivative of a^e along v is e_v a^e / a_v.
       Every a_v lies in [1, _COORD_RANGE], so it divides exactly over Q and
-      is a unit modulo every allowed p; each monomial is evaluated once and
-      its terms gathered (Parametrization._tangent_table), the rows of the
-      variables _held names left out.
+      is a unit modulo every allowed p; each coordinate is evaluated once
+      and scaled into the rows of its variables
+      (Parametrization._tangent_table), the rows of the variables _held
+      names left out.  No entry vanishes: a^e is a unit and e_v is at most
+      the degree, below 2^31 <= p.
     """
     point = tuple(rng.randint(1, _COORD_RANGE) for _ in range(P.domain_dim))
     m = field.p if field is not None else 0
     if isinstance(P, Parametrization):
         held = _held(P, point, field)
-        tops, monomials, table = P._tangent_table
+        tops, places, table = P._tangent_table
         step = (lambda x, a: x * a % m) if m else mul
         powers = [x for a, top in zip(point, tops) for x in itertools.accumulate([a] * top, step, initial=1)]
-        values = [coef * prod(map(powers.__getitem__, places)) for coef, places in monomials]
-        rows = []
+        value = [prod(map(powers.__getitem__, at)) for at in places]
+        if m:
+            value = [x % m for x in value]
+        rows = [dict(enumerate(value))]
         for v, terms in table:
             if v in held:
                 continue
-            total = {}
-            for c, k, e in terms:
-                total[c] = total.get(c, 0) + e * values[k]
-            unit = 1 if v is None else pow(point[v], -1, m) if m else point[v]
-            rows.append({c: w for c, x in total.items() if (w := x * unit % m if m else x // unit)})
+            if m:
+                inv = pow(point[v], -1, m)
+                rows.append({c: e * value[c] * inv % m for c, e in terms})
+            else:
+                rows.append({c: e * value[c] // point[v] for c, e in terms})
         return rows
     if P.domain_dim != P.shape.dim:
         return list(jet_matrix(P, point, 1, field, _held(P, point, field)).values())
@@ -736,13 +690,13 @@ def _maximal_minors(rows, cols) -> dict[tuple[int, ...], int]:
     return minors
 
 
-def _check_terracini_size(shape: OracleShape, k: int) -> None:
+def _check_terracini_size(shape: Shape, k: int) -> None:
     """Refuse stacking the tangent spaces at k points of the shape when it
     builds more than _MAX_ENTRIES entries: for N coordinates the
     RankAccumulator holds at most N min(k (dim X + 1), N) of them, and the
     indices and jets behind the rows take N times _coord_degree.  This also
     counts the table _sample_point reads, one entry per variable of A and
-    column on the chart form, or per variable of a monomial: at most
+    column on the chart form, or per variable of a coordinate: at most
     N max(dim X, _coord_degree), as N >= dim X + 1."""
     N = shape.num_coords
     entries = N * max(min(k * (shape.dim + 1), N), _coord_degree(shape))
@@ -751,11 +705,10 @@ def _check_terracini_size(shape: OracleShape, k: int) -> None:
 
 def _coordinate_points(shape, h: int) -> list[tuple[object, int]]:
     """(index, 1) for the first k = min(h, alpha) coordinate_blocks of the
-    shape; a tangent developable has none.  The affine tangent space of the
-    cone at such a point is spanned by the unit vectors of the radius 1 ball
-    around its index, so the rank of a stack is the number of columns in the
-    balls plus the rank of the other points' rows on the remaining columns
-    (_stack).
+    shape.  The affine tangent space of the cone at such a point is spanned
+    by the unit vectors of the radius 1 ball around its index, so the rank
+    of a stack is the number of columns in the balls plus the rank of the
+    other points' rows on the remaining columns (_stack).
 
     Soundness for Terracini's lemma: the rank after each group of a stack
     is invariant under the linear group of the embedding (GL_{n+1}, a
@@ -771,8 +724,6 @@ def _coordinate_points(shape, h: int) -> list[tuple[object, int]]:
     modulo p only lowers.  For h <= alpha a secant stack has no other points
     and the union of the balls is the generic span exactly.
     """
-    if isinstance(shape, TangentDevelopable):
-        return []
     return [(index, 1) for index in coordinate_blocks(shape, h)]
 
 
@@ -875,7 +826,7 @@ class DefectivityCertificate:
 
 
 def secant_dimension(
-    shape: OracleShape,
+    shape: Shape,
     h: int,
     trials: int = DEFAULT_TRIALS,
     prime: int | str = DEFAULT_PRIME,
@@ -952,7 +903,7 @@ class ProjectionReport:
 
 
 def tangential_projection_finite(
-    shape: OracleShape,
+    shape: Shape,
     h: int,
     trials: int = DEFAULT_TRIALS,
     prime: int | str = DEFAULT_PRIME,
@@ -1063,7 +1014,7 @@ def _survivor_columns(shape, checked) -> dict[int, int]:
 
 
 def osculating_projection_finite(
-    shape: OracleShape,
+    shape: Shape,
     centers,
     trials: int = DEFAULT_TRIALS,
     prime: int | str = DEFAULT_PRIME,

@@ -344,6 +344,16 @@ SMOKE_MATRIX = [
         ),
     ),
     (
+        # a three-factor Segre-Veronese stack over Q: sampled rows read from
+        # the exponent vectors, with the held x_{j,0} row of every factor
+        ("secant", "--sv", "2,2,2:1,1,1", "--h", "4", "--prime", "rational", "--trials", "1"),
+        (
+            '{"computed":25,"defect":1,"elapsed_ms":null,"expected":26,"h":4,'
+            '"prime":"rational","seed":1729,"shape":"SV(2,2,2;1,1,1)","trials":[25],'
+            '"verdict":"DefectEvidence"}'
+        ),
+    ),
+    (
         ("oscproj", "--grass", "2", "5", "--centers", "0,1,2", "--orders", "1"),
         (
             '{"ambient_dim":19,"kind":"osculating","note":"","restricted_rank":10,'

@@ -44,6 +44,10 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         grassdef.no_such_name
     assert not hasattr(grassdef, "_check_size")
+    # a removed export stays removed
+    with pytest.raises(AttributeError, match="has no attribute 'TangentDevelopable'"):
+        grassdef.TangentDevelopable
+    assert "TangentDevelopable" not in grassdef.__all__
 
 
 def test_exports_follow_a_rebinding_in_their_module(monkeypatch):

@@ -39,7 +39,6 @@ from grassdef import (
     RankAccumulator,
     RationalNormalCurve,
     SegreVeroneseShape,
-    TangentDevelopable,
     anticanonical,
     ball,
     distance,
@@ -65,6 +64,7 @@ from grassdef import (
 )
 from grassdef.bounds import grass_bound
 from grassdef.oracle import PlueckerMap, _held, _sample_point
+from strategies import sv_shapes
 
 
 def grass_coord_point(shape, I):
@@ -290,7 +290,6 @@ def test_held_variables_are_pivot_columns_and_first_units_per_factor():
     point = (0, 3, DEFAULT_PRIME, 0, 5)
     assert _held(sv, point, None) == {1, 2}
     assert _held(sv, point, field) == {1, 4}
-    assert _held(build_parametrization(TangentDevelopable(4)), (2, 3), field) == frozenset()
     # a point of the wrong length holds nothing, so jet_matrix refuses it
     for P, point in ((G, (1, 0, 0, 0, 0, 1)), (sv, (1, 0, 0, 1))):
         with pytest.raises(ValueError, match=f"^point must have {P.domain_dim} coordinates$"):
@@ -472,8 +471,6 @@ def test_chart_jets_are_full_jets_in_the_directions_of_a(r, n, field):
         SegreVeroneseShape((1, 2), (2, 3)),
         SegreVeroneseShape((2, 2, 2), (1, 1, 1)),
         RationalNormalCurve(8),
-        TangentDevelopable(2),
-        TangentDevelopable(6),
         GrassShape(1, 4),
         GrassShape(2, 6),
     ],
@@ -610,7 +607,6 @@ def test_secant_draws_a_random_point_only_past_alpha(oracle, shape, h, trials, d
         SegreVeroneseShape((1, 2), (2, 3)),
         SegreVeroneseShape((3,), (4,)),
         RationalNormalCurve(8),
-        TangentDevelopable(6),
         GrassShape(2, 6),
     ],
     ids=lambda shape: shape.label,
@@ -647,11 +643,10 @@ def test_grassmannian_oracle_builds_no_parametrization():
 TABLE_MAPS = [
     (lambda: chart_map(GrassShape(2, 6)), "_chart_table"),
     (lambda: replace(build_parametrization(SegreVeroneseShape((1, 2), (2, 3)))), "_tangent_table"),
-    (lambda: replace(build_parametrization(TangentDevelopable(4))), "_tangent_table"),
 ]
 
 
-@pytest.mark.parametrize("make, name", TABLE_MAPS, ids=["chart", "sv", "td"])
+@pytest.mark.parametrize("make, name", TABLE_MAPS, ids=["chart", "sv"])
 def test_tangent_tables_stay_outside_equality_hash_repr_and_asdict(make, name):
     fresh, used = make(), make()
     _sample_point(used, random.Random(0), None)
@@ -704,17 +699,26 @@ def test_tangent_tables_are_built_once_per_map_object(monkeypatch):
     assert len(charts) == len(calls) == 2 and charts[0] is not charts[1]
 
 
+@given(shape=st.one_of(sv_shapes(), st.builds(RationalNormalCurve, st.integers(1, 8))))
+def test_parametrization_coords_are_the_exponent_vectors_of_the_indices(shape):
+    # coordinate i is the monomial of enumerate_indices(shape)[i]: in the
+    # block of factor j, the multiplicity of each value in the j-th part
+    P = build_parametrization(shape)
+    indices = enumerate_indices(shape)
+    assert len(P.coords) == len(indices) == shape.num_coords
+    widths = [nj + 1 for nj in shape.n]
+    starts = list(itertools.accumulate(widths, initial=0))
+    for expo, I in zip(P.coords, indices):
+        assert len(expo) == P.domain_dim == starts[-1]
+        parts = [expo[start : start + width] for start, width in zip(starts, widths)]
+        assert [sum(part) for part in parts] == list(shape.d)
+        assert parts == [tuple(part.count(v) for v in range(width)) for part, width in zip(I, widths)]
+
+
 def test_rnc_jets_at_origin():
     # the origin of the chart x0 = 1 of the map (x0, x1) -> (x0^6, ..., x1^6)
     P = build_parametrization(RationalNormalCurve(6))
     assert osculating_rank_sweep(P, (1, 0), 4) == [1, 2, 3, 4, 5]
-
-
-def test_tangent_developable_order_two_rank():
-    P = build_parametrization(TangentDevelopable(5))
-    for t in (3, 7, 11):
-        ranks = osculating_rank_sweep(P, (t, 5), 2)
-        assert ranks[2] - 1 == 3
 
 
 # ---------------------------------------------------------------------------
@@ -858,12 +862,11 @@ def test_survivor_columns_match_their_definition():
     for shape, centers in cases:
         checked = oracle._osculating_centers(shape, centers)
         assert oracle._survivor_columns(shape, checked) == killed_by_distance(shape, checked)
-    # secant coordinate points, and none on a tangent developable
+    # secant coordinate points
     for shape, h in ((GrassShape(4, 9), 8), (SegreVeroneseShape((1,), (60,)), 31), (GrassShape(2, 14), 6)):
         coordinate = oracle._coordinate_points(shape, h)
         assert len(coordinate) >= 2
         assert oracle._survivor_columns(shape, coordinate) == killed_by_distance(shape, coordinate)
-    assert oracle._survivor_columns(TangentDevelopable(5), []) == {c: c for c in range(6)}
 
 
 def full_column_trials(shape, h, trials, prime, seed):
@@ -1038,7 +1041,6 @@ def test_secant_parameter_validation():
 # of range with ValueError, or None when every integer is allowed)
 INTEGER_ARGUMENTS = {
     "RationalNormalCurve": (RationalNormalCurve, 0),
-    "TangentDevelopable": (TangentDevelopable, 1),
     "DivisorClass.a": (lambda v: DivisorClass(v, (1,)), None),
     "DivisorClass.b": (lambda v: DivisorClass(1, (v,)), None),
     "CurveClass.c": (lambda v: CurveClass(v, (1,)), None),

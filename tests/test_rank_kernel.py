@@ -30,7 +30,6 @@ from grassdef import (
     RankAccumulator,
     RationalNormalCurve,
     SegreVeroneseShape,
-    TangentDevelopable,
     contains,
     limit_hyperplane_coeffs,
     multiplicity,
@@ -169,11 +168,11 @@ def test_unit_rows_reduce_against_a_dense_pivot():
 def jet_cases(draw):
     """A polynomial map, a point and an order.  The map is the full or the
     chart form of a small Grassmannian's PlueckerMap, or the
-    parametrization of a Segre-Veronese variety, a rational normal curve or
-    a tangent developable.  The point is a coordinate point or has entries
+    parametrization of a Segre-Veronese variety or a rational normal curve.
+    The point is a coordinate point or has entries
     in [-3, 3], zeros and negatives included, some shifted by multiples of
     p, which are units over Q but zero modulo p."""
-    kind = draw(st.sampled_from(["grass", "chart", "sv", "rnc", "td"]))
+    kind = draw(st.sampled_from(["grass", "chart", "sv", "rnc"]))
     if kind in ("grass", "chart"):
         r = draw(st.integers(0, 2))
         shape = GrassShape(r, draw(st.integers(2 * r + 1, min(2 * r + 3, 6))))
@@ -182,9 +181,8 @@ def jet_cases(draw):
         shape = draw({
             "sv": sv_shapes(max_factors=2, max_n=2),
             "rnc": st.builds(RationalNormalCurve, st.integers(1, 6)),
-            "td": st.builds(TangentDevelopable, st.integers(2, 6)),
         }[kind])
-        top = 3 if kind == "td" else shape.d_total + 1
+        top = shape.d_total + 1
     if kind == "chart":
         poly = oracle.PlueckerMap(shape, shape.dim, shape.num_coords)
     else:
@@ -222,10 +220,9 @@ def test_osculating_sweep_matches_the_full_jet_ranks(case, field):
 def sampled_maps(draw):
     """A map that the secant trials sample: the chart form of G(r, n) with
     r <= 3 and n <= 8, or of G(4,9), or the parametrization of a
-    Segre-Veronese variety, a rational normal curve or a tangent
-    developable; or the full form of a small Grassmannian, which takes
-    jet_matrix itself."""
-    kind = draw(st.sampled_from(["chart", "g49", "full", "sv", "rnc", "td"]))
+    Segre-Veronese variety or a rational normal curve; or the full form of a
+    small Grassmannian, which takes jet_matrix itself."""
+    kind = draw(st.sampled_from(["chart", "g49", "full", "sv", "rnc"]))
     if kind == "full":
         r = draw(st.integers(0, 2))
         return oracle.build_parametrization(GrassShape(r, draw(st.integers(2 * r + 1, 6))))
@@ -236,7 +233,6 @@ def sampled_maps(draw):
     return oracle.build_parametrization(draw({
         "sv": sv_shapes(),
         "rnc": st.builds(RationalNormalCurve, st.integers(1, 8)),
-        "td": st.builds(TangentDevelopable, st.integers(2, 8)),
     }[kind]))
 
 

@@ -280,6 +280,30 @@ def coordinate_blocks(shape: Shape, k: int) -> list:
     raise TypeError(f"unsupported shape {shape!r}")
 
 
+def coordinate_packing(shape: Shape, k: int) -> list:
+    """The first k centers of the lexicographic code (Conway-Sloane, IEEE
+    Trans. IT 32, 1986) on the shape's coordinate points, taken in
+    increasing order of their words: an index at distance at least 3 from
+    those kept before it is kept, so the radius 1 balls around the centers
+    are disjoint.  On G(r, n) the points are all indices, the word of I is
+    its indicator vector with entry 0 first, so the walk is
+    enumerate_indices backwards, and the condition is |I cap J| <= r - 2.
+    On a Segre-Veronese variety they are the pure indices, each part
+    constant, and the word is their values."""
+    _check_ints("center count", (k,), 0)
+    dist = _metric(shape)[1]
+    if isinstance(shape, GrassShape):
+        points = reversed(enumerate_indices(shape))
+    else:
+        values = itertools.product(*(range(nj + 1) for nj in shape.n))
+        points = (tuple((v,) * dj for v, dj in zip(vs, shape.d)) for vs in values)
+    kept = []
+    for I in points:
+        if len(kept) < k and all(dist(I, J) >= 3 for J in kept):
+            kept.append(I)
+    return kept
+
+
 def delta_set(shape: GrassShape, I, l: int) -> list:
     """Indices obtained from I by moving |l| entries between the first two
     coordinate blocks.

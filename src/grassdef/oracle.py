@@ -34,6 +34,7 @@ from .indices import (
     _check_sv_index,
     _distance_table,
     coordinate_blocks,
+    coordinate_packing,
     distance,  # noqa: F401  (bench/test_bench.py looks it up as grassdef.oracle.distance)
     enumerate_indices,
 )
@@ -703,14 +704,19 @@ def _check_terracini_size(shape: Shape, k: int) -> None:
     _check_size(f"the Terracini matrix of {shape.label} at {k} point(s)", entries)
 
 
-def _coordinate_points(shape, h: int) -> list[tuple[object, int]]:
-    """(index, 1) for the first k = min(h, alpha) coordinate_blocks of the
-    shape.  The affine tangent space of the cone at such a point is spanned
-    by the unit vectors of the radius 1 ball around its index, so the rank
-    of a stack is the number of columns in the balls plus the rank of the
-    other points' rows on the remaining columns (_stack).
+def _coordinate_points(shape, h: int) -> list[list[tuple[object, int]]]:
+    """The coordinate points a stack of h tangent spaces may start with, as
+    lists of (index, 1) to try in turn: the first min(h, m) centers of the
+    coordinate_packing if m > alpha, then the first k = min(h, alpha)
+    coordinate_blocks.  The affine tangent space of the cone at such a
+    point is spanned by the unit vectors of the radius 1 ball around its
+    index, so the rank of a stack is the number of columns in the balls
+    plus the rank of the other points' rows on the remaining columns.
 
-    Soundness for Terracini's lemma: the rank after each group of a stack
+    Soundness for Terracini's lemma: at any points, the rank after each
+    group of a stack is at most the generic one (lower semicontinuity), so
+    a packed stack that reaches its ceilings certifies; a deficit there
+    proves nothing.  At the blocks more holds: the rank after each group
     is invariant under the linear group of the embedding (GL_{n+1}, a
     product of GL_{n_j+1}) and lower semicontinuous in the points, so the
     tuples on which every group's rank is generic form a dense open
@@ -724,7 +730,9 @@ def _coordinate_points(shape, h: int) -> list[tuple[object, int]]:
     modulo p only lowers.  For h <= alpha a secant stack has no other points
     and the union of the balls is the generic span exactly.
     """
-    return [(index, 1) for index in coordinate_blocks(shape, h)]
+    blocks, packing = coordinate_blocks(shape, h), coordinate_packing(shape, h)
+    stacks = [packing, blocks] if len(packing) > len(blocks) else [blocks]
+    return [[(index, 1) for index in stack] for stack in stacks]
 
 
 def _stack(acc: RankAccumulator, P: PolynomialMap, rng: random.Random, points: int, column_of: dict) -> int:
@@ -787,6 +795,23 @@ def _target_ranks(shape, column_of, groups, field, seed, labels, ceilings) -> li
     return ranks
 
 
+def _coordinate_ranks(shape, points: tuple[int, ...], field, seed, labels) -> list[tuple[int, ...]]:
+    """One tuple per trial label: the ranks after the first k points, for
+    each k in points, of a stack that starts at _coordinate_points(shape,
+    points[0]), decided by _target_ranks on the columns outside the balls
+    with the ceilings min(k (dim X + 1), N) - dropped.  The first stack on
+    which every trial reaches every ceiling is kept, else the last one."""
+    for coordinate in _coordinate_points(shape, points[0]):
+        column_of = _survivor_columns(shape, coordinate)
+        dropped = shape.num_coords - len(column_of)
+        groups = [b - a for a, b in zip((len(coordinate),) + points, points)]
+        ceilings = tuple(min(k * (shape.dim + 1), shape.num_coords) - dropped for k in points)
+        ranks = _target_ranks(shape, column_of, groups, field, seed, labels, ceilings)
+        if ranks == [ceilings] * len(labels):
+            break
+    return [tuple(dropped + rank for rank in trial) for trial in ranks]
+
+
 @dataclass
 class DefectivityCertificate:
     """Outcome of a secant dimension computation.
@@ -834,34 +859,30 @@ def secant_dimension(
 ) -> DefectivityCertificate:
     """Dimension of the h-secant variety of the shape, by stacking the
     affine tangent spaces of the cone at h points (Terracini's lemma): the
-    first min(h, alpha) are coordinate points whose tangent spaces drop
-    columns (_coordinate_points), the others random, each contributing the
-    order 1 jet rows of _sample_point, at a chart point on a Grassmannian.
-    For h <= alpha no point is random, every trial stacks nothing on the
-    survivor columns, and the computed dimension is the exact generic one;
-    a deficit there still reads DefectEvidence.
+    first are coordinate points whose tangent spaces drop columns, on the
+    packing if every trial reaches the expected dimension there and else
+    on the min(h, alpha) blocks (_coordinate_points), the others random,
+    each contributing the order 1 jet rows of _sample_point, at a chart
+    point on a Grassmannian.  For h <= alpha no point is random, every
+    trial stacks nothing on the survivor columns, and the computed
+    dimension is the exact generic one; a deficit there still reads
+    DefectEvidence.
 
     The expected dimension is min(h (dim X + 1), N + 1) - 1.  Each trial is
     deterministic in (seed, trial index); if the trials disagree one extra
     exact rational trial is run and the best rank over all trials is kept.
-    _target_ranks decides the trials; h tangent spaces span at most
+    _coordinate_ranks decides the trials; h tangent spaces span at most
     expected + 1 dimensions, so expected + 1 - dropped is the ceiling.
     """
     field = _oracle_field(prime, trials, h)
     _check_terracini_size(shape, h)
-    coordinate = _coordinate_points(shape, h)
-    column_of = _survivor_columns(shape, coordinate)
-    dropped = shape.num_coords - len(column_of)
-    dim_x, ambient = shape.dim, shape.ambient_dim
-    expected = min(h * (dim_x + 1), ambient + 1) - 1
-    groups = [h - len(coordinate)]
-    ceilings = (expected + 1 - dropped,)
-    ranks = _target_ranks(shape, column_of, groups, field, seed, range(trials), ceilings)
+    expected = min(h * (shape.dim + 1), shape.ambient_dim + 1) - 1
+    ranks = _coordinate_ranks(shape, (h,), field, seed, range(trials))
     note = ""
     if len(set(ranks)) > 1:
-        ranks += _target_ranks(shape, column_of, groups, None, seed, ["rational"], ceilings)
+        ranks += _coordinate_ranks(shape, (h,), None, seed, ["rational"])
         note = "trials disagreed; escalated to one exact rational trial. "
-    results = [dropped + rank - 1 for (rank,) in ranks]
+    results = [rank - 1 for (rank,) in ranks]
     computed = max(results)
     defect = expected - computed
     verdict = CERTIFIED if defect == 0 else DEFECT_EVIDENCE
@@ -918,20 +939,15 @@ def tangential_projection_finite(
     otherwise the report status is HypothesisViolated.  Finiteness holds
     exactly when a fresh general tangent space meets the span only in the
     expected way, so the joint rank exceeds the center rank by dim X + 1.
-    The first min(h, alpha) centers are coordinate points
-    (_coordinate_points), and trials are decided by _target_ranks with the
-    ceilings min(k (dim X + 1), N) - dropped for k = h and h + 1 points.
+    The first centers are coordinate points, and trials are decided by
+    _coordinate_ranks with the ceilings min(k (dim X + 1), N) - dropped for
+    k = h and h + 1 points.  Packed centers are kept only when every trial
+    reaches both ceilings, and then both ranks are the generic ones.
     """
     field = _oracle_field(prime, trials, h)
     _check_terracini_size(shape, h + 1)
-    coordinate = _coordinate_points(shape, h)
-    column_of = _survivor_columns(shape, coordinate)
-    dropped = shape.num_coords - len(column_of)
     dim_x, ambient = shape.dim, shape.ambient_dim
-    groups = [h - len(coordinate), 1]
-    ceilings = tuple(min(k * (dim_x + 1), shape.num_coords) - dropped for k in (h, h + 1))
-    ranks = _target_ranks(shape, column_of, groups, field, seed, range(trials), ceilings)
-    center, joint = (dropped + rank for rank in max(ranks))
+    center, joint = max(_coordinate_ranks(shape, (h, h + 1), field, seed, range(trials)))
     if ambient - center < dim_x:
         status = HYPOTHESIS_VIOLATED
         note = (

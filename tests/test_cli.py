@@ -353,6 +353,24 @@ SMOKE_MATRIX = [
             '"verdict":"DefectEvidence"}'
         ),
     ),
+    # paper-scale rows decided on the coordinate packing: ten disjoint balls
+    # fill the expected span, so no random point is drawn
+    (
+        ("secant", "--grass", "4", "11", "--h", "10", "--trials", "1"),
+        (
+            '{"computed":359,"defect":0,"elapsed_ms":null,"expected":359,"h":10,'
+            '"prime":4611686018427387847,"seed":1729,"shape":"G(4,11)","trials":[359],'
+            '"verdict":"CertifiedNonDefective"}'
+        ),
+    ),
+    (
+        ("secant", "--grass", "5", "13", "--h", "10", "--trials", "1"),
+        (
+            '{"computed":489,"defect":0,"elapsed_ms":null,"expected":489,"h":10,'
+            '"prime":4611686018427387847,"seed":1729,"shape":"G(5,13)","trials":[489],'
+            '"verdict":"CertifiedNonDefective"}'
+        ),
+    ),
     (
         ("oscproj", "--grass", "2", "5", "--centers", "0,1,2", "--orders", "1"),
         (

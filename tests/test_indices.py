@@ -20,7 +20,13 @@ from grassdef import (
     grass_distance,
     sv_distance,
 )
-from grassdef.indices import _check_grass_index, _check_sv_index, _distance_table, coordinate_blocks
+from grassdef.indices import (
+    _check_grass_index,
+    _check_sv_index,
+    _distance_table,
+    coordinate_blocks,
+    coordinate_packing,
+)
 from strategies import grass_shapes, shape_with_index, shape_with_index_pair, sv_shapes
 
 
@@ -384,6 +390,94 @@ def test_coordinate_blocks_are_disjoint_and_as_many_as_fit(shape, k):
         # alpha = min n_j + 1: one diagonal value per entry of the smallest factor
         assert len(blocks) <= min(shape.n) + 1
         assert len(blocks) == k or len(blocks) == min(shape.n) + 1
+
+
+def coordinate_points_by_word(shape) -> list:
+    """The coordinate points of the shape in increasing order of their words:
+    on G(r, n) every index, read as the binary number with bit n - i set for
+    each entry i; on a Segre-Veronese variety the pure indices, each part
+    constant, in lexicographic order of their values."""
+    if isinstance(shape, GrassShape):
+        return sorted(enumerate_indices(shape), key=lambda I: sum(1 << (shape.n - i) for i in I))
+    return [I for I in enumerate_indices(shape) if all(len(set(part)) == 1 for part in I)]
+
+
+ALL = 10**6  # more centers than any shape here has
+
+
+@given(st.one_of(grass_shapes(max_r=4, max_n=10), sv_shapes(max_n=3)), st.integers(0, 12))
+def test_coordinate_packing_is_the_greedy_code_of_distance_3(shape, k):
+    packing = coordinate_packing(shape, ALL)
+    # deterministic, and the k-packing is the k-prefix of the whole one
+    assert coordinate_packing(shape, k) == packing[:k] == coordinate_packing(shape, k)
+    # the radius 1 balls around the centers are disjoint
+    for a, b in itertools.combinations(packing, 2):
+        assert distance(shape, a, b) >= 3
+    # each center is the first point, in word order, at distance at least 3
+    # from the centers before it, and once no point is, the walk has ended
+    points = coordinate_points_by_word(shape)
+    for i in range(len(packing) + 1):
+        far = [J for J in points if all(distance(shape, I, J) >= 3 for I in packing[:i])]
+        assert far[:1] == packing[i : i + 1]
+
+
+@given(grass_shapes(max_r=2, max_n=14), st.integers(1, 8))
+def test_coordinate_packing_of_lines_and_planes(shape, k):
+    # any two lines of G(1, n) share an entry or lie at distance 2, so one
+    # center; planes of G(2, n) must be disjoint, so alpha of them
+    alpha = len(coordinate_blocks(shape, ALL))
+    expected = 1 if shape.r == 1 else min(k, alpha)
+    assert len(coordinate_packing(shape, k)) == expected
+
+
+@pytest.mark.parametrize(
+    "shape, size",
+    [
+        (GrassShape(3, 7), 2),
+        (GrassShape(3, 8), 3),
+        (GrassShape(3, 9), 5),
+        (GrassShape(3, 10), 5),
+        (GrassShape(4, 9), 6),
+        (GrassShape(4, 11), 11),
+        (GrassShape(5, 13), 26),
+        (GrassShape(2, 14), 5),
+        (SegreVeroneseShape((1,), (60,)), 2),
+        (SegreVeroneseShape((2, 2, 2), (1, 1, 1)), 3),
+        (SegreVeroneseShape((1, 1), (2, 2)), 2),
+        (SegreVeroneseShape((3,), (4,)), 4),
+        # (P^1)^7: the lexicographic code of length 7 and distance 3 is the
+        # Hamming code, whose 16 balls cover all 128 pure points
+        (SegreVeroneseShape((1,) * 7, (1,) * 7), 16),
+    ],
+    ids=lambda v: getattr(v, "label", v),
+)
+def test_coordinate_packing_sizes(shape, size):
+    assert len(coordinate_packing(shape, ALL)) == size
+
+
+def test_coordinate_packing_worked_values():
+    assert coordinate_packing(GrassShape(3, 9), 9) == [
+        (6, 7, 8, 9),
+        (3, 4, 5, 9),
+        (1, 2, 5, 8),
+        (0, 2, 4, 7),
+        (0, 1, 3, 6),
+    ]
+    assert coordinate_packing(SegreVeroneseShape((2, 2, 2), (1, 1, 1)), 5) == [
+        ((0,), (0,), (0,)),
+        ((1,), (1,), (1,)),
+        ((2,), (2,), (2,)),
+    ]
+    assert coordinate_packing(SegreVeroneseShape((1, 1), (2, 2)), 0) == []
+
+
+def test_coordinate_packing_refuses_a_negative_or_non_integer_count_and_unknown_shapes():
+    with pytest.raises(ValueError):
+        coordinate_packing(GrassShape(3, 9), -1)
+    with pytest.raises(TypeError):
+        coordinate_packing(GrassShape(3, 9), True)
+    with pytest.raises(TypeError):
+        coordinate_packing((3, 9), 2)
 
 
 def test_coordinate_blocks_refuse_a_negative_or_non_integer_count():

@@ -63,6 +63,7 @@ from grassdef import (
     tangential_projection_finite,
 )
 from grassdef.bounds import grass_bound
+from grassdef.indices import coordinate_blocks, coordinate_packing
 from grassdef.oracle import PlueckerMap, _held, _sample_point
 from strategies import sv_shapes
 
@@ -540,22 +541,89 @@ COORDINATE_POINT_CASES = [
     (SegreVeroneseShape((1, 1), (2, 2)), 3),
     (RationalNormalCurve(8), 4),
     (RationalNormalCurve(7), 5),
+    # past alpha = 2 on a packing of 5 or 6 points, certified by lower
+    # semicontinuity alone
+    (GrassShape(3, 9), 3),
+    (GrassShape(3, 9), 4),
+    *[(GrassShape(4, 9), h) for h in range(3, 9)],
 ]
 
 
 @pytest.mark.parametrize("prime", [DEFAULT_PRIME, "rational"])
 @pytest.mark.parametrize("shape, h", COORDINATE_POINT_CASES, ids=lambda v: getattr(v, "label", v))
-def test_coordinate_points_keep_the_stacked_rank(shape, h, prime):
-    # the first min(h, alpha) of the h points are coordinate points, both
-    # in secant_dimension and as the centers of tangential_projection_finite;
-    # the ranks must be those of h and h + 1 general points stacked in full
+def test_coordinate_points_keep_the_stacked_rank(shape, h, prime, monkeypatch):
+    # the first of the h points are coordinate points, on the packing or the
+    # min(h, alpha) blocks, both in secant_dimension and as the centers of
+    # tangential_projection_finite; the ranks must be those of h and h + 1
+    # general points stacked in full
     field = None if prime == "rational" else PrimeField(prime)
+    survivor_columns = grassdef.oracle._survivor_columns
+    used = []
+
+    def spy(shape, coordinate):
+        used.append(len(coordinate))
+        return survivor_columns(shape, coordinate)
+
+    monkeypatch.setattr(grassdef.oracle, "_survivor_columns", spy)
     for seed in (3, 11):
         low, high = stacked_ranks(shape, h + 1, seed, field)[-2:]
         cert = secant_dimension(shape, h, trials=1, prime=prime, seed=seed)
         assert cert.computed_dim == low - 1
         report = tangential_projection_finite(shape, h, trials=1, prime=prime, seed=seed)
         assert (report.center_rank, report.joint_rank) == (low, high)
+    # every row here is decided on the first stack it tries
+    assert set(used) == {len(grassdef.oracle._coordinate_points(shape, h)[0])}
+
+
+@pytest.mark.parametrize("oracle", [secant_dimension, tangential_projection_finite], ids=lambda f: f.__name__)
+def test_a_packed_deficit_reruns_on_the_blocks(oracle, monkeypatch):
+    # every trial on the packing of G(4,9) h8 (six balls, two random points)
+    # loses one rank; a deficit there proves nothing, so the answer must be
+    # the one the two blocks and six random points give
+    shape, h = GrassShape(4, 9), 8
+    reference = oracle(shape, h, trials=2)
+    trial_ranks = grassdef.oracle._trial_ranks
+    on_the_packing = h - len(coordinate_packing(shape, h))
+    groups_seen = []
+
+    def short_on_the_packing(shape, column_of, groups, *args):
+        groups_seen.append(groups[0])
+        ranks = trial_ranks(shape, column_of, groups, *args)
+        if groups[0] == on_the_packing:
+            ranks = [(trial[0] - 1,) + trial[1:] for trial in ranks]
+        return ranks
+
+    monkeypatch.setattr(grassdef.oracle, "_trial_ranks", short_on_the_packing)
+    assert asdict(oracle(shape, h, trials=2)) == asdict(reference)
+    assert groups_seen[0] == on_the_packing and groups_seen[-1] == h - 2
+
+
+# the certificates of the classical defective Grassmannians at the default
+# seed; their packings never exceed alpha, so they stay on the blocks
+CLASSICAL_DEFECTS = [
+    (GrassShape(1, 5), 2, 13, 14),
+    (GrassShape(2, 6), 3, 33, 34),
+    (GrassShape(3, 7), 3, 49, 50),
+    (GrassShape(3, 7), 4, 63, 67),
+    (GrassShape(2, 8), 4, 73, 75),
+]
+
+
+@pytest.mark.parametrize("shape, h, computed, expected", CLASSICAL_DEFECTS, ids=lambda v: getattr(v, "label", v))
+def test_classical_defects_keep_their_certificates(shape, h, computed, expected):
+    assert len(coordinate_packing(shape, h)) <= len(coordinate_blocks(shape, h))
+    assert secant_dimension(shape, h).to_dict() == {
+        "shape": shape.label,
+        "h": h,
+        "expected": expected,
+        "computed": computed,
+        "defect": expected - computed,
+        "verdict": DEFECT_EVIDENCE,
+        "prime": DEFAULT_PRIME,
+        "seed": 1729,
+        "trials": [computed] * DEFAULT_TRIALS,
+        "elapsed_ms": None,
+    }
 
 
 DRAW_CASES = [
@@ -801,7 +869,7 @@ def test_secant_escalates_to_a_rational_trial_when_trials_disagree(monkeypatch):
     # the appended trial is the fraction-free trial "rational" on all
     # survivor columns, computed here independently
     monkeypatch.undo()
-    coordinate = grassdef.oracle._coordinate_points(shape, 4)
+    (coordinate,) = grassdef.oracle._coordinate_points(shape, 4)
     column_of = grassdef.oracle._survivor_columns(shape, coordinate)
     groups = [4 - len(coordinate)]
     exact = grassdef.oracle._trial_ranks(shape, column_of, groups, None, cert.seed, ["rational"])
@@ -864,16 +932,17 @@ def test_survivor_columns_match_their_definition():
         assert oracle._survivor_columns(shape, checked) == killed_by_distance(shape, checked)
     # secant coordinate points
     for shape, h in ((GrassShape(4, 9), 8), (SegreVeroneseShape((1,), (60,)), 31), (GrassShape(2, 14), 6)):
-        coordinate = oracle._coordinate_points(shape, h)
-        assert len(coordinate) >= 2
-        assert oracle._survivor_columns(shape, coordinate) == killed_by_distance(shape, coordinate)
+        for coordinate in oracle._coordinate_points(shape, h):
+            assert len(coordinate) >= 2
+            assert oracle._survivor_columns(shape, coordinate) == killed_by_distance(shape, coordinate)
 
 
 def full_column_trials(shape, h, trials, prime, seed):
     """The trials tuple of secant_dimension with every trial on all
-    survivor columns, and one rational trial more when they disagree."""
+    survivor columns of the blocks, and one rational trial more when they
+    disagree."""
     field = None if prime == "rational" else PrimeField(prime)
-    coordinate = grassdef.oracle._coordinate_points(shape, h)
+    coordinate = grassdef.oracle._coordinate_points(shape, h)[-1]
     column_of = grassdef.oracle._survivor_columns(shape, coordinate)
     groups = [h - len(coordinate)]
     ranks = grassdef.oracle._trial_ranks(shape, column_of, groups, field, seed, range(trials))
@@ -945,21 +1014,27 @@ def test_projection_reports_equal_the_full_column_runs(oracle, shape, argument, 
 
 def test_secant_trials_run_on_a_column_subset_modulo_p_first(monkeypatch):
     trial_ranks = grassdef.oracle._trial_ranks
-    calls = []
+    survivor_columns = grassdef.oracle._survivor_columns
+    calls, used = [], []
 
     def spy(shape, column_of, groups, field, *args):
         calls.append((column_of, field))
         return trial_ranks(shape, column_of, groups, field, *args)
 
+    def survivors_spy(shape, coordinate):
+        used.append(survivor_columns(shape, coordinate))
+        return used[-1]
+
     monkeypatch.setattr(grassdef.oracle, "_trial_ranks", spy)
+    monkeypatch.setattr(grassdef.oracle, "_survivor_columns", survivors_spy)
 
     def columns_per_call(shape, h, **kwargs):
-        # (survivor columns, target rank, (column map, field) of each call)
+        # (survivor columns of the coordinate points the trials used, target
+        # rank, (column map, field) of each call)
         calls.clear()
+        used.clear()
         cert = secant_dimension(shape, h, **kwargs)
-        survivors = grassdef.oracle._survivor_columns(
-            shape, grassdef.oracle._coordinate_points(shape, h)
-        )
+        (survivors,) = used
         target = cert.expected_dim + 1 - (shape.num_coords - len(survivors))
         for column_of, _ in calls:
             # survivor columns renumbered in sorted order
@@ -967,9 +1042,14 @@ def test_secant_trials_run_on_a_column_subset_modulo_p_first(monkeypatch):
             assert list(column_of.values()) == list(range(len(column_of)))
         return survivors, target, list(calls)
 
-    # certified: one call on exactly target columns
+    # certified: one call on exactly target columns.  The packing's five
+    # balls decide G(3,9) h5 alone; G(4,9) h8 leaves 52 of the 96 columns
+    # outside its six balls to two random points
     survivors, target, seen = columns_per_call(GrassShape(3, 9), 5)
     assert target < len(survivors)
+    assert [len(c) for c, _ in seen] == [target]
+    survivors, target, seen = columns_per_call(GrassShape(4, 9), 8, trials=1)
+    assert (len(survivors), target) == (252 - 6 * 26, 52)
     assert [len(c) for c, _ in seen] == [target]
     # defective: the subset falls short, and the trials rerun on all columns
     survivors, target, seen = columns_per_call(GrassShape(2, 8), 4)

@@ -289,7 +289,8 @@ def coordinate_packing(shape: Shape, k: int) -> list:
     its indicator vector with entry 0 first, so the walk is
     enumerate_indices backwards, and the condition is |I cap J| <= r - 2.
     On a Segre-Veronese variety they are the pure indices, each part
-    constant, and the word is their values."""
+    constant, and the word is their values.  The walk stops once k
+    centers are kept."""
     _check_ints("center count", (k,), 0)
     dist = _metric(shape)[1]
     if isinstance(shape, GrassShape):
@@ -299,7 +300,9 @@ def coordinate_packing(shape: Shape, k: int) -> list:
         points = (tuple((v,) * dj for v, dj in zip(vs, shape.d)) for vs in values)
     kept = []
     for I in points:
-        if len(kept) < k and all(dist(I, J) >= 3 for J in kept):
+        if len(kept) == k:
+            break
+        if all(dist(I, J) >= 3 for J in kept):
             kept.append(I)
     return kept
 

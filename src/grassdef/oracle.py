@@ -729,8 +729,17 @@ def _coordinate_points(shape, h: int) -> list[list[tuple[object, int]]]:
     then reaches every generic rank, which an integer specialization reduced
     modulo p only lowers.  For h <= alpha a secant stack has no other points
     and the union of the balls is the generic span exactly.
+
+    The packing is walked only where it can beat the blocks: not for
+    h <= alpha, as min(h, m) <= h = min(h, alpha); not on G(r, n) with
+    normalized r <= 2, where distance r + 1 - |I cap J| >= 3 leaves
+    |I cap J| <= r - 2 < 1, so the centers are disjoint (r+1)-sets and
+    m <= alpha; not on one Segre-Veronese factor, whose n + 1 pure points
+    (v, ..., v) number alpha.
     """
-    blocks, packing = coordinate_blocks(shape, h), coordinate_packing(shape, h)
+    blocks = coordinate_blocks(shape, h)
+    within = shape.r <= 2 if isinstance(shape, GrassShape) else shape.factors == 1
+    packing = [] if len(blocks) == h or within else coordinate_packing(shape, h)
     stacks = [packing, blocks] if len(packing) > len(blocks) else [blocks]
     return [[(index, 1) for index in stack] for stack in stacks]
 

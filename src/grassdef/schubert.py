@@ -6,6 +6,9 @@ flag.  The multiplicity routine splits the determinantal formula for the
 multiplicity of a Schubert variety along a smaller one into the diagonal
 blocks of a block triangular matrix, and evaluates each block of size at
 least 2 by fraction-free (Bareiss) elimination, in integers throughout.
+The formula reads mu only through one tuple sigma, so each partition lam
+keeps the multiplicities it has computed, keyed by sigma, and reuses them
+for every mu that gives the same sigma.
 """
 
 from __future__ import annotations
@@ -65,6 +68,11 @@ class Partition:
     def label(self) -> str:
         return "(" + ",".join(str(a) for a in self.parts) + ")"
 
+    @cached_property
+    def _multiplicities(self) -> dict[tuple[int, ...], int]:
+        """multiplicity(self, mu) by the sigma of mu; see multiplicity."""
+        return {}
+
 
 def complementary(p: Partition) -> tuple[int, ...]:
     """The complementary tuple (n - r - lambda_1, ..., n - r - lambda_{r+1}),
@@ -84,7 +92,7 @@ def schubert_codim(p: Partition) -> int:
 def contains(lam: Partition, mu: Partition) -> bool:
     """Whether the Schubert variety of lam contains the one of mu; holds
     exactly when mu dominates lam componentwise."""
-    if (lam.r, lam.n) != (mu.r, mu.n):
+    if lam.r != mu.r or lam.n != mu.n:
         raise ValueError("partitions must index the same Grassmannian")
     return all(map(ge, mu.parts, lam.parts))
 
@@ -133,28 +141,34 @@ def multiplicity(lam: Partition, mu: Partition) -> int:
     and |det M| is the product of the |det| of its diagonal blocks.  A 1 x 1
     block is C(t, 0) = 1, so only blocks of size at least 2 are eliminated.
     As j - mu_j strictly increases in j, each s_l is one bisection.
+
+    The entries of M depend on t, which lam alone fixes, and on sigma, so
+    two mu with the same sigma have the same multiplicity along lam.  Each
+    result is kept on lam, keyed by sigma, and later calls with that sigma
+    read it back after the containment check.  The memo holds at most the
+    Catalan number C_{r+1} of weakly increasing tuples with 0 <= sigma_c <= c
+    (42 on G(4, 9)), and never more entries than calls made on lam.
     """
     if not contains(lam, mu):
         raise ValueError("multiplicity needs mu componentwise above lam")
     size = lam.r + 1
     keys = [j - b for j, b in enumerate(mu.parts, 1)]
     columns = range(size, 0, -1)
+    sigma = tuple([size - bisect_right(keys, l - lam.parts[l - 1]) for l in columns])
+    memo = lam._multiplicities
+    if sigma in memo:
+        return memo[sigma]
     t = [lam.n - lam.r + l - lam.parts[l - 1] for l in columns]
-    sigma = [size - bisect_right(keys, l - lam.parts[l - 1]) for l in columns]
     result, start = 1, 0
     for q in range(1, size + 1):
         if q == size or sigma[q] == q:
             rows = range(start, q)
             if len(rows) > 1:
                 block = [[comb(t[c], k - sigma[c]) if k >= sigma[c] else 0 for c in rows] for k in rows]
-                result *= abs(_int_det(block))
+                result *= abs(_bareiss(block)[1][-1][-1])
             start = q
+    memo[sigma] = result
     return result
-
-
-def _int_det(matrix: list[list[int]]) -> int:
-    sign, reduced = _bareiss(matrix)
-    return sign * reduced[-1][-1]
 
 
 def grass_degree(r: int, n: int) -> int:

@@ -455,6 +455,24 @@ def test_coordinate_packing_sizes(shape, size):
     assert len(coordinate_packing(shape, ALL)) == size
 
 
+@pytest.mark.parametrize(
+    "shape",
+    [
+        *(GrassShape(r, n) for r, n in ((1, 5), (2, 8), (3, 8), (3, 9), (3, 11), (4, 9), (4, 11), (5, 13))),
+        SegreVeroneseShape((3,), (4,)),
+        SegreVeroneseShape((1, 1), (2, 2)),
+        SegreVeroneseShape((2, 2, 2), (1, 1, 1)),
+        SegreVeroneseShape((1,) * 7, (1,) * 7),
+    ],
+    ids=lambda shape: shape.label,
+)
+def test_coordinate_packing_stops_at_k_centers_with_the_same_prefix(shape):
+    packings = [coordinate_packing(shape, K) for K in range(13)]
+    for K, packing in enumerate(packings):
+        assert len(packing) == min(K, len(packings[-1]))
+        assert all(packings[k] == packing[:k] for k in range(K + 1))
+
+
 def test_coordinate_packing_worked_values():
     assert coordinate_packing(GrassShape(3, 9), 9) == [
         (6, 7, 8, 9),

@@ -598,6 +598,50 @@ def test_a_packed_deficit_reruns_on_the_blocks(oracle, monkeypatch):
     assert groups_seen[0] == on_the_packing and groups_seen[-1] == h - 2
 
 
+# every Grassmannian G(r, n) with r <= 4 and n <= 11, normalized, and the
+# (r, n, h) from which on a packing stack comes first, for every h <= 12:
+# on each of these shapes the packing has more than alpha centers
+WALK_GRID = sorted({GrassShape(r, n) for r in range(5) for n in range(r + 1, 12)}, key=lambda s: (s.r, s.n))
+PACKED_FROM = [(3, 8, 3), (3, 9, 3), (3, 10, 3), (3, 11, 4), (4, 9, 3), (4, 10, 3), (4, 11, 3)]
+
+
+def test_coordinate_points_skip_the_walk_without_changing_a_stack(monkeypatch):
+    # the stacks are those of the walk over every point, and the packing
+    # is walked only where it can have more than min(h, alpha) centers
+    calls = []
+
+    def spy(shape, k):
+        calls.append((shape, k))
+        return coordinate_packing(shape, k)
+
+    monkeypatch.setattr(grassdef.oracle, "coordinate_packing", spy)
+    assert len(WALK_GRID) == 35
+    packed = set()
+    for shape in WALK_GRID:
+        alpha, walk = len(coordinate_blocks(shape, 10**6)), coordinate_packing(shape, 10**6)
+        for h in range(1, 13):
+            del calls[:]
+            blocks, packing = coordinate_blocks(shape, h), walk[:h]
+            expected = [packing, blocks] if len(packing) > len(blocks) else [blocks]
+            got = grassdef.oracle._coordinate_points(shape, h)
+            assert got == [[(index, 1) for index in stack] for stack in expected]
+            if len(got) == 2:
+                packed.add((shape.r, shape.n, h))
+            if h <= alpha or shape.r <= 2:
+                assert calls == []
+            else:
+                assert calls == [(shape, h)]
+    assert packed == {(r, n, h) for r, n, first in PACKED_FROM for h in range(first, 13)}
+    # a single factor Segre-Veronese shape has alpha pure points, so it
+    # never walks; G(2,8) h4 is past alpha = 3 but needs disjoint centers
+    del calls[:]
+    for shape, h in ((SegreVeroneseShape((3,), (4,)), 9), (RationalNormalCurve(60), 31), (GrassShape(2, 8), 4)):
+        assert grassdef.oracle._coordinate_points(shape, h) == [[(index, 1) for index in coordinate_blocks(shape, h)]]
+    assert calls == []
+    grassdef.oracle._coordinate_points(SegreVeroneseShape((2, 2, 2), (1, 1, 1)), 4)
+    assert len(calls) == 1
+
+
 # the certificates of the classical defective Grassmannians at the default
 # seed; their packings never exceed alpha, so they stay on the blocks
 CLASSICAL_DEFECTS = [

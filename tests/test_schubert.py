@@ -1,8 +1,11 @@
 """Schubert varieties of Grassmannians: containment, singular loci,
 multiplicities and degrees, pinned against hand computed examples and a
-standard tableaux counting oracle."""
+standard tableaux counting oracle.  Multiplicities read back from a
+partition's memo are checked against the whole determinant of the
+docstring formula, eliminated with no block split and no memo."""
 
 import dataclasses
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,9 +20,11 @@ from grassdef import (
     multiplicity,
     rectangle_count,
     schubert_codim,
+    schubert,
     schubert_dim,
     singular_locus,
 )
+from grassdef.indices import _bareiss
 
 
 @st.composite
@@ -33,6 +38,31 @@ def partitions(draw, max_r: int = 3, max_n: int = 8):
         parts.append(value)
         top = value
     return Partition(r, n, tuple(parts))
+
+
+@st.composite
+def containing_lists(draw, max_r: int = 5, max_n: int = 13):
+    """A partition lam of G(r, n), r <= 5, and up to 8 partitions mu with
+    contains(lam, mu), drawn part by part between lam_i and mu_{i-1}."""
+    lam = draw(partitions(max_r, max_n))
+    mus = []
+    for _ in range(draw(st.integers(1, 8))):
+        parts, top = [], lam.n - lam.r
+        for a in lam.parts:
+            top = draw(st.integers(a, top))
+            parts.append(top)
+        mus.append(Partition(lam.r, lam.n, tuple(parts)))
+    return lam, mus
+
+
+def unsplit_multiplicity(lam, mu):
+    """|det M| for the whole (r+1) x (r+1) matrix of the multiplicity
+    docstring, built as written and eliminated by _bareiss in one piece."""
+    size = lam.r + 1
+    t = [lam.n - lam.r + l - lam.parts[l - 1] for l in range(1, size + 1)]
+    s = [sum(mu.parts[j - 1] - j < lam.parts[l - 1] - l for j in range(1, size + 1)) for l in range(1, size + 1)]
+    matrix = [[comb(t[l], k - s[l]) if k >= s[l] else 0 for l in range(size)] for k in range(size)]
+    return abs(_bareiss(matrix)[1][-1][-1])
 
 
 def all_partitions(r, n):
@@ -192,6 +222,63 @@ def test_multiplicity_at_least_two_on_singular_components():
                     assert multiplicity(lam, mu) >= 2
 
 
+def test_warm_multiplicities_match_fresh_partitions_and_the_unsplit_determinant():
+    # one lam object serves every mu it contains, so later calls read the
+    # memo; a fresh Partition per call never does
+    for r in range(4):
+        for n in range(r + 1, 9):
+            every = list(all_partitions(r, n))
+            for lam in every:
+                calls = 0
+                for mu in every:
+                    if contains(lam, mu):
+                        fresh = multiplicity(Partition(r, n, lam.parts), mu)
+                        assert multiplicity(lam, mu) == fresh == unsplit_multiplicity(lam, mu)
+                        calls += 1
+                catalan = comb(2 * r + 2, r + 1) // (r + 2)
+                assert len(lam._multiplicities) <= min(calls, catalan)
+
+
+def test_a_table_eliminates_once_per_lam_and_sigma(monkeypatch):
+    # the 5292 containing pairs of G(3,8) give 771 distinct (lam, sigma),
+    # whose blocks of size at least 2 take 680 eliminations; a fresh lam
+    # per pair ran 4170
+    eliminations = []
+
+    def spy(matrix):
+        eliminations.append(len(matrix))
+        return _bareiss(matrix)
+
+    monkeypatch.setattr(schubert, "_bareiss", spy)
+    every = list(all_partitions(3, 8))
+    values = [multiplicity(lam, mu) for lam in every for mu in every if contains(lam, mu)]
+    assert (len(values), len(eliminations)) == (5292, 680)
+    assert sum(len(lam._multiplicities) for lam in every) == 771
+
+
+@given(containing_lists())
+def test_warm_multiplicity_is_the_unsplit_determinant(case):
+    lam, mus = case
+    first = [multiplicity(lam, mu) for mu in mus]
+    assert [multiplicity(lam, mu) for mu in mus] == first == [unsplit_multiplicity(lam, mu) for mu in mus]
+
+
+def test_a_full_memo_still_refuses_what_lam_does_not_contain():
+    every = list(all_partitions(2, 6))
+    for lam in every:
+        for mu in every:
+            if contains(lam, mu):
+                multiplicity(lam, mu)
+        for mu in every:
+            if not contains(lam, mu):
+                with pytest.raises(ValueError, match="componentwise above"):
+                    multiplicity(lam, mu)
+        # the same parts on another Grassmannian would give a sigma in the memo
+        for other in (Partition(2, 7, lam.parts), Partition(3, 7, lam.parts)):
+            with pytest.raises(ValueError, match="the same Grassmannian"):
+                multiplicity(lam, other)
+
+
 def test_multiplicity_requires_containment():
     with pytest.raises(ValueError):
         multiplicity(Partition(2, 5, (2, 2, 0)), Partition(2, 5, (1, 0, 0)))
@@ -210,6 +297,9 @@ def test_label_is_cached_outside_equality_hash_and_repr():
     before = (repr(p), hash(p), dataclasses.asdict(p))
     assert p.label == "(2,2,2,1,0)"
     assert p.label is p.label
+    # so is the multiplicity memo
+    assert multiplicity(p, Partition(4, 9, (3, 3, 3, 3, 2))) == 14
+    assert p._multiplicities is p._multiplicities and list(p._multiplicities.values()) == [14]
     assert (repr(p), hash(p), dataclasses.asdict(p)) == before
     assert p == fresh and hash(p) == hash(fresh)
     assert dataclasses.asdict(p) == {"r": 4, "n": 9, "parts": (2, 2, 2, 1, 0)}

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, log10
 
-from .indices import GrassShape, SegreVeroneseShape, _check_ints
+from .indices import GrassShape, SegreVeroneseShape, _check_digits, _check_ints
 
 
 def h_m(m: int, k: int) -> int:
@@ -29,6 +29,13 @@ def h_m(m: int, k: int) -> int:
     _check_ints("m", (m,), 2)
     _check_ints("k", (k,), 0)
     return _h(m, k)
+
+
+def _h_log10(m: int, k: int) -> float:
+    """A bound on log10 h_m(j) for every j <= k, for _check_digits before any
+    power is taken: h_m(j) sums distinct powers among m^0, ..., m^(t-1) for
+    t = floor(log2(j + 1)), so it is below m^t / (m - 1)."""
+    return ((max(k, 0) + 1).bit_length() - 1) * log10(m) - log10(m - 1)
 
 
 def _h(m: int, k: int) -> int:
@@ -92,16 +99,15 @@ def grass_bound(r: int, n: int) -> BoundReport:
     """
     r, n = _bound_args(r, n)
     alpha = (n + 1) // (r + 1)
+    # B = (alpha - 1) h_alpha(a) + h_alpha(b) < alpha 10^_h_log10(alpha, max(a, b))
     if n >= r * r + 3 * r + 1:
-        value = alpha * _h(alpha, r - 1)
-        branch = "large_n"
+        branch, a, b = "large_n", r - 1, r - 1
     elif r % 2 == 0:
-        value = (alpha - 1) * _h(alpha, r - 1) + _h(alpha, n - 2 - alpha * r)
-        branch = "even_r"
+        branch, a, b = "even_r", r - 1, n - 2 - alpha * r
     else:
-        residual = min(n - 3 - alpha * (r - 1), r - 2)
-        value = (alpha - 1) * _h(alpha, r - 2) + _h(alpha, residual)
-        branch = "odd_r"
+        branch, a, b = "odd_r", r - 2, min(n - 3 - alpha * (r - 1), r - 2)
+    _check_digits(f"the {branch} bound at r = {r}", log10(alpha) + _h_log10(alpha, max(a, b)))
+    value = (alpha - 1) * _h(alpha, a) + _h(alpha, b)
     return BoundReport(max_h=value + 1, raw_value=value, branch=branch)
 
 
@@ -152,6 +158,7 @@ def sv_bound(shape: SegreVeroneseShape) -> BoundReport:
     if d < 3:
         raise ValueError("the bound needs total degree at least 3")
     n1 = shape.n[0]
+    _check_digits("the sv bound", log10(n1) + _h_log10(n1 + 1, d - 2))
     raw = n1 * _h(n1 + 1, d - 2)
     return BoundReport(max_h=raw + 1, raw_value=raw, branch="sv")
 

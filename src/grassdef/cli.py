@@ -242,18 +242,10 @@ def cmd_schubert(args) -> int:
         return _emit(args, text, payload)
     mu = Partition(args.r, args.n, _parse_ints(args.mu))
     if sub == "contains":
-        value = contains(lam, mu)
-        return _emit(
-            args,
-            str(value),
-            {"lambda": lam.parts, "mu": mu.parts, "contains": value},
-        )
-    value = multiplicity(lam, mu)
-    return _emit(
-        args,
-        str(value),
-        {"lambda": lam.parts, "mu": mu.parts, "multiplicity": value},
-    )
+        key, value = "contains", contains(lam, mu)
+    else:
+        key, value = "multiplicity", multiplicity(lam, mu)
+    return _emit(args, str(value), {"lambda": lam.parts, "mu": mu.parts, key: value})
 
 
 def cmd_classify(args) -> int:

@@ -17,7 +17,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, prod
+from math import comb, log10, prod
 
 # the one size cap on the entries a request may build (pivot store, index
 # list, monomial list, jet matrix, curve classes), that is 4000 coordinates
@@ -33,9 +33,11 @@ class CapExceeded(RuntimeError):
 
 def _check_size(label: str, entries: int) -> None:
     if entries > _MAX_ENTRIES:
-        raise CapExceeded(
-            f"{label} needs about {entries} entries, above the cap of {_MAX_ENTRIES}"
-        )
+        # a count of more than about 0.9 times the digits str() converts is
+        # given as a power of ten
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        count = f"10^{int(log10(entries))}" if limit and entries.bit_length() > 3 * limit else entries
+        raise CapExceeded(f"{label} needs about {count} entries, above the cap of {_MAX_ENTRIES}")
 
 
 def _check_digits(label: str, log10: float, value: int | None = None) -> None:

@@ -2,8 +2,8 @@
 
 Secant dimensions, generic finiteness of tangential and osculating
 projections, and limit hyperplane coefficients.  Grassmannian jets of
-every order are signed minors of the Pluecker map, in its chart form for
-tangent spaces at general points and on whole matrices otherwise;
+every order are signed minors of the one Pluecker map on whole matrices,
+and the tangent spaces at general points are its jets at [I | A];
 Segre-Veronese varieties use their monomial parametrization.  Arithmetic
 runs over a fixed large prime field by default: a full-rank
 specialization proves a lower bound on the generic rank, so agreement
@@ -259,27 +259,31 @@ class Parametrization:
 
 @dataclass(frozen=True)
 class PlueckerMap:
-    """The maximal minors of the (r+1) x (n+1) matrix [I | A] as a map to
-    the cone over G(r, n), where the domain point A fills the last
-    domain_dim / (r+1) columns row by row: every column, so [I | A] = A,
-    for the domain_dim = (r+1)(n+1) of build_parametrization, and the n - r
-    columns of the standard chart for domain_dim = dim X, the chart form
-    _trial_ranks samples.  Jets come from _pluecker_jets; _sample_point reads
-    the chart form's order 1 rows through _chart_table."""
+    """The maximal minors of an (r+1) x (n+1) matrix, filled row by row by
+    the domain_dim = (r+1)(n+1) variables, as a map to the cone over
+    G(r, n); jets come from _pluecker_jets.  At [I | A], _held names exactly
+    the r+1 identity columns, and _sample_point reads the order 1 rows of
+    the entries of A there through _chart_table."""
 
     shape: GrassShape
-    domain_dim: int
-    ncols: int
+
+    @property
+    def domain_dim(self) -> int:
+        return (self.shape.r + 1) * (self.shape.n + 1)
+
+    @property
+    def ncols(self) -> int:
+        return self.shape.num_coords
 
     @cached_property
     def _chart_table(self):
-        """For every entry A_ij of the chart form, last first, the pairs
-        (column of K + {j}, source) over the r-subsets K of the other
-        columns of [I | A] in increasing order, where the source is the
-        column of K + {i}, plus N when K has an odd number of elements
-        between i and j.  Adding one column to every K keeps their order,
-        so the columns of the indices that hold j but not i pair off in
-        order with those that hold i but not j.  _sample_point reads it."""
+        """For every entry A_ij of [I | A], last first, the pairs (column of
+        K + {j}, source) over the r-subsets K of the other columns in
+        increasing order, where the source is the column of K + {i}, plus N
+        when K has an odd number of elements between i and j.  Adding one
+        column to every K keeps their order, so the columns of the indices
+        that hold j but not i pair off in order with those that hold i but
+        not j.  _sample_point reads it."""
         size, width, N = self.shape.r + 1, self.shape.n + 1, self.ncols
         masks = [sum(1 << c for c in J) for J in enumerate_indices(self.shape)]
         holding = [[pos for pos, mask in enumerate(masks) if mask >> c & 1] for c in range(width)]
@@ -321,14 +325,13 @@ def _sv_parametrization(shape: SegreVeroneseShape) -> Parametrization:
 def build_parametrization(shape: Shape) -> PolynomialMap:
     """The polynomial map of an affine chart cone of the shape, with
     coordinates in enumerate_indices order: the PlueckerMap of maximal
-    minors on a Grassmannian, which only the jet paths use (the secant and
-    projection tests take its chart form), and one exponent vector per
-    coordinate on a Segre-Veronese variety.  N coordinates times
-    _coord_degree are checked against _MAX_ENTRIES before anything is
-    built."""
+    minors on a Grassmannian, whose jets at [I | A] are the tangent rows of
+    the secant and projection tests, and one exponent vector per coordinate
+    on a Segre-Veronese variety.  N coordinates times _coord_degree are
+    checked against _MAX_ENTRIES before anything is built."""
     _check_size(f"the parametrization of {shape.label}", shape.num_coords * _coord_degree(shape))
     if isinstance(shape, GrassShape):
-        return PlueckerMap(shape, (shape.r + 1) * (shape.n + 1), shape.num_coords)
+        return PlueckerMap(shape)
     if isinstance(shape, SegreVeroneseShape):
         return _sv_parametrization(shape)
     raise TypeError(f"unsupported shape {shape!r}")
@@ -428,41 +431,33 @@ def jet_matrix(P: PolynomialMap, point, order: int, field: PrimeField | None = N
 
 
 def _pluecker_jets(P: PlueckerMap, point, order: int, modulus: int | None, held: frozenset):
-    """The jet rows of a PlueckerMap at a point, from minors of M = [I | A],
-    less those that differentiate a variable in held.
-    Maximal minors are linear in each row, so the coefficient of z^alpha in
-    det((M + z)[:, J]), z supported on the free columns that A fills,
-    vanishes unless alpha picks one entry (i, j_i) in each row i of a set
-    S; then it is the minor on J of M with each row i in S replaced by
-    e_{j_i}.  By Laplace expansion along S that is zero unless the j_i are
-    distinct and lie in J, and otherwise (-1)^e times the minor K of the
-    other rows on J - {j_i}, where e sums S and the positions at which the
-    j_i, in the order of S, are inserted one by one into K.  A column that
-    vanishes on the other rows, such as the pivot column of a chart row in
-    S, gives only zero minors and is skipped.  Before anything is built, the
-    matrix is counted against _MAX_ENTRIES: for each t = |S| <= order,
-    N C(r+1, t) (r+1)!/(r+1-t)! triples (S, j, J), and C(r+1, t) f!/(f-t)!
-    rows (S, j) for f free columns, each keyed by an alpha of length
-    domain_dim.
-    """
+    """The jet rows of a PlueckerMap at a point, from minors of the matrix M
+    whose rows the point fills, less those that differentiate a variable in
+    held.  Maximal minors are linear in each row, so the coefficient of
+    z^alpha in det((M + z)[:, J]) vanishes unless alpha picks one entry
+    (i, j_i) in each row i of a set S; then it is the minor on J of M with
+    each row i in S replaced by e_{j_i}.  By Laplace expansion along S that
+    is zero unless the j_i are distinct and lie in J, and otherwise (-1)^e
+    times the minor K of the other rows on J - {j_i}, where e sums S and
+    the positions at which the j_i, in the order of S, are inserted one by
+    one into K.  A column that vanishes on the other rows, such as column
+    i of [I | A] with i in S, gives only zero minors and is skipped.  Before
+    anything is built, the matrix is counted against _MAX_ENTRIES: for each
+    t = |S| <= order, N C(r+1, t) (r+1)!/(r+1-t)! triples (S, j, J), and
+    C(r+1, t) (n+1)!/(n+1-t)! rows (S, j), each keyed by an alpha of length
+    domain_dim."""
     shape = P.shape
     size, width = shape.r + 1, shape.n + 1
-    f = P.domain_dim // size
     top = min(order, size)
     entries = sum(
-        comb(size, t) * (shape.num_coords * perm(size, t) + P.domain_dim * perm(f, t))
+        comb(size, t) * (shape.num_coords * perm(size, t) + P.domain_dim * perm(width, t))
         for t in range(top + 1)
     )
     _check_size(f"the jet matrix of {shape.label} at order {order}", entries)
-    matrix = [
-        [int(c == i) for c in range(width - f)] + list(point[i * f : (i + 1) * f])
-        for i in range(size)
-    ]
+    matrix = [point[i * width : (i + 1) * width] for i in range(size)]
     column = {J: pos for pos, J in enumerate(enumerate_indices(shape))}
-    # the columns that A fills where some variable is not held
-    shifted = [
-        j for j in range(width - f, width) if not held.issuperset(range(j - width + f, P.domain_dim, f))
-    ]
+    # the columns where some variable is not held
+    shifted = [j for j in range(width) if not held.issuperset(range(j, P.domain_dim, width))]
     # minors are reduced once, so m - v negates them in either field
     m = modulus or 0
     rows = {}
@@ -474,7 +469,7 @@ def _pluecker_jets(P: PlueckerMap, point, order: int, modulus: int | None, held:
             minors = [(K, v) for K, v in minors if v]
             parity = sum(S)
             for js in itertools.permutations(shifted, t):
-                alpha = [i * f + j - (width - f) for i, j in zip(S, js)]
+                alpha = [i * width + j for i, j in zip(S, js)]
                 if not held.isdisjoint(alpha):
                     continue
                 row = {}
@@ -506,8 +501,6 @@ def _held(P: PolynomialMap, point, field: PrimeField | None) -> frozenset[int]:
     if isinstance(P, Parametrization):
         return frozenset(next((v for v in block if unit(point[v])), None) for block in P.blocks) - {None}
     size, width = P.shape.r + 1, P.shape.n + 1
-    if P.domain_dim != size * width:
-        return frozenset()
     # fraction-free elimination of the rows not yet pivoted; each pivot is a
     # unit, so every step is invertible over the field
     rows, cols = [point[i * width : (i + 1) * width] for i in range(size)], []
@@ -528,10 +521,10 @@ def osculating_rank_sweep(P: PolynomialMap, point, s_max: int, field: PrimeField
     The rows that differentiate a held variable are neither built nor fed,
     and every rank stays the same, over Q and modulo every allowed p.
     _held names, in each block of a Parametrization, the first variable
-    whose coordinate is a unit in the field, and on the full-form
-    PlueckerMap the variables of the first r + 1 columns, in order, that
-    are linearly independent at the point, if there are r + 1; nothing on
-    the chart form.  Write D_beta for the classical derivative of the
+    whose coordinate is a unit in the field, and on a PlueckerMap the
+    variables of the first r + 1 columns, in order, that are linearly
+    independent at the point, if there are r + 1: at [I | A] exactly the
+    identity columns.  Write D_beta for the classical derivative of the
     coordinates at the point a; the jet row of beta is D_beta / beta!, and
     where it is nonzero beta! is a unit: its prime factors are at most the
     degree of a coordinate, which the size cap keeps below 2^31 <= p.
@@ -542,7 +535,7 @@ def osculating_rank_sweep(P: PolynomialMap, point, s_max: int, field: PrimeField
       |beta_j| counts the derivatives in factor j.  With a_{j,h} a unit,
       D_{beta + e_{j,h}} lies in the span of D_beta and of the
       D_{beta + e_{j,v}} with v != h.
-    - Full-form PlueckerMap: every maximal minor F of the matrix X satisfies
+    - PlueckerMap: every maximal minor F of the matrix X satisfies
       sum_c x_{kc} d_{ic} F = delta_{ik} F, GL_{r+1} acting on the rows.
       Differentiating by beta adds only terms of order |beta|:
       sum_c a_{kc} D_{beta + e_{ic}} is a combination of rows of order
@@ -589,18 +582,19 @@ def _prime_field(p: int) -> PrimeField:
 
 
 def _sample_point(P: PolynomialMap, rng: random.Random, field: PrimeField | None):
-    """The order 1 jet rows of P at a random point a of the domain with
-    coordinates in [1, _COORD_RANGE]: the value row f(a) and one
-    derivative row per domain variable, less the rows of the held
-    variables, which lie in the span of the others (osculating_rank_sweep).
+    """The order 1 jet rows of P at a random point a, every drawn
+    coordinate in [1, _COORD_RANGE], on G(r, n) the dim X entries of A in
+    a = [I | A], row by row: the value row f(a) and one derivative row per
+    domain variable, less the rows of the held variables, which lie in the
+    span of the others (osculating_rank_sweep).
 
     All of them span a space of dimension exactly dim X + 1 over Q and
     modulo every allowed prime (p >= 2^31 > _COORD_RANGE), because every
-    coordinate a_v is a unit there; so no smoothness check is needed.
-    - G(r, n): P is the chart form of the PlueckerMap, A -> Pluecker([I | A]),
-      with dim X = (r+1)(n-r) entries of A.  The row of A_ij has a
-      coefficient of +-1 at the index {0, ..., r} - {i} + {j}, where every
-      other derivative row vanishes, and f(a) is the only row nonzero at
+    drawn coordinate is a unit there; so no smoothness check is needed.
+    - G(r, n): _held names exactly the r+1 identity columns of [I | A],
+      which leaves the rows of the A_ij.  The row of A_ij has a coefficient
+      of +-1 at the index {0, ..., r} - {i} + {j}, where every other
+      derivative row vanishes, and f(a) is the only row nonzero at
       {0, ..., r}, where it is 1: rank dim X + 1 at every A.  The chart
       A -> [I | A] is an open immersion onto a dense open subset of
       G(r, n), so these rows span the affine tangent space of the cone at a
@@ -623,7 +617,7 @@ def _sample_point(P: PolynomialMap, rng: random.Random, field: PrimeField | None
     entry for entry and in its order, but every derivative row is read
     from the point's own coordinates through a table of the map that does
     not depend on a, built once per map object:
-    - Chart form, M = [I | A]: for a column j of A in J, the row i not in
+    - PlueckerMap, M = [I | A]: for a column j of A in J, the row i not in
       J and K = J - {j}, dp_J/dA_ij = (-1)^(pos+q) p_{K+{i}}, with pos and q
       the elements of K below j and below i; as i < j, pos + q has the
       parity of the elements of K between i and j.  Laplace expansion
@@ -631,8 +625,7 @@ def _sample_point(P: PolynomialMap, rng: random.Random, field: PrimeField | None
       K, and expanding p_{K+{i}} along its column i, which is e_i, gives
       (-1)^(i+q) times the same minor; for i in J that minor has the zero
       column i.  So f(a) = _maximal_minors(M) once, and the row of A_ij
-      gathers +-p_{K+{i}} from it (PlueckerMap._chart_table).  Any other
-      PlueckerMap takes jet_matrix.
+      gathers +-p_{K+{i}} from it (PlueckerMap._chart_table).
     - Parametrization: the derivative of a^e along v is e_v a^e / a_v.
       Every a_v lies in [1, _COORD_RANGE], so it divides exactly over Q and
       is a unit modulo every allowed p; each coordinate is evaluated once
@@ -641,9 +634,9 @@ def _sample_point(P: PolynomialMap, rng: random.Random, field: PrimeField | None
       names left out.  No entry vanishes: a^e is a unit and e_v is at most
       the degree, below 2^31 <= p.
     """
-    point = tuple(rng.randint(1, _COORD_RANGE) for _ in range(P.domain_dim))
     m = field.p if field is not None else 0
     if isinstance(P, Parametrization):
+        point = tuple(rng.randint(1, _COORD_RANGE) for _ in range(P.domain_dim))
         held = _held(P, point, field)
         tops, places, table = P._tangent_table
         step = (lambda x, a: x * a % m) if m else mul
@@ -661,10 +654,9 @@ def _sample_point(P: PolynomialMap, rng: random.Random, field: PrimeField | None
             else:
                 rows.append({c: e * value[c] // point[v] for c, e in terms})
         return rows
-    if P.domain_dim != P.shape.dim:
-        return list(jet_matrix(P, point, 1, field, _held(P, point, field)).values())
     size, f = P.shape.r + 1, P.shape.n - P.shape.r
-    matrix = [[int(c == i) for c in range(size)] + list(point[i * f : (i + 1) * f]) for i in range(size)]
+    A = [rng.randint(1, _COORD_RANGE) for _ in range(P.shape.dim)]
+    matrix = [[int(c == i) for c in range(size)] + A[i * f : (i + 1) * f] for i in range(size)]
     value = [v % m if m else v for v in _maximal_minors(matrix, range(size + f)).values()]
     signed = value + [m - v if v else 0 for v in value]
     return [{c: v for c, v in enumerate(value) if v}] + [
@@ -696,8 +688,8 @@ def _check_terracini_size(shape: Shape, k: int) -> None:
     builds more than _MAX_ENTRIES entries: for N coordinates the
     RankAccumulator holds at most N min(k (dim X + 1), N) of them, and the
     indices and jets behind the rows take N times _coord_degree.  This also
-    counts the table _sample_point reads, one entry per variable of A and
-    column on the chart form, or per variable of a coordinate: at most
+    counts the table _sample_point reads, one entry per entry of A and
+    column on a Grassmannian, or per variable of a coordinate: at most
     N max(dim X, _coord_degree), as N >= dim X + 1."""
     N = shape.num_coords
     entries = N * max(min(k * (shape.dim + 1), N), _coord_degree(shape))
@@ -763,14 +755,11 @@ def _trial_ranks(
 ) -> list[tuple[int, ...]]:
     """One tuple per trial label: the ranks after each group of fresh
     tangent spaces of the shape, stacked by _stack on the columns in
-    column_of into one RankAccumulator over the field.  The rows are those
-    of the chart form of the PlueckerMap on a Grassmannian and of the
-    parametrization otherwise, less the held rows of _sample_point.  Trial
-    `label` draws its groups in order from random.Random("seed:label")."""
-    if isinstance(shape, GrassShape):
-        P = PlueckerMap(shape, shape.dim, shape.num_coords)
-    else:
-        P = build_parametrization(shape)
+    column_of into one RankAccumulator over the field.  The rows are the
+    order 1 jets of build_parametrization(shape), at [I | A] on a
+    Grassmannian, less the held rows of _sample_point.  Trial `label` draws
+    its groups in order from random.Random("seed:label")."""
+    P = build_parametrization(shape)
     out = []
     for label in labels:
         rng = random.Random(f"{seed}:{label}")
@@ -871,8 +860,8 @@ def secant_dimension(
     first are coordinate points whose tangent spaces drop columns, on the
     packing if every trial reaches the expected dimension there and else
     on the min(h, alpha) blocks (_coordinate_points), the others random,
-    each contributing the order 1 jet rows of _sample_point, at a chart
-    point on a Grassmannian.  For h <= alpha no point is random, every
+    each contributing the order 1 jet rows of _sample_point, at a point
+    [I | A] on a Grassmannian.  For h <= alpha no point is random, every
     trial stacks nothing on the survivor columns, and the computed
     dimension is the exact generic one; a deficit there still reads
     DefectEvidence.
@@ -1111,17 +1100,19 @@ def limit_hyperplane_coeffs(D: int, s: int, sbar: int, k1: int, k2: int) -> Limi
     coefficients satisfy c_j = 0 for j in [D - k1, s] together with the
     collision relations sum_k C(sbar + j, j - k) c_k = 0 for j in
     [D - k2, s]; the canonical solution is supported on {0, ..., q} with
-    q = s - D + k2 + 1, normalized to coprime integers with c_0 > 0.
+    q = s - D + k2 + 1, normalized to coprime integers with c_0 > 0.  Its
+    s + 1 coefficients and q x (q + 1) system are capped by _check_size.
     """
     _check_ints("D, s, sbar, k1 and k2", (D, s, sbar, k1, k2))
     _check_ints("sbar, k1 and k2", (sbar, k1, k2), 0)
     if D <= k1 + k2 + 1:
         raise ValueError("need D > k1 + k2 + 1")
     _check_ints("s", (s,), 0, D)
-    if s < D - k2:
-        return LimitHyperplane((1,) + (0,) * s, trivial=True)
     # q <= k2 + 1 < D - k1, so the support misses the forced zero range
     q = s - D + k2 + 1
+    _check_size(f"the limit hyperplane at s = {s}", s + 1 + max(q, 0) * (q + 1))
+    if s < D - k2:
+        return LimitHyperplane((1,) + (0,) * s, trivial=True)
     rows = list(range(D - k2, s + 1))
     # [A | b] for c_1..c_q; comb vanishes for a negative lower index
     system = [

@@ -19,7 +19,7 @@ from functools import cached_property
 from math import comb, factorial, lgamma, log
 from operator import ge
 
-from .indices import GrassShape, _bareiss, _check_digits, _check_ints
+from .indices import GrassShape, _bareiss, _check_digits, _check_ints, _check_size
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,7 @@ class Partition:
         _check_ints("r and n", (self.r, self.n))
         if not 0 <= self.r < self.n:
             raise ValueError(f"need 0 <= r < n, got r={self.r}, n={self.n}")
+        _check_size("a partition of r + 1 parts", self.r + 1)
         parts = _check_ints("parts", self.parts, 0, self.n - self.r)
         if len(parts) > self.r + 1:
             if any(parts[self.r + 1 :]):
@@ -232,6 +233,7 @@ class FerrersDiagram:
         return cls(complementary(p), complementary(inner))
 
     def render(self) -> str:
+        _check_size(f"a Ferrers diagram of {len(self.outer)} rows", sum(self.outer))
         lines = []
         for row, length in enumerate(self.outer):
             marked = self.inner[row] if self.inner is not None else 0

@@ -1,4 +1,5 @@
-"""Shared hypothesis strategies for small shapes and their indices."""
+"""Shared hypothesis strategies for small shapes and their indices, and the
+points [I | A] at which the oracle samples Grassmannian tangent spaces."""
 
 from hypothesis import strategies as st
 
@@ -32,3 +33,14 @@ def shape_with_index_pair(draw, shapes):
     shape = draw(shapes)
     indices = enumerate_indices(shape)
     return shape, draw(st.sampled_from(indices)), draw(st.sampled_from(indices))
+
+
+def full_point(shape, A):
+    """The point [I | A] of the Pluecker map of the shape, flattened row by
+    row, for the (r+1)(n-r) entries of A in the same order."""
+    size, free = shape.r + 1, shape.n - shape.r
+    return tuple(
+        v
+        for i in range(size)
+        for v in [int(c == i) for c in range(size)] + list(A[i * free : (i + 1) * free])
+    )

@@ -2,7 +2,9 @@
 against hand computed tables and cross checked between the general branch
 formulas and their closed polynomial forms."""
 
-from math import comb
+import re
+import time
+from math import comb, log10
 
 import pytest
 from hypothesis import given, strategies as st
@@ -23,7 +25,8 @@ from grassdef import (
     spherical_status,
     sv_bound,
 )
-from grassdef.bounds import _sv_level_counts
+from grassdef.bounds import _h_log10, _sv_level_counts
+from grassdef.indices import CapExceeded
 from strategies import sv_shapes
 
 # max_h values of the main bound on small parameter pairs
@@ -311,3 +314,38 @@ def test_closed_forms_refuse_bools(call, args):
     # and Schubert checks do
     with pytest.raises(TypeError):
         call(*args)
+
+
+@given(st.integers(2, 10**6), st.integers(1, 10**6))
+def test_h_is_below_its_digit_bound(m, k):
+    # h_m(k) sums distinct powers among m^0, ..., m^(t-1), t = floor(log2(k + 1))
+    t = (k + 1).bit_length() - 1
+    h = h_m(m, k)
+    assert h * (m - 1) < m**t
+    assert log10(h) < _h_log10(m, k) + 1e-9
+
+
+@pytest.mark.parametrize(
+    "call, label",
+    [
+        (lambda: grass_bound(1000, 10**4000), "the large_n bound at r = 1000"),
+        (lambda: grass_bound(4, 5 * 10**2150 - 1), "the large_n bound at r = 4"),
+        (lambda: grass_bound(10**40, 10**80), f"the even_r bound at r = {10**40}"),
+        (lambda: grass_bound(10**40 + 1, 10**80), f"the odd_r bound at r = {10**40 + 1}"),
+        (lambda: sv_bound(SegreVeroneseShape((10**399,), (10**399,))), "the sv bound"),
+    ],
+    ids=["large_n", "4301_digits", "even_r", "odd_r", "sv"],
+)
+def test_bounds_refuse_a_value_too_long_to_print_before_computing_it(call, label):
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match=f"^{re.escape(label)} has about \\d+ digits, above the limit of 4300"):
+        call()
+    assert time.perf_counter() - start < 1.0
+
+
+def test_a_bound_of_4300_digits_still_prints():
+    # alpha = 8 * 10^2149 on G(4, 5 alpha - 1): B = alpha h_alpha(3) = alpha^2,
+    # 6.4 * 10^4299, which a bound of 2 alpha^2 would refuse
+    alpha = 8 * 10**2149
+    report = grass_bound(4, 5 * alpha - 1)
+    assert report.raw_value == alpha**2 and len(str(report.max_h)) == 4300

@@ -291,7 +291,7 @@ SMOKE_MATRIX = [
         ),
     ),
     (
-        # the bench's heaviest secant case: chart tangent rows at six points
+        # the bench's heaviest secant case: tangent rows at [I | A] at six points
         ("secant", "--grass", "4", "9", "--h", "8", "--trials", "1"),
         (
             '{"computed":207,"defect":0,"elapsed_ms":null,"expected":207,"h":8,'
@@ -733,6 +733,35 @@ def test_in_process_calls_share_one_parser_and_answer_as_a_fresh_one(capsys, mon
             "the count f(r, n) = (n - 2r - 2)(n - 4r - 1)/2 has about 6000 digits,"
             " above the limit of 4300 on printed integers",
         ),
+        (
+            ("bound", "--sv", f"{10**399}:{10**399}"),
+            "the sv bound has about 528676 digits, above the limit of 4300 on printed integers",
+        ),
+        (
+            ("bound", "--grass", "1000", str(10**4000)),
+            "the large_n bound at r = 1000 has about 35973 digits, above the limit"
+            " of 4300 on printed integers",
+        ),
+        # the s + 1 coefficients of the trivial section, and the q x (q + 1)
+        # collision system for q = s - D + k2 + 1 = 99998
+        (
+            ("limit-hyperplane", "--D", "20000000", "--s", "19999999", "--sbar", "0", "--k1", "0", "--k2", "0"),
+            "the limit hyperplane at s = 19999999 needs about 20000000 entries, above the cap of 16000000",
+        ),
+        (
+            ("limit-hyperplane", "--D", "100000", "--s", "99999", "--sbar", "100000", "--k1", "0", "--k2", "99998"),
+            "the limit hyperplane at s = 99999 needs about 9999800002 entries, above the cap of 16000000",
+        ),
+        # the (r + 1)(n - r) cells of the picture, and the r + 1 parts of a
+        # partition before they are padded
+        (
+            ("schubert", "dim", "--r", "5000", "--n", "10001", "--lambda", "0"),
+            "a Ferrers diagram of 5001 rows needs about 25010001 entries, above the cap of 16000000",
+        ),
+        (
+            ("schubert", "sing", "--r", "20000000", "--n", "40000001", "--lambda", "0"),
+            "a partition of r + 1 parts needs about 20000001 entries, above the cap of 16000000",
+        ),
     ],
 )
 def test_cap_refuses_large_blow_ups_and_degrees_quickly(capsys, argv, message):
@@ -747,9 +776,18 @@ def test_cap_refuses_large_blow_ups_and_degrees_quickly(capsys, argv, message):
     "argv, message",
     [
         (("classify", "--proj", "1" + "0" * 3000, "--k", "0"), "int too large to convert to float"),
-        (("schubert", "dim", "--r", "1", "--n", "1" + "0" * 3000, "--lambda", "1"), "cannot fit 'int' into an index-sized integer"),
+        # the diagram cap counts the 2n - 3 cells before any overflows
+        (
+            ("schubert", "dim", "--r", "1", "--n", "1" + "0" * 3000, "--lambda", "1"),
+            f"a Ferrers diagram of 2 rows needs about {2 * 10**3000 - 3} entries, above the cap of 16000000",
+        ),
+        # a count too long for str() is given as a power of ten
+        (
+            ("schubert", "dim", "--r", "1", "--n", "9" * 4300, "--lambda", "1"),
+            "a Ferrers diagram of 2 rows needs about 10^4300 entries, above the cap of 16000000",
+        ),
     ],
-    ids=["classify", "schubert-dim"],
+    ids=["classify", "schubert-dim", "schubert-dim-4301-digit-count"],
 )
 def test_an_overflow_of_a_huge_argument_is_a_refusal_not_an_internal_error(capsys, argv, message):
     assert run(capsys, *argv) == (3, "", f"cap exceeded: {message}\n")

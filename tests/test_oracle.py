@@ -9,6 +9,7 @@ proof of non-defectivity, so the certified entries are unconditional.
 import itertools
 import json
 import random
+import time
 from dataclasses import asdict, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -65,7 +66,7 @@ from grassdef import (
 from grassdef.bounds import grass_bound
 from grassdef.indices import coordinate_blocks, coordinate_packing
 from grassdef.oracle import PlueckerMap, _held, _sample_point
-from strategies import sv_shapes
+from strategies import full_point, sv_shapes
 
 
 def grass_coord_point(shape, I):
@@ -285,7 +286,6 @@ def test_held_variables_are_pivot_columns_and_first_units_per_factor():
     # rows; a matrix of rank 1 holds nothing
     assert _held(G, (1, 2, 0, 0, 1, 2, 4, 1, 0, 0), field) == {0, 2, 5, 7}
     assert _held(G, (1, 2, 0, 0, 1, 2, 4, 0, 0, 2), None) == frozenset()
-    assert _held(PlueckerMap(GrassShape(1, 4), 6, 10), (1,) * 6, field) == frozenset()
     # the factors x_0, x_1 and y_0, y_1, y_2; p is a unit over Q only
     sv = build_parametrization(SegreVeroneseShape((1, 2), (2, 2)))
     point = (0, 3, DEFAULT_PRIME, 0, 5)
@@ -295,6 +295,21 @@ def test_held_variables_are_pivot_columns_and_first_units_per_factor():
     for P, point in ((G, (1, 0, 0, 0, 0, 1)), (sv, (1, 0, 0, 1))):
         with pytest.raises(ValueError, match=f"^point must have {P.domain_dim} coordinates$"):
             osculating_rank_sweep(P, point, 2, field)
+
+
+@pytest.mark.parametrize("field", [PrimeField(DEFAULT_PRIME), None], ids=["modp", "rational"])
+@pytest.mark.parametrize("r, n", [(0, 3), (1, 3), (1, 5), (2, 5), (2, 7), (3, 8), (4, 9)])
+def test_held_variables_at_i_a_are_the_identity_columns(r, n, field):
+    # the secant trials sample the jets at [I | A] less the held rows, which
+    # are exactly the rows of the identity columns; A may have zero entries
+    # and entries that vanish modulo p
+    shape = GrassShape(r, n)
+    P = build_parametrization(shape)
+    identity = {i * (n + 1) + c for i in range(r + 1) for c in range(r + 1)}
+    rng = random.Random(f"held:{r}:{n}")
+    for _ in range(5):
+        A = [rng.choice([0, 1, -1, DEFAULT_PRIME, rng.randint(-(1 << 20), 1 << 20)]) for _ in range(shape.dim)]
+        assert _held(P, full_point(shape, A), field) == identity
 
 
 def test_jets_at_coordinate_points_are_singleton_rows():
@@ -342,9 +357,8 @@ def sympy_pluecker_expansion(shape, point):
 @pytest.mark.parametrize("field", [PrimeField(DEFAULT_PRIME), None], ids=["modp", "rational"])
 @pytest.mark.parametrize("r, n", [(1, 3), (1, 4), (2, 5), (2, 6)])
 def test_grassmannian_jets_match_sympy_minor_expansion(r, n, field):
-    # the full map at a coordinate point and at a random integer point with
-    # zero entries, and the chart map at a chart point with a zero entry,
-    # whose jets are the full expansion at [I | A] in the directions of A
+    # the full map at a coordinate point, at a random integer point with
+    # zero entries and at a point [I | A] with a zero entry in A
     shape = GrassShape(r, n)
     P = build_parametrization(shape)
     rng = random.Random(f"jets:{r}:{n}")
@@ -353,33 +367,16 @@ def test_grassmannian_jets_match_sympy_minor_expansion(r, n, field):
     A = [rng.randint(-5, 5) for _ in range(shape.dim)]
     A[0] = 0
     origin = grass_coord_point(shape, tuple(range(r + 1)))
-    cases = [
-        (P, origin, origin, tuple),
-        (P, tuple(general), tuple(general), tuple),
-        (
-            chart_map(shape),
-            tuple(A),
-            full_point(shape, A),
-            lambda alpha: chart_directions(shape, alpha),
-        ),
-    ]
-    # (map, its point, the full matrix point, re-keying of a full alpha)
-    for Q, point, full, rekey in cases:
-        expansion = sympy_pluecker_expansion(shape, full)
+    for point in (origin, tuple(general), full_point(shape, A)):
+        expansion = sympy_pluecker_expansion(shape, point)
         for s in range(r + 2):
             expected = {}
             for alpha, row in expansion.items():
                 reduced = {c: v % field.p if field else v for c, v in row.items()}
                 reduced = {c: v for c, v in reduced.items() if v}
-                if sum(alpha) <= s and reduced and rekey(alpha) is not None:
-                    expected[rekey(alpha)] = reduced
-            assert jet_matrix(Q, point, s, field) == expected
-
-
-def chart_map(shape):
-    """The chart form A -> Pluecker([I | A]) of the Pluecker map, the one the
-    secant trials take their tangent rows from."""
-    return PlueckerMap(shape, shape.dim, shape.num_coords)
+                if sum(alpha) <= s and reduced:
+                    expected[alpha] = reduced
+            assert jet_matrix(P, point, s, field) == expected
 
 
 def chart_point(shape, seed):
@@ -387,29 +384,18 @@ def chart_point(shape, seed):
     return tuple(rng.randint(-99, 99) for _ in range(shape.dim))
 
 
-def full_point(shape, A):
-    """The point [I | A] of the full Pluecker map, flattened row by row."""
-    size, free = shape.r + 1, shape.n - shape.r
-    return tuple(
-        v
-        for i in range(size)
-        for v in [int(c == i) for c in range(size)] + list(A[i * free : (i + 1) * free])
-    )
-
-
-def chart_directions(shape, alpha):
-    """A full-map derivative index re-keyed to the directions of A, or None
-    when it differentiates in a pivot column."""
+def in_directions_of_a(shape, alpha):
+    """Whether a derivative index of the Pluecker map differentiates no
+    entry of the identity columns of [I | A]."""
     size, width = shape.r + 1, shape.n + 1
-    if any(alpha[i * width + c] for i in range(size) for c in range(size)):
-        return None
-    return tuple(alpha[i * width + j] for i in range(size) for j in range(size, width))
+    return not any(alpha[i * width + c] for i in range(size) for c in range(size))
 
 
 def chart_rows(shape, A):
-    """The tangent rows at the chart point A: the value row, then one row per
-    entry of A."""
-    return list(jet_matrix(chart_map(shape), A, 1).values())
+    """The tangent rows of the Pluecker map at [I | A], less the held rows
+    of the identity columns: the value row, then one row per entry of A."""
+    P, point = build_parametrization(shape), full_point(shape, A)
+    return list(jet_matrix(P, point, 1, held=_held(P, point, None)).values())
 
 
 @pytest.mark.parametrize("field", [PrimeField(DEFAULT_PRIME), None], ids=["modp", "rational"])
@@ -450,17 +436,18 @@ def test_chart_rows_at_the_origin_span_the_coordinate_ball(r, n):
 @pytest.mark.parametrize("field", [PrimeField(DEFAULT_PRIME), None], ids=["modp", "rational"])
 @pytest.mark.parametrize("r, n", [(1, 3), (1, 5), (2, 5), (2, 6), (3, 7)])
 def test_chart_jets_are_full_jets_in_the_directions_of_a(r, n, field):
-    # the chart map at A and the full map at [I | A] expand the same minors;
-    # the chart keeps the derivatives in the entries of A, up to order r + 1
+    # holding the identity columns at [I | A] keeps exactly the full jets
+    # that differentiate only entries of A, up to order r + 1
     shape = GrassShape(r, n)
+    P = build_parametrization(shape)
     for seed in range(3):
         rng = random.Random(f"chart:{r}:{n}:{seed}")
         A = [rng.randint(-9, 9) for _ in range(shape.dim)]
         A[seed] = 0
-        full = jet_matrix(build_parametrization(shape), full_point(shape, A), r + 1, field)
-        expected = {chart_directions(shape, alpha): row for alpha, row in full.items()}
-        expected.pop(None, None)
-        assert jet_matrix(chart_map(shape), A, r + 1, field) == expected
+        point = full_point(shape, A)
+        full = jet_matrix(P, point, r + 1, field)
+        expected = {alpha: row for alpha, row in full.items() if in_directions_of_a(shape, alpha)}
+        assert jet_matrix(P, point, r + 1, field, _held(P, point, field)) == expected
 
 
 @pytest.mark.parametrize("prime", [DEFAULT_PRIME, 4294967291, "rational"])
@@ -482,7 +469,7 @@ def test_sampled_tangent_rows_have_full_rank(shape, prime):
     # the tangent space of the cone, modulo the default prime, modulo
     # 2^32 - 5 and over the rationals
     field = None if prime == "rational" else PrimeField(prime)
-    P = chart_map(shape) if isinstance(shape, GrassShape) else build_parametrization(shape)
+    P = build_parametrization(shape)
     rng = random.Random(f"tangent:{shape.label}")
     for _ in range(20):
         assert rank(_sample_point(P, rng, field), field) == shape.dim + 1
@@ -490,8 +477,8 @@ def test_sampled_tangent_rows_have_full_rank(shape, prime):
 
 def stacked_ranks(shape, h, seed, field):
     """Ranks of the tangent spaces at the first 1, ..., h of a sequence of
-    random points, none of them a coordinate point: chart rows on a
-    Grassmannian, order 1 jets otherwise.  Integer rows that are
+    random points, none of them a coordinate point: chart_rows at [I | A] on
+    a Grassmannian, all order 1 jets otherwise.  Integer rows that are
     independent modulo p are independent over Q, so over Q the modular
     ranks are taken when each equals the number of rows stacked, and the
     rows are eliminated fraction-free otherwise."""
@@ -744,16 +731,8 @@ def test_trials_feed_dim_x_plus_one_rows_per_point(shape, prime, monkeypatch):
         assert len(rows) == rank(rows, field) == shape.dim + 1
 
 
-def test_grassmannian_oracle_builds_no_parametrization():
-    build_parametrization.cache_clear()
-    secant_dimension(GrassShape(2, 6), 2, trials=1)
-    tangential_projection_finite(GrassShape(2, 6), 1, trials=1)
-    osculating_projection_finite(GrassShape(2, 5), [((0, 1, 2), 1)], trials=1)
-    assert build_parametrization.cache_info().misses == 0
-
-
 TABLE_MAPS = [
-    (lambda: chart_map(GrassShape(2, 6)), "_chart_table"),
+    (lambda: replace(build_parametrization(GrassShape(2, 6))), "_chart_table"),
     (lambda: replace(build_parametrization(SegreVeroneseShape((1, 2), (2, 3)))), "_tangent_table"),
 ]
 
@@ -796,8 +775,8 @@ def test_tangent_tables_are_built_once_per_map_object(monkeypatch):
     build_parametrization.cache_clear()
     secant_dimension(shape, 4)
     assert len(builds) == 2 and builds[0] is not builds[1]
-    # the chart form is made by each _trial_ranks call that draws a point;
-    # at seed 1 the column subset falls short, so there are two
+    # at seed 1 the column subset of G(2,7) h3 falls short, so two
+    # _trial_ranks calls draw points, both from the one cached map
     charts = count_builds(monkeypatch, PlueckerMap, "_chart_table")
     trial_ranks = grassdef.oracle._trial_ranks
     calls = []
@@ -807,8 +786,14 @@ def test_tangent_tables_are_built_once_per_map_object(monkeypatch):
         return trial_ranks(*args)
 
     monkeypatch.setattr(grassdef.oracle, "_trial_ranks", spy)
+    build_parametrization.cache_clear()
     secant_dimension(GrassShape(2, 7), 3, seed=1)
-    assert len(charts) == len(calls) == 2 and charts[0] is not charts[1]
+    assert len(calls) == 2 and len(charts) == 1
+    secant_dimension(GrassShape(2, 7), 3, seed=1)
+    assert len(calls) == 4 and len(charts) == 1
+    build_parametrization.cache_clear()
+    secant_dimension(GrassShape(2, 7), 3, seed=1)
+    assert len(charts) == 2 and charts[0] is not charts[1]
 
 
 @given(shape=st.one_of(sv_shapes(), st.builds(RationalNormalCurve, st.integers(1, 8))))
@@ -1449,6 +1434,39 @@ def test_limit_hyperplane_exactness(seed):
             for t in range(min(j, q) + 1)
         )
         assert residual == 0
+
+
+@pytest.mark.parametrize(
+    "args, entries",
+    [
+        # the s + 1 coefficients of the trivial section (1, 0, ..., 0)
+        ((20000000, 19999999, 0, 0, 0), 20000000),
+        # q = s - D + k2 + 1 = 99998: s + 1 coefficients and a q x (q + 1)
+        # collision system of about 10^10 entries
+        ((100000, 99999, 100000, 0, 99998), 100000 + 99998 * 99999),
+    ],
+)
+def test_limit_hyperplane_cap_refuses_before_building(args, entries, monkeypatch):
+    monkeypatch.setattr("grassdef.oracle._bareiss", _refuse_enumeration)
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded) as exc:
+        limit_hyperplane_coeffs(*args)
+    assert time.perf_counter() - start < 1.0
+    assert str(exc.value) == (
+        f"the limit hyperplane at s = {args[1]} needs about {entries} entries, above the cap of 16000000"
+    )
+
+
+def test_limit_hyperplane_cap_counts_coefficients_and_system(monkeypatch):
+    # with a cap of 100 entries: 100 coefficients pass and 101 do not; at
+    # D = 12 and k2 = 10, s = 9 gives 10 coefficients and a q = 8 system of
+    # 72 entries, s = 10 gives 11 and 90
+    monkeypatch.setattr("grassdef.indices._MAX_ENTRIES", 100)
+    assert limit_hyperplane_coeffs(100, 99, 0, 0, 0).coeffs == (1,) + (0,) * 99
+    assert not limit_hyperplane_coeffs(12, 9, 0, 0, 10).trivial
+    for args in ((101, 100, 0, 0, 0), (12, 10, 0, 0, 10)):
+        with pytest.raises(CapExceeded):
+            limit_hyperplane_coeffs(*args)
 
 
 @pytest.mark.parametrize("position", range(5))

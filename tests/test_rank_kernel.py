@@ -37,7 +37,7 @@ from grassdef import (
     rank,
 )
 from grassdef.indices import _bareiss
-from strategies import sv_shapes
+from strategies import full_point, sv_shapes
 
 P = DEFAULT_PRIME
 FIELD = PrimeField(P)
@@ -166,12 +166,12 @@ def test_unit_rows_reduce_against_a_dense_pivot():
 
 @st.composite
 def jet_cases(draw):
-    """A polynomial map, a point and an order.  The map is the full or the
-    chart form of a small Grassmannian's PlueckerMap, or the
-    parametrization of a Segre-Veronese variety or a rational normal curve.
-    The point is a coordinate point or has entries
+    """A polynomial map, a point and an order.  The map is a small
+    Grassmannian's PlueckerMap, or the parametrization of a Segre-Veronese
+    variety or a rational normal curve.  The point is a coordinate point, a
+    point [I | A] of the standard chart of the Grassmannian, or has entries
     in [-3, 3], zeros and negatives included, some shifted by multiples of
-    p, which are units over Q but zero modulo p."""
+    p, which are units over Q but zero modulo p; so do the entries of A."""
     kind = draw(st.sampled_from(["grass", "chart", "sv", "rnc"]))
     if kind in ("grass", "chart"):
         r = draw(st.integers(0, 2))
@@ -183,18 +183,17 @@ def jet_cases(draw):
             "rnc": st.builds(RationalNormalCurve, st.integers(1, 6)),
         }[kind])
         top = shape.d_total + 1
+    poly = oracle.build_parametrization(shape)
+    entry = st.builds(lambda v, k: v + k * P, st.integers(-3, 3), st.sampled_from([0, 0, 0, 1, -1]))
     if kind == "chart":
-        poly = oracle.PlueckerMap(shape, shape.dim, shape.num_coords)
-    else:
-        poly = oracle.build_parametrization(shape)
-    if kind == "grass" and draw(st.booleans()):
+        point = full_point(shape, draw(st.lists(entry, min_size=shape.dim, max_size=shape.dim)))
+    elif kind == "grass" and draw(st.booleans()):
         index = sorted(draw(st.sets(st.integers(0, shape.n), min_size=shape.r + 1, max_size=shape.r + 1)))
         point = [int(c == j) for j in index for c in range(shape.n + 1)]
     elif kind in ("sv", "rnc") and draw(st.booleans()):
         ones = [draw(st.integers(0, nj)) for nj in shape.n]
         point = [int(v == one) for nj, one in zip(shape.n, ones) for v in range(nj + 1)]
     else:
-        entry = st.builds(lambda v, k: v + k * P, st.integers(-3, 3), st.sampled_from([0, 0, 0, 1, -1]))
         point = draw(st.lists(entry, min_size=poly.domain_dim, max_size=poly.domain_dim))
     return poly, tuple(point), draw(st.integers(0, top))
 
@@ -218,18 +217,15 @@ def test_osculating_sweep_matches_the_full_jet_ranks(case, field):
 
 @st.composite
 def sampled_maps(draw):
-    """A map that the secant trials sample: the chart form of G(r, n) with
+    """A map that the secant trials sample: the PlueckerMap of G(r, n) with
     r <= 3 and n <= 8, or of G(4,9), or the parametrization of a
-    Segre-Veronese variety or a rational normal curve; or the full form of a
-    small Grassmannian, which takes jet_matrix itself."""
-    kind = draw(st.sampled_from(["chart", "g49", "full", "sv", "rnc"]))
-    if kind == "full":
-        r = draw(st.integers(0, 2))
-        return oracle.build_parametrization(GrassShape(r, draw(st.integers(2 * r + 1, 6))))
-    if kind in ("chart", "g49"):
-        r = draw(st.integers(0, 3)) if kind == "chart" else 4
-        shape = GrassShape(r, draw(st.integers(2 * r + 1, 8)) if kind == "chart" else 9)
-        return oracle.PlueckerMap(shape, shape.dim, shape.num_coords)
+    Segre-Veronese variety or a rational normal curve."""
+    kind = draw(st.sampled_from(["grass", "g49", "sv", "rnc"]))
+    if kind == "grass":
+        r = draw(st.integers(0, 3))
+        return oracle.build_parametrization(GrassShape(r, draw(st.integers(2 * r + 1, 8))))
+    if kind == "g49":
+        return oracle.build_parametrization(GrassShape(4, 9))
     return oracle.build_parametrization(draw({
         "sv": sv_shapes(),
         "rnc": st.builds(RationalNormalCurve, st.integers(1, 8)),
@@ -253,13 +249,18 @@ class RecordingRandom(random.Random):
 @given(poly=sampled_maps(), seed=st.integers(0, 2**32))
 def test_sampled_rows_are_the_order_1_jet_rows_at_the_drawn_point(poly, seed, field, coord_range):
     # with coordinates in [1, 3] they repeat, and minors and monomials
-    # coincide or vanish
+    # coincide or vanish; on a Grassmannian the drawn coordinates are the
+    # dim X entries of A, row by row, and the point is [I | A]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(oracle, "_COORD_RANGE", coord_range)
         rng = RecordingRandom(seed)
         rows = oracle._sample_point(poly, rng, field)
     point = tuple(rng.drawn)
-    assert len(point) == poly.domain_dim and all(1 <= a <= coord_range for a in point)
+    assert all(1 <= a <= coord_range for a in point)
+    if isinstance(poly, oracle.PlueckerMap):
+        assert len(point) == poly.shape.dim
+        point = full_point(poly.shape, point)
+    assert len(point) == poly.domain_dim
     expected = oracle.jet_matrix(poly, point, 1, field, oracle._held(poly, point, field))
     # the same rows in the same order, each with its entries in the same order
     assert [list(row.items()) for row in rows] == [list(row.items()) for row in expected.values()]

@@ -322,6 +322,21 @@ def test_grass_degree_refuses_a_degree_too_long_to_print(monkeypatch):
     assert grass_degree(1, 7154) > 10**4300
 
 
+def test_partitions_and_diagrams_are_counted_before_they_are_built():
+    # r + 1 parts are counted before the padding, the cells of a picture
+    # before it is drawn; at the cap of 16,000,000 cells it is drawn
+    with pytest.raises(CapExceeded) as exc:
+        Partition(20000000, 40000001)
+    assert str(exc.value) == "a partition of r + 1 parts needs about 20000001 entries, above the cap of 16000000"
+    picture = FerrersDiagram.of_partition(Partition(5000, 10001))
+    with pytest.raises(CapExceeded) as exc:
+        picture.render()
+    assert str(exc.value) == "a Ferrers diagram of 5001 rows needs about 25010001 entries, above the cap of 16000000"
+    assert len(FerrersDiagram((8000000, 8000000)).render()) == 16000001
+    with pytest.raises(CapExceeded):
+        FerrersDiagram((8000000, 8000001)).render()
+
+
 def test_grass_degree_matches_tableaux_count():
     for r, n in ((1, 3), (1, 4), (1, 5), (2, 5), (2, 6), (3, 7), (1, 6)):
         rectangle = [n - r] * (r + 1)

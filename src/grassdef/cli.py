@@ -126,9 +126,11 @@ def _oracle_options(args) -> dict:
 def cmd_bound(args) -> int:
     from .bounds import aop_bound, grass_bound, linear_bound, sv_bound
 
+    if args.sv is not None and args.rule is not None:
+        raise ValueError("--rule applies to --grass only; --sv has the one rule sv")
     shape = _resolve_shape(args)
     if isinstance(shape, GrassShape):
-        rule = args.rule
+        rule = args.rule or "grass"
         bound = {"grass": grass_bound, "linear": linear_bound, "aop": aop_bound}[rule]
         report = bound(shape.r, shape.n)
     else:
@@ -398,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound", help="non-defectivity bounds")
     _add_shape_flags(p)
-    p.add_argument("--rule", choices=("grass", "linear", "aop"), default="grass")
+    p.add_argument("--rule", choices=("grass", "linear", "aop"), help="--grass only; default grass")
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("secant", help="secant variety dimension oracle")

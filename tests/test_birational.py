@@ -2,6 +2,8 @@
 numerical pairings, Fano tables against computed cone pairings, spherical
 and Mori dream space status, effective cones and Mori chambers."""
 
+import itertools
+import time
 from math import isqrt
 
 import pytest
@@ -31,6 +33,9 @@ from grassdef import (
     spherical_status,
     top_self_intersection,
 )
+from grassdef.birational import ConeData, _torus_cone
+from grassdef.indices import GrassShape
+from grassdef.oracle import _survivor_columns
 
 
 def test_ambient_constructors_and_invariants():
@@ -321,6 +326,141 @@ def test_effective_cone_catalog(r, n, k, names):
 def test_effective_cone_unknown_cases():
     assert effective_cone(2, 7, 2).status == "unknown"
     assert effective_cone(1, 4, 3).status == "unknown"
+    # decided before anything of length k is built
+    start = time.perf_counter()
+    assert effective_cone(1, 5, 10**8).status == "unknown"
+    assert time.perf_counter() - start < 0.1
+
+
+def _catalog(r, n, k):
+    """The hand catalog effective_cone answered from before its generators
+    came from _torus_cone, kept as the reference those must reproduce."""
+    if k == 1:
+        return ConeData((divisor_E(0, 1), DivisorClass(1, (r + 1,))), "proven", "one-point-effective-cone")
+    if k == 2 and n == 2 * r + 1:
+        return ConeData(
+            (divisor_E(0, 2), divisor_E(1, 2), DivisorClass(1, (r + 1, 0)), DivisorClass(1, (0, r + 1))),
+            "proven",
+            "two-point-effective-cone-minimal-n",
+        )
+    if k == 2 and n == 2 * r + 2:
+        return ConeData(
+            (divisor_E(0, 2), divisor_E(1, 2), DivisorClass(1, (r + 1, 1)), DivisorClass(1, (1, r + 1))),
+            "proven",
+            "two-point-effective-cone-near-minimal-n",
+        )
+    if k == 2 and r == 1:
+        return ConeData(
+            (divisor_E(0, 2), divisor_E(1, 2), DivisorClass(1, (2, 2))),
+            "proven",
+            "two-point-effective-cone-lines",
+        )
+    if k == 3 and (r, n) == (1, 5):
+        return ConeData(
+            (
+                divisor_E(0, 3),
+                divisor_E(1, 3),
+                divisor_E(2, 3),
+                DivisorClass(1, (2, 2, 0)),
+                DivisorClass(1, (2, 0, 2)),
+                DivisorClass(1, (0, 2, 2)),
+            ),
+            "proven",
+            "three-point-effective-cone-g15",
+        )
+    return ConeData((), "unknown", "none")
+
+
+def test_effective_cone_reproduces_the_catalog():
+    cases = [(r, n, k) for r in range(1, 8) for n in range(2 * r + 1, 4 * r + 12) for k in range(1, 5)]
+    answers = [effective_cone(r, n, k) for r, n, k in cases]
+    assert answers == [_catalog(r, n, k) for r, n, k in cases]
+    assert sum(cone.status == "proven" for cone in answers) == 159
+
+
+def _blocks(r, k):
+    return [tuple(range(i * (r + 1), (i + 1) * (r + 1))) for i in range(k)]
+
+
+def _degree_one_slice(cone, k):
+    """The inequalities c . m >= b that cut out the m with H - sum m_i E_i in
+    the cone, k E_i then classes H - sum b_i E_i: Fourier-Motzkin
+    elimination of the weights lambda from m <= sum_j lambda_j b^j,
+    lambda >= 0, sum_j lambda_j = 1 (the E_i absorb any slack)."""
+    assert cone[:k] == tuple(divisor_E(i, k) for i in range(k))
+    tops = [D.b for D in cone[k:]]
+    assert tops and all(D.a == 1 for D in cone[k:])
+    g = len(tops)
+    rows = {((0,) * k + tuple(int(j == t) for j in range(g)), 0) for t in range(g)}
+    rows |= {((0,) * k + (1,) * g, 1), ((0,) * k + (-1,) * g, -1)}
+    rows |= {(tuple(-int(j == i) for j in range(k)) + tuple(b[i] for b in tops), 0) for i in range(k)}
+    for _ in range(g):
+        keep = {(c[:-1], b) for c, b in rows if c[-1] == 0}
+        ups = [row for row in rows if row[0][-1] > 0]
+        downs = [row for row in rows if row[0][-1] < 0]
+        for (cu, bu), (cd, bd) in itertools.product(ups, downs):
+            p, q = -cd[-1], cu[-1]
+            keep.add((tuple(p * x + q * y for x, y in zip(cu[:-1], cd[:-1])), p * bu + q * bd))
+        rows = keep
+    return rows
+
+
+def _in_slice(rows, m):
+    return all(sum(c * x for c, x in zip(coeffs, m)) >= b for coeffs, b in rows)
+
+
+# every shape with 0 <= r <= 3, 2r + 1 <= n <= 3r + 7, k <= 4 and
+# k(r + 1) <= n + 1
+TORUS_SHAPES = [
+    (r, n, k)
+    for r in range(4)
+    for n in range(2 * r + 1, 3 * r + 8)
+    for k in range(1, 5)
+    if k * (r + 1) <= n + 1
+]
+
+
+def test_torus_cone_is_the_cone_of_the_pluecker_weights():
+    # the E_i and the H - v(J).E, v_i(J) = |J - I_i| the order of p_J at the
+    # i-th block, span the cone: each generator of the formula is some v(J),
+    # and every v(J) lies in the formula's cone
+    assert len(TORUS_SHAPES) == 106
+    for r, n, k in TORUS_SHAPES:
+        cone = _torus_cone(r, n, k)
+        blocks = [set(I) for I in _blocks(r, k)]
+        weights = {
+            tuple(len(set(J) - I) for I in blocks)
+            for J in itertools.combinations(range(n + 1), r + 1)
+        }
+        rows = _degree_one_slice(cone, k)
+        assert {D.b for D in cone[k:]} <= weights, (r, n, k)
+        assert all(_in_slice(rows, v) for v in weights), (r, n, k)
+
+
+def test_torus_cone_in_degree_one_matches_the_osculating_survivors():
+    # H - sum m_i E_i lies in the cone exactly when some Pluecker coordinate
+    # survives the projection from the order m_i - 1 osculating spaces at
+    # the blocks, that is when H - sum m_i E_i is effective
+    cases = 0
+    for r, n, k in TORUS_SHAPES:
+        if r == 0:
+            continue
+        shape = GrassShape(r, n)
+        rows = _degree_one_slice(_torus_cone(r, n, k), k)
+        for m in itertools.product(range(r + 3), repeat=k):
+            centers = [(I, mi - 1) for I, mi in zip(_blocks(r, k), m) if mi]
+            assert _in_slice(rows, m) == bool(_survivor_columns(shape, centers)), (r, n, m)
+            cases += 1
+    assert cases == 8771
+
+
+def test_torus_cone_refuses_shapes_outside_its_range():
+    for r, n, k in ((1, 5, 4), (2, 7, 3), (0, 3, 5), (1, 4, 0)):
+        with pytest.raises(ValueError):
+            _torus_cone(r, n, k)
+    # r = 0: the toric cone of P^n blown up at k <= n + 1 points
+    assert [D.name for D in _torus_cone(0, 2, 3)] == ["E1", "E2", "E3", "H-E1-E2", "H-E1-E3", "H-E2-E3"]
+    assert [D.name for D in _torus_cone(0, 3, 3)] == ["E1", "E2", "E3", "H-E1-E2-E3"]
 
 
 def test_effective_cone_orthogonality_one_point():

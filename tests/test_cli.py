@@ -38,6 +38,8 @@ def test_bound_rules(capsys):
     assert json.loads(out)["max_h"] == 9
     _, out, _ = run(capsys, "--json", "bound", "--sv", "1,1:2,2")
     assert json.loads(out)["max_h"] == 2
+    # --rule grass is the default for --grass
+    assert run(capsys, "bound", "--grass", "4", "29", "--rule", "grass") == run(capsys, "bound", "--grass", "4", "29")
 
 
 def test_bound_precondition_exit_code(capsys):
@@ -121,6 +123,7 @@ def test_malformed_seed_variable_fails_only_the_oracle_subcommands(capsys, monke
     monkeypatch.delenv("GRASSDEF_SEED", raising=False)
     seedless = [
         ("bound", "--grass", "4", "29"),
+        ("--json", "bound", "--grass", "4", "29"),
         ("schubert", "degree", "--r", "1", "--n", "3"),
         ("chambers", "--n", "4"),
     ]
@@ -369,6 +372,31 @@ SMOKE_MATRIX = [
             '{"computed":489,"defect":0,"elapsed_ms":null,"expected":489,"h":10,'
             '"prime":4611686018427387847,"seed":1729,"shape":"G(5,13)","trials":[489],'
             '"verdict":"CertifiedNonDefective"}'
+        ),
+    ),
+    (
+        # alpha = 5 coordinate points, one random point per trial
+        ("secant", "--grass", "2", "14", "--h", "6"),
+        (
+            '{"computed":221,"defect":0,"elapsed_ms":null,"expected":221,"h":6,'
+            '"prime":4611686018427387847,"seed":1729,"shape":"G(2,14)","trials":[221,221,221],'
+            '"verdict":"CertifiedNonDefective"}'
+        ),
+    ),
+    (
+        # the rational normal curve, a one-factor Segre-Veronese shape
+        ("secant", "--sv", "1:6", "--h", "3"),
+        (
+            '{"computed":5,"defect":0,"elapsed_ms":null,"expected":5,"h":3,'
+            '"prime":4611686018427387847,"seed":1729,"shape":"SV(1;6)","trials":[5,5,5],'
+            '"verdict":"CertifiedNonDefective"}'
+        ),
+    ),
+    (
+        ("oscproj", "--sv", "1:7", "--centers", "0;1", "--orders", "2,2"),
+        (
+            '{"ambient_dim":7,"kind":"osculating","note":"","restricted_rank":2,'
+            '"shape":"SV(1;7)","status":"GenericallyFinite","survivors":2,"variety_dim":1}'
         ),
     ),
     (
@@ -637,6 +665,18 @@ def test_limit_hyperplane(capsys):
     )
     assert code == 0
     assert out.strip() == "coefficients: (3, -2, 1, 0)"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("classify", "--proj", "3", "--k", "-1"), "k must be at least 0, got -1"),
+        (("bound", "--sv", "2,2:1,1", "--rule", "aop"), "--rule applies to --grass only; --sv has the one rule sv"),
+    ],
+)
+def test_invalid_arguments_exit_2_with_one_error_line(capsys, argv, message):
+    for prefix in ((), ("--json",)):
+        assert run(capsys, *prefix, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_limit_hyperplane_validation(capsys):

@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from math import comb, log10
 
-from .indices import GrassShape, _check_digits, _check_ints, _check_size
+from .indices import GrassShape, _check_digits, _check_ints, _check_size, _int_text
 from .schubert import grass_degree
 
 GRASS = "grassmannian"
@@ -209,7 +209,7 @@ def anticanonical(ambient: Ambient, k: int) -> DivisorClass:
     """The anticanonical class of the blow-up at k general points:
     index(ambient) H - (dim - 1) sum_i E_i."""
     _check_ints("k", (k,), 0)
-    _check_size(f"the anticanonical class of {ambient.label} at k = {k}", k)
+    _check_size(f"the anticanonical class of {ambient.label} at k = {_int_text(k)}", k)
     return DivisorClass(ambient.index, (ambient.dim - 1,) * k)
 
 
@@ -268,7 +268,8 @@ def mori_cone_generators(ambient: Ambient, k: int) -> ConeData:
         # e_1..e_k, then for each (c, s) the classes c h - e_S over the
         # s-subsets S, lexicographically; counted against the cap first
         count = k + sum(comb(k, s) for _, s in families)
-        _check_size(f"the Mori cone of {ambient.label} at k = {k} ({count} curve classes)", count * k)
+        label = f"the Mori cone of {ambient.label} at k = {_int_text(k)} ({_int_text(count)} curve classes)"
+        _check_size(label, count * k)
         classes = [curve_e(i, k) for i in range(k)]
         for c, s in families:
             for S in itertools.combinations(range(k), s):

@@ -31,12 +31,16 @@ class CapExceeded(RuntimeError):
     unbounded time or memory."""
 
 
+def _int_text(n: int) -> str:
+    """n >= 0 in full below 10^20, so every 64-bit value, else as 10^k for k
+    the integer part of log10 n, whatever the interpreter's limit on str()."""
+    return str(n) if n < 10**20 else f"10^{int(log10(n))}"
+
+
 def _check_size(label: str, entries: int) -> None:
     if entries > _MAX_ENTRIES:
-        # a count of more than about 0.9 times the digits str() converts is
-        # given as a power of ten
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        count = f"10^{int(log10(entries))}" if limit and entries.bit_length() > 3 * limit else entries
+        # callers write the integers in label with _int_text too
+        count = _int_text(entries)
         raise CapExceeded(f"{label} needs about {count} entries, above the cap of {_MAX_ENTRIES}")
 
 

@@ -33,6 +33,7 @@ from .indices import (
     _check_size,
     _check_sv_index,
     _distance_table,
+    _int_text,
     coordinate_blocks,
     coordinate_packing,
     distance,  # noqa: F401  (bench/test_bench.py looks it up as grassdef.oracle.distance)
@@ -244,15 +245,17 @@ class Parametrization:
     def _tangent_table(self):
         """The top exponent of every variable; for every column the places
         of its powers in the list of the powers 0, ..., top of each variable
-        in turn; and for every variable v, last first, (v, terms): one
-        (column, exponent of v) per column in which v occurs.  _sample_point
-        reads it."""
+        in turn; and for every variable v, last first, but the first of each
+        block, which _held names at the unit points _sample_point draws,
+        (v, terms): one (column, exponent of v) per column in which v occurs."""
         tops = [max((expo[v] for expo in self.coords), default=0) for v in range(self.domain_dim)]
         offsets = [sum(tops[:v]) + v for v in range(self.domain_dim)]
         places = tuple(tuple(offsets[v] + e for v, e in enumerate(expo) if e) for expo in self.coords)
+        held = {block[0] for block in self.blocks}
         rows = tuple(
             (v, tuple((col, expo[v]) for col, expo in enumerate(self.coords) if expo[v]))
             for v in reversed(range(self.domain_dim))
+            if v not in held
         )
         return tuple(tops), places, rows
 
@@ -423,7 +426,7 @@ def jet_matrix(P: PolynomialMap, point, order: int, field: PrimeField | None = N
             continue
         entries += min(prod(min(ev, budget) + 1 for _, ev in free), comb(budget + len(free), budget))
         terms.append((col, coef, base, free, budget))
-    _check_size(f"the jet matrix of {P.ncols} coordinates at order {order}", entries)
+    _check_size(f"the jet matrix of {P.ncols} coordinates at order {_int_text(order)}", entries)
     rows: dict[tuple[int, ...], dict[int, int]] = {}
     for col, coef, base, free, budget in terms:
         _emit_jets(rows, col, coef, base, free, point, budget, modulus)
@@ -453,7 +456,7 @@ def _pluecker_jets(P: PlueckerMap, point, order: int, modulus: int | None, held:
         comb(size, t) * (shape.num_coords * perm(size, t) + P.domain_dim * perm(width, t))
         for t in range(top + 1)
     )
-    _check_size(f"the jet matrix of {shape.label} at order {order}", entries)
+    _check_size(f"the jet matrix of {shape.label} at order {_int_text(order)}", entries)
     matrix = [point[i * width : (i + 1) * width] for i in range(size)]
     column = {J: pos for pos, J in enumerate(enumerate_indices(shape))}
     # the columns where some variable is not held
@@ -630,14 +633,14 @@ def _sample_point(P: PolynomialMap, rng: random.Random, field: PrimeField | None
       Every a_v lies in [1, _COORD_RANGE], so it divides exactly over Q and
       is a unit modulo every allowed p; each coordinate is evaluated once
       and scaled into the rows of its variables
-      (Parametrization._tangent_table), the rows of the variables _held
-      names left out.  No entry vanishes: a^e is a unit and e_v is at most
-      the degree, below 2^31 <= p.
+      (Parametrization._tangent_table), which has no rows for the first
+      variable of each block, the ones _held names at a.  No entry
+      vanishes: a^e is a unit and e_v is at most the degree, below
+      2^31 <= p.
     """
     m = field.p if field is not None else 0
     if isinstance(P, Parametrization):
         point = tuple(rng.randint(1, _COORD_RANGE) for _ in range(P.domain_dim))
-        held = _held(P, point, field)
         tops, places, table = P._tangent_table
         step = (lambda x, a: x * a % m) if m else mul
         powers = [x for a, top in zip(point, tops) for x in itertools.accumulate([a] * top, step, initial=1)]
@@ -646,8 +649,6 @@ def _sample_point(P: PolynomialMap, rng: random.Random, field: PrimeField | None
             value = [x % m for x in value]
         rows = [dict(enumerate(value))]
         for v, terms in table:
-            if v in held:
-                continue
             if m:
                 inv = pow(point[v], -1, m)
                 rows.append({c: e * value[c] * inv % m for c, e in terms})
@@ -693,7 +694,7 @@ def _check_terracini_size(shape: Shape, k: int) -> None:
     N max(dim X, _coord_degree), as N >= dim X + 1."""
     N = shape.num_coords
     entries = N * max(min(k * (shape.dim + 1), N), _coord_degree(shape))
-    _check_size(f"the Terracini matrix of {shape.label} at {k} point(s)", entries)
+    _check_size(f"the Terracini matrix of {shape.label} at {_int_text(k)} point(s)", entries)
 
 
 def _coordinate_points(shape, h: int) -> list[list[tuple[object, int]]]:
@@ -771,34 +772,23 @@ def _trial_ranks(
 def _target_ranks(shape, column_of, groups, field, seed, labels, ceilings) -> list[tuple[int, ...]]:
     """_trial_ranks on all survivor columns over the field (None for Q),
     with ceilings[i] a rank the stack never exceeds after group i in any
-    field, the last the largest.  Every trial first runs modulo p (the
-    requested prime, or DEFAULT_PRIME over Q) with its label, hence its
-    integer points, on the last ceiling's number of survivor columns drawn
-    by random.Random("seed:columns") when there are more.  Deleting columns
-    only lowers a rank and no stack exceeds its ceiling, so a trial that
-    reaches every ceiling there has those ranks on all columns; a nonzero
-    minor modulo p reduces from a nonzero integer minor, so it has them
-    over Q too.  If any trial falls short, all rerun on every survivor
-    column over the requested field."""
-    ranks = []
-    top = ceilings[-1]
-    if field is None or top < len(column_of):
-        columns = column_of
-        if top < len(column_of):
-            kept = sorted(random.Random(f"{seed}:columns").sample(list(column_of), top))
-            columns = dict(zip(kept, range(top)))
-        ranks = _trial_ranks(shape, columns, groups, field or _prime_field(DEFAULT_PRIME), seed, labels)
-    if ranks != [ceilings] * len(labels):
-        ranks = _trial_ranks(shape, column_of, groups, field, seed, labels)
+    field.  A rational request first runs modulo DEFAULT_PRIME with the
+    same labels, hence the same integer points: a nonzero minor modulo p
+    reduces from a nonzero integer minor, so a trial that reaches every
+    ceiling there has those ranks over Q too.  If any trial falls short,
+    all rerun fraction-free."""
+    ranks = _trial_ranks(shape, column_of, groups, field or _prime_field(DEFAULT_PRIME), seed, labels)
+    if field is None and ranks != [ceilings] * len(labels):
+        ranks = _trial_ranks(shape, column_of, groups, None, seed, labels)
     return ranks
 
 
 def _coordinate_ranks(shape, points: tuple[int, ...], field, seed, labels) -> list[tuple[int, ...]]:
     """One tuple per trial label: the ranks after the first k points, for
     each k in points, of a stack that starts at _coordinate_points(shape,
-    points[0]), decided by _target_ranks on the columns outside the balls
-    with the ceilings min(k (dim X + 1), N) - dropped.  The first stack on
-    which every trial reaches every ceiling is kept, else the last one."""
+    points[0]), run once by _target_ranks on exactly the columns outside
+    the balls with the ceilings min(k (dim X + 1), N) - dropped.  The first
+    stack on which every trial reaches every ceiling is kept, else the last."""
     for coordinate in _coordinate_points(shape, points[0]):
         column_of = _survivor_columns(shape, coordinate)
         dropped = shape.num_coords - len(column_of)
@@ -1043,8 +1033,8 @@ def osculating_projection_finite(
     the surviving coordinates.  The status is GenericallyFinite when the
     restricted order 1 jet at a general point has full rank dim X + 1,
     ConstantMap when no coordinate survives or the restricted rank is at
-    most 1, and FiberEvidence otherwise.  Trials are decided by
-    _target_ranks with the ceiling min(dim X + 1, survivors).
+    most 1, and FiberEvidence otherwise.  Each trial runs once on the
+    survivors, by _target_ranks with the ceiling min(dim X + 1, survivors).
     """
     field = _oracle_field(prime, trials)
     if not centers:
@@ -1110,7 +1100,7 @@ def limit_hyperplane_coeffs(D: int, s: int, sbar: int, k1: int, k2: int) -> Limi
     _check_ints("s", (s,), 0, D)
     # q <= k2 + 1 < D - k1, so the support misses the forced zero range
     q = s - D + k2 + 1
-    _check_size(f"the limit hyperplane at s = {s}", s + 1 + max(q, 0) * (q + 1))
+    _check_size(f"the limit hyperplane at s = {_int_text(s)}", s + 1 + max(q, 0) * (q + 1))
     if s < D - k2:
         return LimitHyperplane((1,) + (0,) * s, trivial=True)
     rows = list(range(D - k2, s + 1))

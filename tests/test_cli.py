@@ -303,7 +303,7 @@ SMOKE_MATRIX = [
         ),
     ),
     (
-        # certified below the column count: the trials run on a column subset
+        # certified below the column count by the packing's five balls alone
         ("secant", "--grass", "3", "9", "--h", "5"),
         (
             '{"computed":124,"defect":0,"elapsed_ms":null,"expected":124,"h":5,'
@@ -328,8 +328,8 @@ SMOKE_MATRIX = [
         ),
     ),
     (
-        # rational and certified: decided modulo p on a column subset, where
-        # the fraction-free elimination on all columns took about 130 s
+        # rational and certified: decided modulo p on the survivor columns,
+        # with no fraction-free pass
         ("secant", "--grass", "4", "9", "--h", "8", "--prime", "rational", "--trials", "1"),
         (
             '{"computed":207,"defect":0,"elapsed_ms":null,"expected":207,"h":8,'
@@ -454,7 +454,7 @@ SMOKE_MATRIX = [
         ),
     ),
     (
-        # rational and finite: decided modulo p on a column subset
+        # rational and finite: decided modulo p on the survivor columns
         (
             "oscproj", "--grass", "2", "7", "--centers", "0,1,2;3,4,5", "--orders", "1,1",
             "--prime", "rational", "--trials", "1",
@@ -816,18 +816,22 @@ def test_cap_refuses_large_blow_ups_and_degrees_quickly(capsys, argv, message):
     "argv, message",
     [
         (("classify", "--proj", "1" + "0" * 3000, "--k", "0"), "int too large to convert to float"),
-        # the diagram cap counts the 2n - 3 cells before any overflows
+        # the diagram cap counts the 2n - 3 cells before any overflows; a
+        # count of more than 20 digits is given as a power of ten
         (
             ("schubert", "dim", "--r", "1", "--n", "1" + "0" * 3000, "--lambda", "1"),
-            f"a Ferrers diagram of 2 rows needs about {2 * 10**3000 - 3} entries, above the cap of 16000000",
+            "a Ferrers diagram of 2 rows needs about 10^3000 entries, above the cap of 16000000",
         ),
-        # a count too long for str() is given as a power of ten
+        (
+            ("schubert", "dim", "--r", "1", "--n", "1" + "0" * 3000, "--lambda", "0"),
+            "a Ferrers diagram of 2 rows needs about 10^3000 entries, above the cap of 16000000",
+        ),
         (
             ("schubert", "dim", "--r", "1", "--n", "9" * 4300, "--lambda", "1"),
             "a Ferrers diagram of 2 rows needs about 10^4300 entries, above the cap of 16000000",
         ),
     ],
-    ids=["classify", "schubert-dim", "schubert-dim-4301-digit-count"],
+    ids=["classify", "schubert-dim", "schubert-dim-lambda-0", "schubert-dim-4301-digit-count"],
 )
 def test_an_overflow_of_a_huge_argument_is_a_refusal_not_an_internal_error(capsys, argv, message):
     assert run(capsys, *argv) == (3, "", f"cap exceeded: {message}\n")

@@ -64,9 +64,9 @@ from grassdef import (
     tangential_projection_finite,
 )
 from grassdef.bounds import grass_bound
-from grassdef.indices import coordinate_blocks, coordinate_packing
+from grassdef.indices import _int_text, coordinate_blocks, coordinate_packing
 from grassdef.oracle import PlueckerMap, _held, _sample_point
-from strategies import full_point, sv_shapes
+from strategies import full_point, grass_shapes, sv_shapes
 
 
 def grass_coord_point(shape, I):
@@ -662,14 +662,12 @@ DRAW_CASES = [
     (secant_dimension, GrassShape(2, 8), 3, 3, 0),
     (secant_dimension, SegreVeroneseShape((3,), (4,)), 4, 3, 0),
     (secant_dimension, GrassShape(1, 5), 3, 3, 0),
-    # h = alpha + 1: one random point per trial (G(2,14) h6 reaches its
-    # target on the column subset at the default seed, so no rerun)
+    # h = alpha + 1: one random point per trial, drawn once
     (secant_dimension, GrassShape(2, 14), 6, 3, 3),
     (secant_dimension, SegreVeroneseShape((2, 2, 2), (1, 1, 1)), 4, 1, 1),
     # all four centers are coordinate points (alpha = 4), and each trial
     # draws only the fresh point; with min(h, 2) coordinate centers it drew
-    # three points per trial.  The trials reach their ceilings on the column
-    # subset, so no rerun draws again
+    # three points per trial
     (tangential_projection_finite, GrassShape(2, 11), 4, 3, 3),
 ]
 
@@ -775,7 +773,7 @@ def test_tangent_tables_are_built_once_per_map_object(monkeypatch):
     build_parametrization.cache_clear()
     secant_dimension(shape, 4)
     assert len(builds) == 2 and builds[0] is not builds[1]
-    # at seed 1 the column subset of G(2,7) h3 falls short, so two
+    # a rational defective row runs modulo p and then fraction-free, so two
     # _trial_ranks calls draw points, both from the one cached map
     charts = count_builds(monkeypatch, PlueckerMap, "_chart_table")
     trial_ranks = grassdef.oracle._trial_ranks
@@ -787,12 +785,12 @@ def test_tangent_tables_are_built_once_per_map_object(monkeypatch):
 
     monkeypatch.setattr(grassdef.oracle, "_trial_ranks", spy)
     build_parametrization.cache_clear()
-    secant_dimension(GrassShape(2, 7), 3, seed=1)
+    secant_dimension(GrassShape(2, 8), 4, trials=1, prime="rational")
     assert len(calls) == 2 and len(charts) == 1
-    secant_dimension(GrassShape(2, 7), 3, seed=1)
+    secant_dimension(GrassShape(2, 8), 4, trials=1, prime="rational")
     assert len(calls) == 4 and len(charts) == 1
     build_parametrization.cache_clear()
-    secant_dimension(GrassShape(2, 7), 3, seed=1)
+    secant_dimension(GrassShape(2, 8), 4, trials=1, prime="rational")
     assert len(charts) == 2 and charts[0] is not charts[1]
 
 
@@ -981,7 +979,7 @@ def full_column_trials(shape, h, trials, prime, seed):
     return tuple(dropped + rank - 1 for (rank,) in ranks)
 
 
-SUBSET_CASES = [
+FULL_COLUMN_CASES = [
     (GrassShape(3, 8), 4),
     (GrassShape(3, 9), 5),
     # every point a coordinate point: the target on the survivors is 0
@@ -990,14 +988,14 @@ SUBSET_CASES = [
     (GrassShape(3, 7), 3),
     (GrassShape(3, 7), 4),
     (GrassShape(2, 8), 4),
-    # the target rank equals the survivor column count: no subset to draw
+    # the target rank equals the survivor column count
     (SegreVeroneseShape((1, 1), (2, 2)), 3),
     (RationalNormalCurve(7), 5),
 ]
 
 
 @pytest.mark.parametrize("prime", [DEFAULT_PRIME, "rational"])
-@pytest.mark.parametrize("shape, h", SUBSET_CASES, ids=lambda v: getattr(v, "label", v))
+@pytest.mark.parametrize("shape, h", FULL_COLUMN_CASES, ids=lambda v: getattr(v, "label", v))
 def test_secant_trials_equal_the_full_column_trials(shape, h, prime):
     trials = 1 if prime == "rational" else DEFAULT_TRIALS
     for seed in (3, 11):
@@ -1041,60 +1039,92 @@ def test_projection_reports_equal_the_full_column_runs(oracle, shape, argument, 
         assert asdict(report) == asdict(reference)
 
 
-def test_secant_trials_run_on_a_column_subset_modulo_p_first(monkeypatch):
-    trial_ranks = grassdef.oracle._trial_ranks
-    survivor_columns = grassdef.oracle._survivor_columns
-    calls, used = [], []
+class PassSpy:
+    """Records, for every oracle call made inside it, the survivor columns
+    of each stack tried and the (column map, field) of each _trial_ranks
+    call."""
 
-    def spy(shape, column_of, groups, field, *args):
-        calls.append((column_of, field))
-        return trial_ranks(shape, column_of, groups, field, *args)
+    def __init__(self, patch):
+        self.stacks, self.calls = [], []
+        trial_ranks = grassdef.oracle._trial_ranks
+        survivor_columns = grassdef.oracle._survivor_columns
 
-    def survivors_spy(shape, coordinate):
-        used.append(survivor_columns(shape, coordinate))
-        return used[-1]
+        def trials_spy(shape, column_of, groups, field, *args):
+            self.calls.append((column_of, field))
+            return trial_ranks(shape, column_of, groups, field, *args)
 
-    monkeypatch.setattr(grassdef.oracle, "_trial_ranks", spy)
-    monkeypatch.setattr(grassdef.oracle, "_survivor_columns", survivors_spy)
+        def survivors_spy(shape, coordinate):
+            self.stacks.append(survivor_columns(shape, coordinate))
+            return self.stacks[-1]
 
-    def columns_per_call(shape, h, **kwargs):
-        # (survivor columns of the coordinate points the trials used, target
-        # rank, (column map, field) of each call)
-        calls.clear()
-        used.clear()
-        cert = secant_dimension(shape, h, **kwargs)
-        (survivors,) = used
-        target = cert.expected_dim + 1 - (shape.num_coords - len(survivors))
-        for column_of, _ in calls:
-            # survivor columns renumbered in sorted order
-            assert sorted(column_of) == list(column_of) and set(column_of) <= set(survivors)
-            assert list(column_of.values()) == list(range(len(column_of)))
-        return survivors, target, list(calls)
+        patch.setattr(grassdef.oracle, "_trial_ranks", trials_spy)
+        patch.setattr(grassdef.oracle, "_survivor_columns", survivors_spy)
 
-    # certified: one call on exactly target columns.  The packing's five
-    # balls decide G(3,9) h5 alone; G(4,9) h8 leaves 52 of the 96 columns
-    # outside its six balls to two random points
-    survivors, target, seen = columns_per_call(GrassShape(3, 9), 5)
-    assert target < len(survivors)
-    assert [len(c) for c, _ in seen] == [target]
-    survivors, target, seen = columns_per_call(GrassShape(4, 9), 8, trials=1)
-    assert (len(survivors), target) == (252 - 6 * 26, 52)
-    assert [len(c) for c, _ in seen] == [target]
-    # defective: the subset falls short, and the trials rerun on all columns
-    survivors, target, seen = columns_per_call(GrassShape(2, 8), 4)
-    assert len(seen) == 2 and len(seen[0][0]) == target < len(survivors)
-    assert seen[1][0] == survivors
-    # over the rationals a certified trial is decided by one modular call on
-    # target columns
-    survivors, target, seen = columns_per_call(GrassShape(3, 9), 5, trials=1, prime="rational")
-    assert target < len(survivors)
-    assert [len(c) for c, _ in seen] == [target]
-    assert isinstance(seen[0][1], PrimeField)
-    # and a defective one reruns fraction-free on all survivor columns
-    survivors, target, seen = columns_per_call(GrassShape(2, 8), 4, trials=1, prime="rational")
-    assert len(seen) == 2 and len(seen[0][0]) == target < len(survivors)
-    assert isinstance(seen[0][1], PrimeField)
-    assert seen[1] == (survivors, None)
+    def run(self, oracle, *args, **kwargs):
+        self.stacks.clear()
+        self.calls.clear()
+        return oracle(*args, **kwargs)
+
+
+def test_each_stack_runs_its_trials_once_on_its_survivor_columns(monkeypatch):
+    spy = PassSpy(monkeypatch)
+    # modulo p: one call per stack tried, on exactly its survivor columns,
+    # certified or defective; the packing's five balls decide G(3,9) h5
+    # alone, and G(4,9) h8 leaves two random points to its packing of six
+    prime = PrimeField(DEFAULT_PRIME)
+    for shape, h, trials, verdict in (
+        (GrassShape(3, 9), 5, 3, CERTIFIED),
+        (GrassShape(4, 9), 8, 1, CERTIFIED),
+        (GrassShape(2, 8), 4, 3, DEFECT_EVIDENCE),
+        (GrassShape(3, 7), 4, 3, DEFECT_EVIDENCE),
+    ):
+        assert spy.run(secant_dimension, shape, h, trials=trials).verdict == verdict
+        assert spy.calls == [(survivors, prime) for survivors in spy.stacks]
+        assert len(spy.stacks) == 1
+    report = spy.run(tangential_projection_finite, GrassShape(2, 11), 4)
+    assert report.status == GENERICALLY_FINITE
+    assert spy.calls == [(survivors, prime) for survivors in spy.stacks]
+    # over Q: one modular call, and a fraction-free one on the same columns
+    # only when it falls short
+    assert spy.run(secant_dimension, GrassShape(3, 9), 5, trials=1, prime="rational").verdict == CERTIFIED
+    (survivors,) = spy.stacks
+    assert spy.calls == [(survivors, prime)]
+    assert spy.run(secant_dimension, GrassShape(2, 8), 4, trials=1, prime="rational").verdict == DEFECT_EVIDENCE
+    (survivors,) = spy.stacks
+    assert spy.calls == [(survivors, prime), (survivors, None)]
+
+
+@pytest.mark.parametrize(
+    "oracle, shape, h, seeds",
+    [
+        (secant_dimension, GrassShape(2, 7), 3, range(40)),
+        (secant_dimension, GrassShape(3, 8), 4, [*range(40), 1729, *range(1729000, 1729010)]),
+        (tangential_projection_finite, GrassShape(2, 11), 3, [1729]),
+    ],
+    ids=["G(2,7)-h3", "G(3,8)-h4", "tangproj-G(2,11)-h3"],
+)
+def test_certified_rows_make_one_trial_pass(oracle, shape, h, seeds, monkeypatch):
+    # one _trial_ranks call per row and seed: every trial reaches its
+    # ceilings on the survivor columns of the first stack
+    spy = PassSpy(monkeypatch)
+    for seed in seeds:
+        spy.run(oracle, shape, h, seed=seed)
+        assert len(spy.calls) == 1, seed
+
+
+@settings(deadline=None)
+@given(
+    shape=grass_shapes(max_r=3, max_n=9),
+    h=st.integers(1, 9),
+    trials=st.integers(1, 3),
+    seed=st.integers(0, 2**32),
+)
+def test_one_pass_per_stack_gives_the_full_column_trials(shape, h, trials, seed):
+    with pytest.MonkeyPatch.context() as patch:
+        spy = PassSpy(patch)
+        cert = spy.run(secant_dimension, shape, h, trials=trials, seed=seed)
+    assert spy.calls == [(survivors, PrimeField(DEFAULT_PRIME)) for survivors in spy.stacks]
+    assert cert.trials == full_column_trials(shape, h, trials, DEFAULT_PRIME, seed)
 
 
 def test_a_modular_shortfall_is_never_the_rational_answer(monkeypatch):
@@ -1455,6 +1485,20 @@ def test_limit_hyperplane_cap_refuses_before_building(args, entries, monkeypatch
     assert str(exc.value) == (
         f"the limit hyperplane at s = {args[1]} needs about {entries} entries, above the cap of 16000000"
     )
+
+
+def test_refusal_lines_write_huge_integers_as_powers_of_ten():
+    # s and the count past the 4300 digits str() converts
+    with pytest.raises(CapExceeded) as exc:
+        limit_hyperplane_coeffs(10**5000, 10**5000, 0, 0, 0)
+    assert str(exc.value) == (
+        "the limit hyperplane at s = 10^5000 needs about 10^5000 entries, above the cap of 16000000"
+    )
+    # a label is written even where the cap passes: h points of G(1,4) fill
+    # its 10 coordinates from h = 2 on
+    assert secant_dimension(GrassShape(1, 4), 10**5000, trials=1).computed_dim == 9
+    # every 64-bit value is written in full
+    assert [_int_text(n) for n in (2**64 - 1, 10**20 - 1, 10**20)] == [str(2**64 - 1), "9" * 20, "10^20"]
 
 
 def test_limit_hyperplane_cap_counts_coefficients_and_system(monkeypatch):

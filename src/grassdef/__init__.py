@@ -14,8 +14,9 @@ __version__ = "0.1.0"
 # defining module -> the names the package exports from it
 _EXPORTS = {
     "bounds": (
-        "BoundReport", "aop_bound", "grass_bound", "h_m", "linear_bound",
-        "osculating_dim_grass", "osculating_dim_sv", "sv_bound",
+        "BoundReport", "LimitHyperplane", "aop_bound", "grass_bound", "h_m",
+        "limit_hyperplane_coeffs", "linear_bound", "osculating_dim_grass",
+        "osculating_dim_sv", "sv_bound",
     ),
     "birational": (
         "FANO", "KNOWN_MDS", "MDS_UNKNOWN", "NEITHER", "WEAK_FANO_ONLY",
@@ -35,11 +36,10 @@ _EXPORTS = {
         "CERTIFIED", "CONSTANT_MAP", "DEFAULT_PRIME", "DEFAULT_SEED",
         "DEFAULT_TRIALS", "DEFECT_EVIDENCE", "FIBER_EVIDENCE",
         "GENERICALLY_FINITE", "HYPOTHESIS_VIOLATED", "DefectivityCertificate",
-        "LimitHyperplane", "Parametrization", "PrimeField", "ProjectionReport",
-        "RankAccumulator", "RationalNormalCurve", "build_parametrization",
-        "is_probable_prime", "jet_matrix", "limit_hyperplane_coeffs",
-        "osculating_projection_finite", "osculating_rank_sweep", "rank",
-        "secant_dimension", "tangential_projection_finite",
+        "Parametrization", "PrimeField", "ProjectionReport", "RankAccumulator",
+        "RationalNormalCurve", "build_parametrization", "is_probable_prime",
+        "jet_matrix", "osculating_projection_finite", "osculating_rank_sweep",
+        "rank", "secant_dimension", "tangential_projection_finite",
     ),
     "schubert": (
         "FerrersDiagram", "Partition", "complementary", "contains",

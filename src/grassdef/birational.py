@@ -104,13 +104,12 @@ class Ambient:
             return 1
         return 0
 
-    @property
-    def label(self) -> str:
+    label = property(lambda self: self._label(str))
+
+    def _label(self, text) -> str:
         if self.kind == GRASS:
-            return f"G({self.r},{self.n})"
-        if self.kind == QUADRIC:
-            return f"Q{self.n}"
-        return f"P{self.n}"
+            return f"G({text(self.r)},{text(self.n)})"
+        return f"{'Q' if self.kind == QUADRIC else 'P'}{text(self.n)}"
 
 
 def _class_name(lead: int, coeffs: tuple[int, ...], base: str, exceptional: str) -> str:
@@ -209,7 +208,7 @@ def anticanonical(ambient: Ambient, k: int) -> DivisorClass:
     """The anticanonical class of the blow-up at k general points:
     index(ambient) H - (dim - 1) sum_i E_i."""
     _check_ints("k", (k,), 0)
-    _check_size(f"the anticanonical class of {ambient.label} at k = {_int_text(k)}", k)
+    _check_size(f"the anticanonical class of {ambient._label(_int_text)} at k = {_int_text(k)}", k)
     return DivisorClass(ambient.index, (ambient.dim - 1,) * k)
 
 
@@ -221,7 +220,8 @@ def top_self_intersection(ambient: Ambient, D: DivisorClass) -> int:
     bound too long to print is refused before any power is taken."""
     d, deg = ambient.dim, ambient.degree
     m = max(map(abs, (D.a, *D.b, 1)))
-    _check_digits(f"D^{d} on {ambient.label} at k = {D.k}", log10((D.k + 1) * deg) + d * log10(m))
+    label = f"D^{_int_text(d)} on {ambient._label(_int_text)} at k = {_int_text(D.k)}"
+    _check_digits(label, log10((D.k + 1) * deg) + d * log10(m))
     return D.a**d * deg - sum(bi**d for bi in D.b)
 
 
@@ -268,8 +268,8 @@ def mori_cone_generators(ambient: Ambient, k: int) -> ConeData:
         # e_1..e_k, then for each (c, s) the classes c h - e_S over the
         # s-subsets S, lexicographically; counted against the cap first
         count = k + sum(comb(k, s) for _, s in families)
-        label = f"the Mori cone of {ambient.label} at k = {_int_text(k)} ({_int_text(count)} curve classes)"
-        _check_size(label, count * k)
+        label = f"the Mori cone of {ambient._label(_int_text)} at k = {_int_text(k)}"
+        _check_size(f"{label} ({_int_text(count)} curve classes)", count * k)
         classes = [curve_e(i, k) for i in range(k)]
         for c, s in families:
             for S in itertools.combinations(range(k), s):

@@ -1,19 +1,20 @@
-"""Non-defectivity bounds for secant varieties and osculating dimensions.
+"""Non-defectivity bounds, osculating dimensions and limit hyperplanes.
 
 The bounds certify that the h-secant variety of a Grassmannian or
 Segre-Veronese variety has the expected dimension for every h up to the
 reported maximum.  They are purely combinatorial: the heavy lifting is the
 auxiliary sequence h_m, read off a binary expansion, which counts how many
-general points an inductive osculating degeneration can absorb.
+general points an inductive osculating degeneration can absorb.  Limit
+hyperplanes are closed-form too: two binomials per coefficient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, log10
+from math import comb, gcd, log10
 
-from .indices import GrassShape, SegreVeroneseShape, _check_digits, _check_ints
+from .indices import GrassShape, SegreVeroneseShape, _check_digits, _check_ints, _check_size, _int_text
 
 
 def h_m(m: int, k: int) -> int:
@@ -202,3 +203,71 @@ def osculating_dim_sv(shape: SegreVeroneseShape, s: int) -> int:
     _check_ints("s", (s,), 0)
     counts = _sv_level_counts(shape)
     return sum(counts[1 : min(s, shape.d_total) + 1])
+
+
+@dataclass(frozen=True)
+class LimitHyperplane:
+    """Integer coefficient vector (c_0, ..., c_s) of a hyperplane section
+    adapted to a two-point collision of osculating conditions on a degree D
+    rational normal curve."""
+
+    coeffs: tuple[int, ...]
+    trivial: bool
+
+
+def limit_hyperplane_coeffs(D: int, s: int, sbar: int, k1: int, k2: int) -> LimitHyperplane:
+    """Coefficients of the limit hyperplane for parameters (D, s, sbar,
+    k1, k2) with D > k1 + k2 + 1, 0 <= s <= D and sbar, k1, k2 >= 0.
+
+    For s < D - k2 the trivial section (1, 0, ..., 0) works.  Otherwise the
+    coefficients satisfy c_j = 0 for j in [D - k1, s] together with the
+    collision relations sum_k C(sbar + j, j - k) c_k = 0 for j in
+    [D - k2, s].  With q = s - D + k2 + 1 <= k2 + 1 < D - k1 the answer is
+    c_k = (-1)^k C(s - k, q - k) C(sbar + k, k) for k <= q and 0 above,
+    over the gcd of its entries, so c_0 = C(s, q) / gcd > 0.
+
+    As C(sbar + j, j - k) C(sbar + k, k) = C(sbar + j, j) C(j, k), relation
+    j is C(sbar + j, j) times the j-th finite difference, up to sign, of
+    f(k) = C(s - k, s - q): the first binomial of c_k for k <= q, and 0 for
+    q < k <= j <= s.  f has degree s - q = D - k2 - 1 < j, so every
+    relation holds.  With c_0 fixed, the relations on c_1..c_q have matrix
+    diag(C(sbar + j, j)) [C(j, k)] diag(1 / C(sbar + k, k)); for j =
+    s - q + 1..s and k = 1..q, det [C(j, k)] is the product of the j times
+    their Vandermonde over 1! 2! ... q!, so the solution is unique up to
+    scale.  Each relation is still checked; a residual raises
+    ArithmeticError.  _check_size caps the s + 1 coefficients and the
+    q (q + 1) terms of the check, and a bound C(s, q) C(sbar + q, q) on
+    |c_k| too long to print is refused before anything is built.  It
+    ignores the gcd, so it may refuse coefficients that would print.
+    """
+    _check_ints("D, s, sbar, k1 and k2", (D, s, sbar, k1, k2))
+    _check_ints("sbar, k1 and k2", (sbar, k1, k2), 0)
+    if D <= k1 + k2 + 1:
+        raise ValueError("need D > k1 + k2 + 1")
+    _check_ints("s", (s,), 0, D)
+    q = s - D + k2 + 1
+    label = f"the limit hyperplane at s = {_int_text(s)}"
+    _check_size(label, s + 1 + max(q, 0) * (q + 1))
+    if q <= 0:
+        return LimitHyperplane((1,) + (0,) * s, trivial=True)
+    # log10 C(s, q) C(sbar + q, q) term by term: lgamma overflows past 1e308
+    _check_digits(label, sum(log10((s - i) * (sbar + q - i)) - 2 * log10(q - i) for i in range(q)))
+    # each binomial from the one before, as s - k >= s - q = D - k2 - 1 > 0
+    coeffs, a, b = [], comb(s, q), 1
+    for k in range(q + 1):
+        coeffs.append(-a * b if k & 1 else a * b)
+        a, b = a * (q - k) // (s - k), b * (sbar + k + 1) // (k + 1)
+    g = gcd(*coeffs)
+    coeffs = [c // g for c in coeffs] + [0] * (s - q)
+    # C(sbar + j, j - k - 1) = C(sbar + j, j - k) (j - k) / (sbar + k + 1),
+    # and C(sbar + j + 1, j + 1) = C(sbar + j, j) (sbar + j + 1) / (j + 1)
+    top = comb(sbar + D - k2, D - k2)
+    for j in range(D - k2, s + 1):
+        term, residual = top, 0
+        for k in range(min(j, q) + 1):
+            residual += term * coeffs[k]
+            term = term * (j - k) // (sbar + k + 1)
+        if residual:
+            raise ArithmeticError(f"the collision relation for j = {j} leaves residual {residual}")
+        top = top * (sbar + j + 1) // (j + 1)
+    return LimitHyperplane(tuple(coeffs), trivial=False)

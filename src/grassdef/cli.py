@@ -358,7 +358,7 @@ def cmd_effcone(args) -> int:
 
 
 def cmd_limit_hyperplane(args) -> int:
-    from .oracle import limit_hyperplane_coeffs
+    from .bounds import limit_hyperplane_coeffs
 
     section = limit_hyperplane_coeffs(args.D, args.s, args.sbar, args.k1, args.k2)
     text = "coefficients: (" + ", ".join(str(c) for c in section.coeffs) + ")"

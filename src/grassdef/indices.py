@@ -7,7 +7,7 @@ families carry a distance function; balls in that distance control which
 coordinates a given osculating space touches, and the delta sets below are
 the combinatorial core of the degeneration argument behind the bounds
 module.  Being the leaf every layer imports, it also holds the one size
-cap and the fraction-free elimination that schubert and oracle share.
+cap and the digit check on printed integers.
 """
 
 from __future__ import annotations
@@ -103,9 +103,11 @@ class GrassShape:
     def ambient_dim(self) -> int:
         return self.num_coords - 1
 
-    @property
-    def label(self) -> str:
-        return f"G({self.r},{self.n})"
+    def _label(self, text) -> str:
+        # refusal lines pass _int_text, which writes any integer
+        return f"G({text(self.r)},{text(self.n)})"
+
+    label = property(lambda self: self._label(str))
 
 
 @dataclass(frozen=True)
@@ -149,11 +151,10 @@ class SegreVeroneseShape:
     def ambient_dim(self) -> int:
         return self.num_coords - 1
 
-    @property
-    def label(self) -> str:
-        ns = ",".join(str(a) for a in self.n)
-        ds = ",".join(str(a) for a in self.d)
-        return f"SV({ns};{ds})"
+    def _label(self, text) -> str:
+        return f"SV({','.join(map(text, self.n))};{','.join(map(text, self.d))})"
+
+    label = property(lambda self: self._label(str))
 
 
 Shape = GrassShape | SegreVeroneseShape
@@ -339,38 +340,3 @@ def delta_set(shape: GrassShape, I, l: int) -> list:
             out.add(tuple(sorted(kept | shifted)))
     return sorted(out)
 
-
-def _bareiss(matrix: list[list[int]]) -> tuple[int, list[list[int]]]:
-    """Fraction-free forward elimination of an n x (n + k) integer matrix,
-    shared by the Schubert multiplicities and the limit hyperplane solve.
-
-    Returns the sign of the row swaps and the reduced rows, whose square
-    part is upper triangular with last diagonal entry sign * det; it is set
-    to 0, and elimination stops, at a column with no pivot.  Step c sets
-    m[i][j] = (m[c][c] m[i][j] - m[i][c] m[c][j]) / (previous pivot) below
-    the pivot row.  By Sylvester's identity that is a (c+1) x (c+1) minor
-    of the row-swapped input, so every division is exact (Bareiss, Math.
-    Comp. 22, 1968), and a remainder raises ArithmeticError.  For [A | b]
-    with A invertible, det * x is integral by Cramer's rule, so solving
-    for it by back-substitution divides exactly as well.
-    """
-    m = [list(row) for row in matrix]
-    n = len(m)
-    sign, prev = 1, 1
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c]), None)
-        if pivot is None:
-            m[-1][n - 1] = 0
-            break
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            sign = -sign
-        top, p = m[c], m[c][c]
-        for row in m[c + 1 :]:
-            f, row[c] = row[c], 0
-            for j in range(c + 1, len(row)):
-                row[j], rem = divmod(p * row[j] - f * top[j], prev)
-                if rem:
-                    raise ArithmeticError(f"a Bareiss step left remainder {rem} at column {c}")
-        prev = p
-    return sign, m

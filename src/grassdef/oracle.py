@@ -1,15 +1,14 @@
 """Exact-arithmetic Terracini oracle.
 
-Secant dimensions, generic finiteness of tangential and osculating
-projections, and limit hyperplane coefficients.  Grassmannian jets of
-every order are signed minors of the one Pluecker map on whole matrices,
-and the tangent spaces at general points are its jets at [I | A];
-Segre-Veronese varieties use their monomial parametrization.  Arithmetic
-runs over a fixed large prime field by default: a full-rank
-specialization proves a lower bound on the generic rank, so agreement
-with the expected dimension is a certificate, while a deficient rank is
-evidence of defectivity but not a proof.  A rational trial can be
-requested for exact cross-checks.
+Secant dimensions and generic finiteness of tangential and osculating
+projections.  Grassmannian jets of every order are signed minors of the
+one Pluecker map on whole matrices, and the tangent spaces at general
+points are its jets at [I | A]; Segre-Veronese varieties use their
+monomial parametrization.  Arithmetic runs over a fixed large prime field
+by default: a full-rank specialization proves a lower bound on the
+generic rank, so agreement with the expected dimension is a certificate,
+while a deficient rank is evidence of defectivity but not a proof.  A
+rational trial can be requested for exact cross-checks.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from .indices import (
     GrassShape,
     SegreVeroneseShape,
     Shape,
-    _bareiss,
     _check_grass_index,
     _check_ints,
     _check_size,
@@ -221,9 +219,8 @@ class RationalNormalCurve(SegreVeroneseShape):
         _check_ints("n", (n,), 1)
         super().__init__((1,), (n,))
 
-    @property
-    def label(self) -> str:
-        return f"RNC({self.d[0]})"
+    def _label(self, text) -> str:
+        return f"RNC({text(self.d[0])})"
 
 
 @dataclass(frozen=True)
@@ -332,7 +329,7 @@ def build_parametrization(shape: Shape) -> PolynomialMap:
     the secant and projection tests, and one exponent vector per coordinate
     on a Segre-Veronese variety.  N coordinates times _coord_degree are
     checked against _MAX_ENTRIES before anything is built."""
-    _check_size(f"the parametrization of {shape.label}", shape.num_coords * _coord_degree(shape))
+    _check_size(f"the parametrization of {shape._label(_int_text)}", shape.num_coords * _coord_degree(shape))
     if isinstance(shape, GrassShape):
         return PlueckerMap(shape)
     if isinstance(shape, SegreVeroneseShape):
@@ -694,7 +691,7 @@ def _check_terracini_size(shape: Shape, k: int) -> None:
     N max(dim X, _coord_degree), as N >= dim X + 1."""
     N = shape.num_coords
     entries = N * max(min(k * (shape.dim + 1), N), _coord_degree(shape))
-    _check_size(f"the Terracini matrix of {shape.label} at {_int_text(k)} point(s)", entries)
+    _check_size(f"the Terracini matrix of {shape._label(_int_text)} at {_int_text(k)} point(s)", entries)
 
 
 def _coordinate_points(shape, h: int) -> list[list[tuple[object, int]]]:
@@ -1067,65 +1064,3 @@ def osculating_projection_finite(
         base.note = _EVIDENCE_NOTE
     return base
 
-
-# ---------------------------------------------------------------------------
-# limit hyperplanes
-
-
-@dataclass(frozen=True)
-class LimitHyperplane:
-    """Integer coefficient vector (c_0, ..., c_s) of a hyperplane section
-    adapted to a two-point collision of osculating conditions on a degree D
-    rational normal curve."""
-
-    coeffs: tuple[int, ...]
-    trivial: bool
-
-
-def limit_hyperplane_coeffs(D: int, s: int, sbar: int, k1: int, k2: int) -> LimitHyperplane:
-    """Coefficients of the limit hyperplane for parameters (D, s, sbar,
-    k1, k2) with D > k1 + k2 + 1, 0 <= s <= D and sbar, k1, k2 >= 0.
-
-    For s < D - k2 the trivial section (1, 0, ..., 0) works.  Otherwise the
-    coefficients satisfy c_j = 0 for j in [D - k1, s] together with the
-    collision relations sum_k C(sbar + j, j - k) c_k = 0 for j in
-    [D - k2, s]; the canonical solution is supported on {0, ..., q} with
-    q = s - D + k2 + 1, normalized to coprime integers with c_0 > 0.  Its
-    s + 1 coefficients and q x (q + 1) system are capped by _check_size.
-    """
-    _check_ints("D, s, sbar, k1 and k2", (D, s, sbar, k1, k2))
-    _check_ints("sbar, k1 and k2", (sbar, k1, k2), 0)
-    if D <= k1 + k2 + 1:
-        raise ValueError("need D > k1 + k2 + 1")
-    _check_ints("s", (s,), 0, D)
-    # q <= k2 + 1 < D - k1, so the support misses the forced zero range
-    q = s - D + k2 + 1
-    _check_size(f"the limit hyperplane at s = {_int_text(s)}", s + 1 + max(q, 0) * (q + 1))
-    if s < D - k2:
-        return LimitHyperplane((1,) + (0,) * s, trivial=True)
-    rows = list(range(D - k2, s + 1))
-    # [A | b] for c_1..c_q; comb vanishes for a negative lower index
-    system = [
-        [comb(sbar + j, j - k) if j >= k else 0 for k in range(1, q + 1)] + [-comb(sbar + j, j)]
-        for j in rows
-    ]
-    _, m = _bareiss(system)
-    det = m[-1][q - 1]
-    if not det:
-        raise ArithmeticError("the collision system is singular")
-    # back-substitute y = det * (c_1..c_q), integral by Cramer's rule
-    y = [0] * q
-    for i in reversed(range(q)):
-        y[i], rem = divmod(det * m[i][q] - sum(m[i][j] * y[j] for j in range(i + 1, q)), m[i][i])
-        if rem:
-            raise ArithmeticError(f"back-substitution left remainder {rem} in row {i}")
-    ints = [det] + y + [0] * (s - q)
-    g = gcd(*ints)
-    ints = [v // g for v in ints]
-    if ints[0] < 0:
-        ints = [-v for v in ints]
-    for j in rows:
-        residual = sum(comb(sbar + j, j - k) * ints[k] for k in range(0, min(j, s) + 1))
-        if residual:
-            raise ArithmeticError(f"the collision relation for j = {j} leaves residual {residual}")
-    return LimitHyperplane(tuple(ints), trivial=False)

@@ -5,10 +5,11 @@ Partitions here index Schubert varieties with respect to a fixed complete
 flag.  The multiplicity routine splits the determinantal formula for the
 multiplicity of a Schubert variety along a smaller one into the diagonal
 blocks of a block triangular matrix, and evaluates each block of size at
-least 2 by fraction-free (Bareiss) elimination, in integers throughout.
-The formula reads mu only through one tuple sigma, so each partition lam
-keeps the multiplicities it has computed, keyed by sigma, and reuses them
-for every mu that gives the same sigma.
+least 2 by _det, the package's one determinant: fraction-free (Bareiss)
+elimination, in integers throughout.  The formula reads mu only through
+one tuple sigma, so each partition lam keeps the multiplicities it has
+computed, keyed by sigma, and reuses them for every mu that gives the
+same sigma.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from functools import cached_property
 from math import comb, factorial, lgamma, log
 from operator import ge
 
-from .indices import GrassShape, _bareiss, _check_digits, _check_ints, _check_size
+from .indices import GrassShape, _check_digits, _check_ints, _check_size
 
 
 @dataclass(frozen=True)
@@ -166,10 +167,38 @@ def multiplicity(lam: Partition, mu: Partition) -> int:
             rows = range(start, q)
             if len(rows) > 1:
                 block = [[comb(t[c], k - sigma[c]) if k >= sigma[c] else 0 for c in rows] for k in rows]
-                result *= abs(_bareiss(block)[1][-1][-1])
+                result *= abs(_det(block))
             start = q
     memo[sigma] = result
     return result
+
+
+def _det(matrix: list[list[int]]) -> int:
+    """The determinant of a square integer matrix.  Step c sets m[i][j] =
+    (m[c][c] m[i][j] - m[i][c] m[c][j]) / (previous pivot) below the pivot
+    row: by Sylvester's identity a (c+1) x (c+1) minor of the row-swapped
+    input, so every division is exact (Bareiss, Math. Comp. 22, 1968) and a
+    remainder raises ArithmeticError.  The last pivot is the determinant up
+    to the sign of the row swaps; a column with no pivot gives 0."""
+    m = [list(row) for row in matrix]
+    n = len(m)
+    sign, prev = 1, 1
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if m[i][c]), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            sign = -sign
+        top, p = m[c], m[c][c]
+        for row in m[c + 1 :]:
+            f = row[c]
+            for j in range(c + 1, n):
+                row[j], rem = divmod(p * row[j] - f * top[j], prev)
+                if rem:
+                    raise ArithmeticError(f"a Bareiss step left remainder {rem} at column {c}")
+        prev = p
+    return sign * prev
 
 
 def grass_degree(r: int, n: int) -> int:

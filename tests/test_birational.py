@@ -177,6 +177,24 @@ def test_large_blow_ups_are_refused_before_they_are_built():
         top_self_intersection(p1399, anticanonical(p1399, 1))
 
 
+
+def test_ambient_labels_of_refusals_write_huge_parameters_as_powers_of_ten():
+    # str() of an n past 4300 digits raises ValueError, so the labels write
+    # it with _int_text; the anticanonical class itself is two entries long
+    huge = 10**5000
+    assert anticanonical(Ambient.projective(huge), 2) == DivisorClass(huge + 1, (huge - 1,) * 2)
+    # D^dim then overflows a float, the refusal the CLI exits 3 on; at n =
+    # 10^25 it is a digit count
+    with pytest.raises(OverflowError, match="int too large to convert to float"):
+        classify_fano(Ambient.projective(huge), 2)
+    for ambient, name in ((Ambient.projective(10**25), "P"), (Ambient.quadric(10**25), "Q")):
+        with pytest.raises(CapExceeded, match=rf"D\^10\^25 on {name}10\^25 at k = 2 has about"):
+            classify_fano(ambient, 2)
+    # the label of a report, which is printed, keeps every digit
+    assert Ambient.projective(10**25).label == f"P{10**25}"
+    assert Ambient.quadric(10**25).label == f"Q{10**25}"
+
+
 FANO_VERDICTS = [
     (Ambient.grassmannian(1, 3), 2, FANO),
     (Ambient.grassmannian(1, 3), 3, NEITHER),

@@ -1,10 +1,10 @@
-"""Non-defectivity bounds and osculating dimension formulas, pinned
-against hand computed tables and cross checked between the general branch
-formulas and their closed polynomial forms."""
+"""Non-defectivity bounds, osculating dimension formulas and limit
+hyperplanes, pinned against hand computed tables and cross checked between
+the general branch formulas and their closed polynomial forms."""
 
 import re
 import time
-from math import comb, log10
+from math import comb, gcd, log10
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,6 +18,7 @@ from grassdef import (
     effective_cone,
     grass_bound,
     h_m,
+    limit_hyperplane_coeffs,
     linear_bound,
     mds_status,
     osculating_dim_grass,
@@ -333,8 +334,11 @@ def test_h_is_below_its_digit_bound(m, k):
         (lambda: grass_bound(10**40, 10**80), f"the even_r bound at r = {10**40}"),
         (lambda: grass_bound(10**40 + 1, 10**80), f"the odd_r bound at r = {10**40 + 1}"),
         (lambda: sv_bound(SegreVeroneseShape((10**399,), (10**399,))), "the sv bound"),
+        # 15,436,200 entries pass the cap; C(s, q) C(sbar + q, q) has 21686
+        # digits for q = 3799
+        (lambda: limit_hyperplane_coeffs(10**6, 999999, 10**6, 0, 3799), "the limit hyperplane at s = 999999"),
     ],
-    ids=["large_n", "4301_digits", "even_r", "odd_r", "sv"],
+    ids=["large_n", "4301_digits", "even_r", "odd_r", "sv", "limit_hyperplane"],
 )
 def test_bounds_refuse_a_value_too_long_to_print_before_computing_it(call, label):
     start = time.perf_counter()
@@ -349,3 +353,24 @@ def test_a_bound_of_4300_digits_still_prints():
     alpha = 8 * 10**2149
     report = grass_bound(4, 5 * alpha - 1)
     assert report.raw_value == alpha**2 and len(str(report.max_h)) == 4300
+
+
+def test_limit_hyperplane_answers_q_150_quickly_with_every_relation_at_zero():
+    # the q x q collision system of q = s - D + k2 + 1 = 150 is never solved
+    D, s, sbar, k1, k2 = 200, 199, 50, 0, 150
+    start = time.perf_counter()
+    section = limit_hyperplane_coeffs(D, s, sbar, k1, k2)
+    assert time.perf_counter() - start < 1.0
+    c = section.coeffs
+    assert not section.trivial and len(c) == s + 1 and c[0] > 0 and gcd(*c) == 1
+    assert c[150] and not any(c[151:])
+    for j in range(D - k2, s + 1):
+        assert sum(comb(sbar + j, j - k) * c[k] for k in range(j + 1)) == 0
+
+
+def test_limit_hyperplane_checks_every_relation(monkeypatch):
+    # at (D, s, sbar, k1, k2) = (5, 5, 0, 0, 1) a wrong common factor
+    # truncates (10, -4, 1) to (1, -1, 0), which breaks the relation for j = 4
+    monkeypatch.setattr("grassdef.bounds.gcd", lambda *values: 7)
+    with pytest.raises(ArithmeticError, match="the collision relation for j = 4 leaves residual -3"):
+        limit_hyperplane_coeffs(5, 5, 0, 0, 1)

@@ -802,6 +802,12 @@ def test_in_process_calls_share_one_parser_and_answer_as_a_fresh_one(capsys, mon
             ("schubert", "sing", "--r", "20000000", "--n", "40000001", "--lambda", "0"),
             "a partition of r + 1 parts needs about 20000001 entries, above the cap of 16000000",
         ),
+        # 15,436,200 entries pass the cap, but C(s, q) C(sbar + q, q) bounds
+        # the coefficients of q = 3799 by a number of 21686 digits
+        (
+            ("limit-hyperplane", "--D", "1000000", "--s", "999999", "--sbar", "1000000", "--k1", "0", "--k2", "3799"),
+            "the limit hyperplane at s = 999999 has about 21686 digits, above the limit of 4300 on printed integers",
+        ),
     ],
 )
 def test_cap_refuses_large_blow_ups_and_degrees_quickly(capsys, argv, message):
@@ -850,7 +856,14 @@ def test_classify_answers_a_huge_k_out_of_the_cone_range_by_the_table(capsys):
 
 # subcommands -> grassdef submodules none of them may load in a fresh process
 IMPORT_BUDGET = [
-    ([("bound", "--grass", "4", "29"), ("bound", "--sv", "1,1:2,2")], {"oracle", "birational", "schubert"}),
+    (
+        [
+            ("bound", "--grass", "4", "29"),
+            ("bound", "--sv", "1,1:2,2"),
+            ("limit-hyperplane", "--D", "5", "--s", "5", "--sbar", "1", "--k1", "2", "--k2", "1"),
+        ],
+        {"oracle", "birational", "schubert"},
+    ),
     (
         [
             ("schubert", "mult", "--r", "4", "--n", "9", "--lambda", "2,2,2,1,0", "--mu", "3,3,3,3,2"),

@@ -16,7 +16,13 @@ def test_every_export_is_its_defining_modules_object():
         module = importlib.import_module(f"grassdef.{grassdef._MODULE_OF[name]}")
         assert getattr(grassdef, name) is vars(module)[name], name
     assert grassdef.CapExceeded is grassdef.oracle.CapExceeded is grassdef.indices.CapExceeded
-    assert grassdef.oracle._bareiss is grassdef.schubert._bareiss
+    assert grassdef.limit_hyperplane_coeffs is grassdef.bounds.limit_hyperplane_coeffs
+    assert grassdef.LimitHyperplane is grassdef.bounds.LimitHyperplane
+    # the limit hyperplanes left the oracle, and Schubert's _det is the one
+    # determinant
+    for name in ("limit_hyperplane_coeffs", "LimitHyperplane", "_bareiss"):
+        assert not hasattr(grassdef.oracle, name), name
+    assert not hasattr(grassdef.indices, "_bareiss")
 
 
 def test_star_import_binds_every_export():

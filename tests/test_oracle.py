@@ -1477,7 +1477,8 @@ def test_limit_hyperplane_exactness(seed):
     ],
 )
 def test_limit_hyperplane_cap_refuses_before_building(args, entries, monkeypatch):
-    monkeypatch.setattr("grassdef.oracle._bareiss", _refuse_enumeration)
+    # the closed form starts from comb(s, q)
+    monkeypatch.setattr("grassdef.bounds.comb", _refuse_enumeration)
     start = time.perf_counter()
     with pytest.raises(CapExceeded) as exc:
         limit_hyperplane_coeffs(*args)
@@ -1499,6 +1500,43 @@ def test_refusal_lines_write_huge_integers_as_powers_of_ten():
     assert secant_dimension(GrassShape(1, 4), 10**5000, trials=1).computed_dim == 9
     # every 64-bit value is written in full
     assert [_int_text(n) for n in (2**64 - 1, 10**20 - 1, 10**20)] == [str(2**64 - 1), "9" * 20, "10^20"]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: secant_dimension(GrassShape(1, 10**5000), 2),
+            "the Terracini matrix of G(1,10^5000) at 2 point(s) needs about 10^15000 entries",
+        ),
+        (
+            lambda: tangential_projection_finite(GrassShape(1, 10**5000), 2),
+            "the Terracini matrix of G(1,10^5000) at 3 point(s) needs about 10^15000 entries",
+        ),
+        (
+            lambda: osculating_projection_finite(GrassShape(1, 10**5000), [((0, 1), 1)]),
+            "the Terracini matrix of G(1,10^5000) at 1 point(s) needs about 10^15000 entries",
+        ),
+        (
+            lambda: build_parametrization(GrassShape(1, 10**5000)),
+            "the parametrization of G(1,10^5000) needs about 10^10000 entries",
+        ),
+        (
+            lambda: secant_dimension(SegreVeroneseShape((10**5000,), (2,)), 2),
+            "the Terracini matrix of SV(10^5000;2) at 2 point(s) needs about 10^15000 entries",
+        ),
+    ],
+    ids=["secant-grass", "tangproj", "oscproj", "parametrization", "secant-sv"],
+)
+def test_refusal_labels_write_huge_shape_parameters_as_powers_of_ten(call, message):
+    # str() of a shape parameter past 4300 digits raises ValueError, so the
+    # cap's label writes it with _int_text
+    with pytest.raises(CapExceeded) as exc:
+        call()
+    assert str(exc.value) == f"{message}, above the cap of 16000000"
+    # the label of a report, which is printed, keeps every digit
+    assert GrassShape(1, 10**25).label == f"G(1,{10**25})"
+    assert SegreVeroneseShape((10**25,), (2,)).label == f"SV({10**25};2)"
 
 
 def test_limit_hyperplane_cap_counts_coefficients_and_system(monkeypatch):

@@ -6,9 +6,9 @@ minor is smaller than (sqrt(12) * 9)^12 < 2^60 < p in absolute value: the
 rank modulo p equals the rank over Q exactly, not just with high
 probability.
 
-The integer determinant behind Schubert multiplicities and the solve
-behind limit hyperplanes are checked against Fraction eliminations kept
-here.  The osculating sweep, which leaves out the rows of its held
+The integer determinant behind Schubert multiplicities and the closed
+form of the limit hyperplanes are checked against Fraction eliminations
+kept here.  The osculating sweep, which leaves out the rows of its held
 variables, is checked level by level against the rank of the full jet
 matrix, and the sampled tangent rows, read from a table of the map,
 against the order 1 jet rows they replace.
@@ -36,7 +36,7 @@ from grassdef import (
     oracle,
     rank,
 )
-from grassdef.indices import _bareiss
+from grassdef.schubert import _det
 from strategies import full_point, sv_shapes
 
 P = DEFAULT_PRIME
@@ -320,22 +320,15 @@ def square_matrices(draw):
     return m
 
 
-def int_det(matrix: list[list[int]]) -> int:
-    """The determinant _bareiss leaves as its last diagonal entry, signed by
-    its row swaps; multiplicities read its absolute value."""
-    sign, reduced = _bareiss(matrix)
-    return sign * reduced[-1][-1]
-
-
 @given(square_matrices())
 def test_int_det_matches_rational_det(m):
-    assert int_det([row[:] for row in m]) == rational_det(m)
+    assert _det([row[:] for row in m]) == rational_det(m)
 
 
 def test_int_det_swaps_rows_past_a_zero_leading_entry():
-    assert int_det([[0, 1], [1, 0]]) == -1
-    assert int_det([[0, 0, 2], [0, 3, 0], [5, 0, 0]]) == -30
-    assert int_det([[0, 4], [0, 7]]) == 0
+    assert _det([[0, 1], [1, 0]]) == -1
+    assert _det([[0, 0, 2], [0, 3, 0], [5, 0, 0]]) == -30
+    assert _det([[0, 4], [0, 7]]) == 0
 
 
 def reference_limit_coeffs(D: int, s: int, sbar: int, k2: int) -> tuple[int, ...] | None:
@@ -373,6 +366,27 @@ def test_limit_hyperplane_coeffs_match_a_rational_solve():
     assert checked > 500
 
 
+@st.composite
+def limit_parameters(draw):
+    """(D, s, sbar, k1, k2) with D <= 40 and sbar <= 20: any valid k1, k2
+    and s, the largest collision systems q x q with q up to 39."""
+    D = draw(st.integers(2, 40))
+    k1 = draw(st.integers(0, D - 2))
+    k2 = draw(st.integers(0, D - 2 - k1))
+    return D, draw(st.integers(0, D)), draw(st.integers(0, 20)), k1, k2
+
+
+@given(limit_parameters())
+@example((40, 40, 20, 0, 38))
+def test_limit_hyperplane_closed_form_is_the_rational_solve(params):
+    D, s, sbar, k1, k2 = params
+    section = limit_hyperplane_coeffs(*params)
+    if s < D - k2:
+        assert section.trivial and section.coeffs == (1,) + (0,) * s
+    else:
+        assert not section.trivial and section.coeffs == reference_limit_coeffs(D, s, sbar, k2)
+
+
 def docstring_matrices(r: int, n: int):
     """For every containing pair of G(r, n): lam, mu, the full (r+1) x (r+1)
     matrix of the multiplicity docstring built as written, and whether its
@@ -406,7 +420,7 @@ def test_multiplicity_is_the_unsplit_docstring_determinant_on_g49():
     # against rational_det above; 3124 pairs have a single 5 x 5 block
     pairs = unsplit_pairs = 0
     for lam, mu, matrix, unsplit in docstring_matrices(4, 9):
-        assert multiplicity(lam, mu) == abs(int_det(matrix))
+        assert multiplicity(lam, mu) == abs(_det(matrix))
         pairs += 1
         unsplit_pairs += unsplit
     assert (pairs, unsplit_pairs) == (19404, 3124)
@@ -416,18 +430,5 @@ def test_bareiss_refuses_a_division_with_remainder():
     # a non-integral entry breaks Sylvester's identity, so the first step
     # leaves a remainder instead of a silently truncated determinant
     with pytest.raises(ArithmeticError):
-        oracle._bareiss([[Fraction(1, 2), 1], [1, 1]])
+        _det([[Fraction(1, 2), 1], [1, 1]])
 
-
-@pytest.mark.parametrize(
-    "reduced",
-    [
-        [[2, 1, 0], [0, 0, 1]],  # a singular collision system
-        [[2, 1, 0], [0, 1, 1]],  # row 0 does not divide det * b - A y
-    ],
-)
-def test_limit_hyperplane_guards_its_solve(monkeypatch, reduced):
-    # (D, s, sbar, k1, k2) = (5, 5, 0, 0, 1) solves a 2 x 2 system
-    monkeypatch.setattr(oracle, "_bareiss", lambda system: (1, reduced))
-    with pytest.raises(ArithmeticError):
-        limit_hyperplane_coeffs(5, 5, 0, 0, 1)

@@ -24,7 +24,7 @@ from grassdef import (
     schubert_dim,
     singular_locus,
 )
-from grassdef.indices import _bareiss
+from grassdef.schubert import _det
 
 
 @st.composite
@@ -57,12 +57,12 @@ def containing_lists(draw, max_r: int = 5, max_n: int = 13):
 
 def unsplit_multiplicity(lam, mu):
     """|det M| for the whole (r+1) x (r+1) matrix of the multiplicity
-    docstring, built as written and eliminated by _bareiss in one piece."""
+    docstring, built as written and eliminated by _det in one piece."""
     size = lam.r + 1
     t = [lam.n - lam.r + l - lam.parts[l - 1] for l in range(1, size + 1)]
     s = [sum(mu.parts[j - 1] - j < lam.parts[l - 1] - l for j in range(1, size + 1)) for l in range(1, size + 1)]
     matrix = [[comb(t[l], k - s[l]) if k >= s[l] else 0 for l in range(size)] for k in range(size)]
-    return abs(_bareiss(matrix)[1][-1][-1])
+    return abs(_det(matrix))
 
 
 def all_partitions(r, n):
@@ -247,9 +247,9 @@ def test_a_table_eliminates_once_per_lam_and_sigma(monkeypatch):
 
     def spy(matrix):
         eliminations.append(len(matrix))
-        return _bareiss(matrix)
+        return _det(matrix)
 
-    monkeypatch.setattr(schubert, "_bareiss", spy)
+    monkeypatch.setattr(schubert, "_det", spy)
     every = list(all_partitions(3, 8))
     values = [multiplicity(lam, mu) for lam in every for mu in every if contains(lam, mu)]
     assert (len(values), len(eliminations)) == (5292, 680)

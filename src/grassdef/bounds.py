@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, gcd, log10
+from math import comb, gcd, lcm, log10
 
 from .indices import GrassShape, SegreVeroneseShape, _check_digits, _check_ints, _check_size, _int_text
 
@@ -234,7 +234,8 @@ def limit_hyperplane_coeffs(D: int, s: int, sbar: int, k1: int, k2: int) -> Limi
     diag(C(sbar + j, j)) [C(j, k)] diag(1 / C(sbar + k, k)); for j =
     s - q + 1..s and k = 1..q, det [C(j, k)] is the product of the j times
     their Vandermonde over 1! 2! ... q!, so the solution is unique up to
-    scale.  Each relation is still checked; a residual raises
+    scale.  Each relation is still checked, divided by C(sbar + j, j) so
+    that no binomial of size sbar + D - k2 is built; a residual raises
     ArithmeticError.  _check_size caps the s + 1 coefficients and the
     q (q + 1) terms of the check, and a bound C(s, q) C(sbar + q, q) on
     |c_k| too long to print is refused before anything is built.  It
@@ -259,15 +260,16 @@ def limit_hyperplane_coeffs(D: int, s: int, sbar: int, k1: int, k2: int) -> Limi
         a, b = a * (q - k) // (s - k), b * (sbar + k + 1) // (k + 1)
     g = gcd(*coeffs)
     coeffs = [c // g for c in coeffs] + [0] * (s - q)
-    # C(sbar + j, j - k - 1) = C(sbar + j, j - k) (j - k) / (sbar + k + 1),
-    # and C(sbar + j + 1, j + 1) = C(sbar + j, j) (sbar + j + 1) / (j + 1)
-    top = comb(sbar + D - k2, D - k2)
+    # relation j over C(sbar + j, j) is sum_k C(j, k) c_k / C(sbar + k, k); times
+    # L = lcm_k C(sbar + k, k) it is y_0 of P^j w for w_k = L c_k / C(sbar + k, k)
+    # and (P y)_k = y_k + y_(k+1), since C(j + 1, k) = C(j, k) + C(j, k - 1)
+    binoms = [comb(sbar + k, k) for k in range(q + 1)]
+    common = lcm(*binoms)
+    weighted = [common // b * c for b, c in zip(binoms, coeffs)]
+    pascal = [comb(D - k2, i) for i in range(q + 1)]
+    y = [sum(a * b for a, b in zip(pascal, weighted[k:])) for k in range(q + 1)]
     for j in range(D - k2, s + 1):
-        term, residual = top, 0
-        for k in range(min(j, q) + 1):
-            residual += term * coeffs[k]
-            term = term * (j - k) // (sbar + k + 1)
-        if residual:
-            raise ArithmeticError(f"the collision relation for j = {j} leaves residual {residual}")
-        top = top * (sbar + j + 1) // (j + 1)
+        if y[0]:
+            raise ArithmeticError(f"the collision relation for j = {j} leaves residual {y[0]}")
+        y = [a + b for a, b in zip(y, y[1:])]
     return LimitHyperplane(tuple(coeffs), trivial=False)

@@ -385,7 +385,9 @@ def _add_shape_flags(parser, kinds: tuple[str, ...] = ("grass", "sv")) -> None:
 
 def _add_oracle_flags(parser) -> None:
     parser.add_argument("--prime", help="prime modulus in [2^31, 2^64), or 'rational'")
-    parser.add_argument("--trials", type=int, help="independent trials, in [1, 64]")
+    parser.add_argument(
+        "--trials", type=int, help="independent trials, in [1, 64]; projections stop at one of full rank"
+    )
     parser.add_argument("--seed", help="integer seed, or 'random'; defaults to GRASSDEF_SEED")
 
 

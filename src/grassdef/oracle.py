@@ -17,7 +17,7 @@ import bisect
 import itertools
 import random
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from math import comb, gcd, perm, prod
 from operator import mul
 
@@ -771,9 +771,9 @@ def _target_ranks(shape, column_of, groups, field, seed, labels, ceilings) -> li
     with ceilings[i] a rank the stack never exceeds after group i in any
     field.  A rational request first runs modulo DEFAULT_PRIME with the
     same labels, hence the same integer points: a nonzero minor modulo p
-    reduces from a nonzero integer minor, so a trial that reaches every
-    ceiling there has those ranks over Q too.  If any trial falls short,
-    all rerun fraction-free."""
+    reduces from a nonzero integer minor, so a trial reaching every ceiling
+    there has those ranks over Q too.  If any of the labels (all of them, or
+    one from _best_trial) falls short, all rerun fraction-free."""
     ranks = _trial_ranks(shape, column_of, groups, field or _prime_field(DEFAULT_PRIME), seed, labels)
     if field is None and ranks != [ceilings] * len(labels):
         ranks = _trial_ranks(shape, column_of, groups, None, seed, labels)
@@ -785,7 +785,8 @@ def _coordinate_ranks(shape, points: tuple[int, ...], field, seed, labels) -> li
     each k in points, of a stack that starts at _coordinate_points(shape,
     points[0]), run once by _target_ranks on exactly the columns outside
     the balls with the ceilings min(k (dim X + 1), N) - dropped.  The first
-    stack on which every trial reaches every ceiling is kept, else the last."""
+    stack on which every label given reaches every ceiling is kept, else the
+    last; one label from _best_trial keeps the packing if it alone does."""
     for coordinate in _coordinate_points(shape, points[0]):
         column_of = _survivor_columns(shape, coordinate)
         dropped = shape.num_coords - len(column_of)
@@ -795,6 +796,24 @@ def _coordinate_ranks(shape, points: tuple[int, ...], field, seed, labels) -> li
         if ranks == [ceilings] * len(labels):
             break
     return [tuple(dropped + rank for rank in trial) for trial in ranks]
+
+
+def _best_trial(ranks_of, trials: int, ceilings: tuple[int, ...]) -> tuple[int, ...]:
+    """The best rank tuple of the labels 0, 1, ..., trials - 1, each run
+    alone by ranks_of([label]), up to the first whose tuple is the ceilings,
+    which no trial exceeds.  The labels left out cannot change the best
+    one: each label still draws from random.Random("seed:label"), and a
+    rational request still settles a label modulo p at the same integer
+    points; only a label that falls short reruns fraction-free.  One input
+    differs: a tangential packing where some trials, not all, reach both
+    ceilings and every block trial falls short reports the certified
+    ceilings, where running all labels at once gave the block maximum."""
+    ran = []
+    for label in range(trials):
+        ran += ranks_of([label])
+        if ran[-1] == ceilings:
+            break
+    return max(ran)
 
 
 @dataclass
@@ -924,15 +943,16 @@ def tangential_projection_finite(
     otherwise the report status is HypothesisViolated.  Finiteness holds
     exactly when a fresh general tangent space meets the span only in the
     expected way, so the joint rank exceeds the center rank by dim X + 1.
-    The first centers are coordinate points, and trials are decided by
-    _coordinate_ranks with the ceilings min(k (dim X + 1), N) - dropped for
-    k = h and h + 1 points.  Packed centers are kept only when every trial
-    reaches both ceilings, and then both ranks are the generic ones.
+    The first centers are coordinate points; _best_trial runs the trials
+    through _coordinate_ranks for k = h and h + 1 points, up to the first at
+    both ceilings.  Packed centers are kept for a trial only when it reaches
+    both there, and then both ranks are the generic ones.
     """
     field = _oracle_field(prime, trials, h)
     _check_terracini_size(shape, h + 1)
     dim_x, ambient = shape.dim, shape.ambient_dim
-    center, joint = max(_coordinate_ranks(shape, (h, h + 1), field, seed, range(trials)))
+    ceilings = tuple(min(k * (dim_x + 1), shape.num_coords) for k in (h, h + 1))
+    center, joint = _best_trial(partial(_coordinate_ranks, shape, (h, h + 1), field, seed), trials, ceilings)
     if ambient - center < dim_x:
         status = HYPOTHESIS_VIOLATED
         note = (
@@ -1031,7 +1051,8 @@ def osculating_projection_finite(
     restricted order 1 jet at a general point has full rank dim X + 1,
     ConstantMap when no coordinate survives or the restricted rank is at
     most 1, and FiberEvidence otherwise.  Each trial runs once on the
-    survivors, by _target_ranks with the ceiling min(dim X + 1, survivors).
+    survivors by _target_ranks, up to the first that reaches the ceiling
+    min(dim X + 1, survivors) (_best_trial).
     """
     field = _oracle_field(prime, trials)
     if not centers:
@@ -1052,8 +1073,8 @@ def osculating_projection_finite(
         base.note = "every coordinate lies in the span of the osculating centers"
         return base
     ceilings = (min(dim_x + 1, len(survivors)),)
-    ranks = _target_ranks(shape, survivors, [1], field, seed, range(trials), ceilings)
-    best = base.restricted_rank = max(rank for (rank,) in ranks)
+    ranks_of = partial(_target_ranks, shape, survivors, [1], field, seed, ceilings=ceilings)
+    best = base.restricted_rank = _best_trial(ranks_of, trials, ceilings)[0]
     if best == dim_x + 1:
         base.status = GENERICALLY_FINITE
     elif best <= 1:

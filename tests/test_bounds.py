@@ -374,3 +374,30 @@ def test_limit_hyperplane_checks_every_relation(monkeypatch):
     monkeypatch.setattr("grassdef.bounds.gcd", lambda *values: 7)
     with pytest.raises(ArithmeticError, match="the collision relation for j = 4 leaves residual -3"):
         limit_hyperplane_coeffs(5, 5, 0, 0, 1)
+
+
+def test_limit_hyperplane_checks_relations_without_the_binomial_of_sbar_plus_d():
+    # q = 10 at sbar = D = 10^6: each relation is checked over C(sbar + j, j),
+    # so C(2 10^6, 10^6) is never built
+    D, s, sbar, k1, k2 = 10**6, 10**6, 10**6, 0, 9
+    start = time.perf_counter()
+    section = limit_hyperplane_coeffs(D, s, sbar, k1, k2)
+    assert time.perf_counter() - start < 1.0
+    closed = [(-1) ** k * comb(s - k, 10 - k) * comb(sbar + k, k) for k in range(11)]
+    g = gcd(*closed)
+    assert section.coeffs == tuple(c // g for c in closed) + (0,) * (s - 10)
+
+
+@pytest.mark.parametrize(
+    "args, match",
+    [
+        # (10, -12, 6) truncates to (1, -2, 0): the relation for j = 4,
+        # -25 = 15 - 40, over C(6, 4) = 15 and times lcm(1, 3, 6) = 6
+        ((5, 5, 2, 0, 1), "the collision relation for j = 4 leaves residual -10$"),
+        ((10**6, 10**6, 10**6, 0, 9), "the collision relation for j = 999991 leaves residual "),
+    ],
+)
+def test_limit_hyperplane_relations_catch_a_patched_coefficient(args, match, monkeypatch):
+    monkeypatch.setattr("grassdef.bounds.gcd", lambda *values: 7)
+    with pytest.raises(ArithmeticError, match=match):
+        limit_hyperplane_coeffs(*args)

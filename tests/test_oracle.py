@@ -64,6 +64,7 @@ from grassdef import (
     tangential_projection_finite,
 )
 from grassdef.bounds import grass_bound
+from grassdef.cli import main
 from grassdef.indices import _int_text, coordinate_blocks, coordinate_packing
 from grassdef.oracle import PlueckerMap, _held, _sample_point
 from strategies import full_point, grass_shapes, sv_shapes
@@ -667,8 +668,9 @@ DRAW_CASES = [
     (secant_dimension, SegreVeroneseShape((2, 2, 2), (1, 1, 1)), 4, 1, 1),
     # all four centers are coordinate points (alpha = 4), and each trial
     # draws only the fresh point; with min(h, 2) coordinate centers it drew
-    # three points per trial
-    (tangential_projection_finite, GrassShape(2, 11), 4, 3, 3),
+    # three points per trial.  The first trial reaches both ceilings, so the
+    # other two never run
+    (tangential_projection_finite, GrassShape(2, 11), 4, 3, 1),
 ]
 
 
@@ -695,6 +697,53 @@ def test_secant_draws_a_random_point_only_past_alpha(oracle, shape, h, trials, d
     assert len(calls) == draws
     if oracle is secant_dimension:
         assert len(set(report.trials)) == 1
+
+
+FIBER_CALLS = {
+    "oscproj-G(2,7)": ["oscproj", "--grass", "2", "7", "--centers", "0,1,2", "--orders", "2"],
+    "tangproj-G(3,7)-h2": ["tangproj", "--grass", "3", "7", "--h", "2"],
+}
+
+
+@pytest.mark.parametrize("trials", [None, 1, 4])
+@pytest.mark.parametrize("prime", [None, "rational"])
+@pytest.mark.parametrize("argv", FIBER_CALLS.values(), ids=FIBER_CALLS)
+def test_fiber_evidence_runs_every_trial(argv, prime, trials, monkeypatch, capsys):
+    # every center is a coordinate point, so a trial draws one fresh point;
+    # no trial reaches its ceilings, so none is left out, and over Q each
+    # one draws it again for its fraction-free rerun
+    sample = grassdef.oracle._sample_point
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return sample(*args)
+
+    monkeypatch.setattr(grassdef.oracle, "_sample_point", spy)
+    monkeypatch.delenv("GRASSDEF_SEED", raising=False)
+    flags = ([] if prime is None else ["--prime", prime]) + ([] if trials is None else ["--trials", str(trials)])
+    assert main(argv + flags) == 0
+    assert "-> FiberEvidence" in capsys.readouterr().out
+    assert len(calls) == (DEFAULT_TRIALS if trials is None else trials) * (1 if prime is None else 2)
+
+
+def test_a_rational_projection_certified_on_its_first_trial_feeds_no_exact_row(monkeypatch, capsys):
+    # the first trial reaches dim X + 1 = 25 modulo p, so it is settled over
+    # Q and the two other trials never run
+    add_row = RankAccumulator.add_row
+    fed = {"exact": 0, "modular": 0}
+
+    def spy(self, row):
+        fed["exact" if self.field is None else "modular"] += 1
+        return add_row(self, row)
+
+    monkeypatch.setattr(RankAccumulator, "add_row", spy)
+    monkeypatch.delenv("GRASSDEF_SEED", raising=False)
+    argv = ["--json", "oscproj", "--grass", "3", "9", "--centers", "0,1,2,3", "--orders", "1", "--prime", "rational"]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["restricted_rank"], report["status"]) == (25, GENERICALLY_FINITE)
+    assert fed == {"exact": 0, "modular": 25}
 
 
 @pytest.mark.parametrize(
@@ -1125,6 +1174,52 @@ def test_one_pass_per_stack_gives_the_full_column_trials(shape, h, trials, seed)
         cert = spy.run(secant_dimension, shape, h, trials=trials, seed=seed)
     assert spy.calls == [(survivors, PrimeField(DEFAULT_PRIME)) for survivors in spy.stacks]
     assert cert.trials == full_column_trials(shape, h, trials, DEFAULT_PRIME, seed)
+
+
+@st.composite
+def projection_calls(draw):
+    """A tangential projection at h <= 4 points, or an osculating one from
+    up to three centers of orders 0..2, of a Grassmannian G(r, n) with
+    r <= 3 and n <= 8, a Segre-Veronese shape of up to two factors with
+    n_j <= 2 and d_j <= 3, or RNC(n) with n <= 8."""
+    kind = draw(st.sampled_from(["grass", "sv", "rnc"]))
+    if kind == "grass":
+        shape = draw(grass_shapes(max_r=3, max_n=8))
+        order = draw(st.permutations(range(shape.n + 1)))
+        size = shape.r + 1
+        indices = [tuple(sorted(order[i : i + size])) for i in range(0, shape.n + 2 - size, size)]
+    elif kind == "sv":
+        shape = draw(sv_shapes(max_factors=2, max_n=2))
+        indices = list(range(min(shape.n) + 1))
+    else:
+        shape = RationalNormalCurve(draw(st.integers(1, 8)))
+        indices = [0, shape.d[0]]
+    if draw(st.booleans()):
+        return tangential_projection_finite, shape, draw(st.integers(1, 4))
+    count = draw(st.integers(1, min(3, len(indices))))
+    return osculating_projection_finite, shape, [(I, draw(st.integers(0, 2))) for I in indices[:count]]
+
+
+def every_trial_at_once(ranks_of, trials, ceilings):
+    # every label in one call and the best tuple kept, which the early stop must match
+    return max(ranks_of(range(trials)))
+
+
+@settings(deadline=None)
+@given(
+    call=projection_calls(),
+    prime=st.sampled_from([DEFAULT_PRIME, "rational"]),
+    trials=st.integers(1, 4),
+    seed=st.integers(0, 2**32),
+)
+def test_projection_trials_stop_without_changing_the_report(call, prime, trials, seed):
+    # the labels left out after the first that reaches its ceilings never
+    # change the report, modulo p or over Q
+    oracle, shape, arg = call
+    report = oracle(shape, arg, trials=trials, prime=prime, seed=seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(grassdef.oracle, "_best_trial", every_trial_at_once)
+        assert asdict(report) == asdict(oracle(shape, arg, trials=trials, prime=prime, seed=seed))
 
 
 def test_a_modular_shortfall_is_never_the_rational_answer(monkeypatch):

@@ -734,83 +734,66 @@ def _coordinate_points(shape, h: int) -> list[list[tuple[object, int]]]:
     return [[(index, 1) for index in stack] for stack in stacks]
 
 
-def _stack(acc: RankAccumulator, P: PolynomialMap, rng: random.Random, points: int, column_of: dict) -> int:
-    """Add to acc the tangent rows of P at the given number of fresh points
-    from _sample_point, restricted to the columns in column_of and
-    renumbered by it, until acc saturates; returns the rank of acc."""
-    for _ in range(points):
-        for row in _sample_point(P, rng, acc.field):
-            if acc.saturated:
-                return acc.rank
-            restricted = {column_of[c]: v for c, v in row.items() if c in column_of}
-            if restricted:
-                acc.add_row(restricted)
-    return acc.rank
-
-
-def _trial_ranks(
-    shape, column_of: dict, groups: list[int], field: PrimeField | None, seed: int, labels
-) -> list[tuple[int, ...]]:
-    """One tuple per trial label: the ranks after each group of fresh
-    tangent spaces of the shape, stacked by _stack on the columns in
-    column_of into one RankAccumulator over the field.  The rows are the
-    order 1 jets of build_parametrization(shape), at [I | A] on a
-    Grassmannian, less the held rows of _sample_point.  Trial `label` draws
-    its groups in order from random.Random("seed:label")."""
-    P = build_parametrization(shape)
-    out = []
-    for label in labels:
+def _trial(P: PolynomialMap, column_of: dict, groups: list[int], field, seed: int, label, ceilings) -> tuple[int, ...]:
+    """The ranks of trial `label` after each group of fresh points, their
+    order 1 jet rows from _sample_point restricted to the columns in
+    column_of, renumbered by it, in one RankAccumulator over the field
+    (None for Q); ceilings[i] bounds the rank after group i in any field.
+    The points come in order from random.Random("seed:label"), and none is
+    drawn once the accumulator saturates.  A rational request first runs
+    modulo DEFAULT_PRIME at the same integer points: a nonzero minor modulo
+    p reduces from a nonzero integer minor, so reaching every ceiling there
+    gives the same ranks over Q, and only a label that falls short reruns
+    fraction-free."""
+    for F in [field] if field is not None else [_prime_field(DEFAULT_PRIME), None]:
         rng = random.Random(f"{seed}:{label}")
-        acc = RankAccumulator(len(column_of), field)
-        out.append(tuple(_stack(acc, P, rng, points, column_of) for points in groups))
-    return out
-
-
-def _target_ranks(shape, column_of, groups, field, seed, labels, ceilings) -> list[tuple[int, ...]]:
-    """_trial_ranks on all survivor columns over the field (None for Q),
-    with ceilings[i] a rank the stack never exceeds after group i in any
-    field.  A rational request first runs modulo DEFAULT_PRIME with the
-    same labels, hence the same integer points: a nonzero minor modulo p
-    reduces from a nonzero integer minor, so a trial reaching every ceiling
-    there has those ranks over Q too.  If any of the labels (all of them, or
-    one from _best_trial) falls short, all rerun fraction-free."""
-    ranks = _trial_ranks(shape, column_of, groups, field or _prime_field(DEFAULT_PRIME), seed, labels)
-    if field is None and ranks != [ceilings] * len(labels):
-        ranks = _trial_ranks(shape, column_of, groups, None, seed, labels)
-    return ranks
+        acc = RankAccumulator(len(column_of), F)
+        ranks = []
+        for points in groups:
+            for _ in range(points):
+                if acc.saturated:
+                    break
+                for row in _sample_point(P, rng, F):
+                    if acc.saturated:
+                        break
+                    restricted = {column_of[c]: v for c, v in row.items() if c in column_of}
+                    if restricted:
+                        acc.add_row(restricted)
+            ranks.append(acc.rank)
+        if tuple(ranks) == ceilings:
+            break
+    return tuple(ranks)
 
 
 def _coordinate_ranks(shape, points: tuple[int, ...], field, seed, labels) -> list[tuple[int, ...]]:
     """One tuple per trial label: the ranks after the first k points, for
     each k in points, of a stack that starts at _coordinate_points(shape,
-    points[0]), run once by _target_ranks on exactly the columns outside
-    the balls with the ceilings min(k (dim X + 1), N) - dropped.  The first
-    stack on which every label given reaches every ceiling is kept, else the
-    last; one label from _best_trial keeps the packing if it alone does."""
+    points[0]), each label run once by _trial on exactly the columns
+    outside the balls with the ceilings min(k (dim X + 1), N) - dropped.
+    The first stack on which every label given reaches every ceiling is
+    kept, else the last."""
+    P = build_parametrization(shape)
     for coordinate in _coordinate_points(shape, points[0]):
         column_of = _survivor_columns(shape, coordinate)
         dropped = shape.num_coords - len(column_of)
         groups = [b - a for a, b in zip((len(coordinate),) + points, points)]
         ceilings = tuple(min(k * (shape.dim + 1), shape.num_coords) - dropped for k in points)
-        ranks = _target_ranks(shape, column_of, groups, field, seed, labels, ceilings)
+        ranks = [_trial(P, column_of, groups, field, seed, label, ceilings) for label in labels]
         if ranks == [ceilings] * len(labels):
             break
     return [tuple(dropped + rank for rank in trial) for trial in ranks]
 
 
 def _best_trial(ranks_of, trials: int, ceilings: tuple[int, ...]) -> tuple[int, ...]:
-    """The best rank tuple of the labels 0, 1, ..., trials - 1, each run
-    alone by ranks_of([label]), up to the first whose tuple is the ceilings,
-    which no trial exceeds.  The labels left out cannot change the best
-    one: each label still draws from random.Random("seed:label"), and a
-    rational request still settles a label modulo p at the same integer
-    points; only a label that falls short reruns fraction-free.  One input
-    differs: a tangential packing where some trials, not all, reach both
-    ceilings and every block trial falls short reports the certified
-    ceilings, where running all labels at once gave the block maximum."""
+    """The best of the rank tuples ranks_of(label) of the labels 0, 1, ...,
+    trials - 1, run in order up to the first whose tuple is the ceilings,
+    which no trial exceeds, so the labels left out cannot change the best
+    one.  Each label is run alone, so through _coordinate_ranks it keeps a
+    packing on which it reaches both ceilings whatever the other labels
+    reach there."""
     ran = []
     for label in range(trials):
-        ran += ranks_of([label])
+        ran.append(ranks_of(label))
         if ran[-1] == ceilings:
             break
     return max(ran)
@@ -952,7 +935,9 @@ def tangential_projection_finite(
     _check_terracini_size(shape, h + 1)
     dim_x, ambient = shape.dim, shape.ambient_dim
     ceilings = tuple(min(k * (dim_x + 1), shape.num_coords) for k in (h, h + 1))
-    center, joint = _best_trial(partial(_coordinate_ranks, shape, (h, h + 1), field, seed), trials, ceilings)
+    center, joint = _best_trial(
+        lambda label: _coordinate_ranks(shape, (h, h + 1), field, seed, [label])[0], trials, ceilings
+    )
     if ambient - center < dim_x:
         status = HYPOTHESIS_VIOLATED
         note = (
@@ -1051,7 +1036,7 @@ def osculating_projection_finite(
     restricted order 1 jet at a general point has full rank dim X + 1,
     ConstantMap when no coordinate survives or the restricted rank is at
     most 1, and FiberEvidence otherwise.  Each trial runs once on the
-    survivors by _target_ranks, up to the first that reaches the ceiling
+    survivors by _trial, up to the first that reaches the ceiling
     min(dim X + 1, survivors) (_best_trial).
     """
     field = _oracle_field(prime, trials)
@@ -1073,7 +1058,7 @@ def osculating_projection_finite(
         base.note = "every coordinate lies in the span of the osculating centers"
         return base
     ceilings = (min(dim_x + 1, len(survivors)),)
-    ranks_of = partial(_target_ranks, shape, survivors, [1], field, seed, ceilings=ceilings)
+    ranks_of = partial(_trial, build_parametrization(shape), survivors, [1], field, seed, ceilings=ceilings)
     best = base.restricted_rank = _best_trial(ranks_of, trials, ceilings)[0]
     if best == dim_x + 1:
         base.status = GENERICALLY_FINITE

@@ -570,18 +570,18 @@ def test_a_packed_deficit_reruns_on_the_blocks(oracle, monkeypatch):
     # the one the two blocks and six random points give
     shape, h = GrassShape(4, 9), 8
     reference = oracle(shape, h, trials=2)
-    trial_ranks = grassdef.oracle._trial_ranks
+    trial = grassdef.oracle._trial
     on_the_packing = h - len(coordinate_packing(shape, h))
     groups_seen = []
 
-    def short_on_the_packing(shape, column_of, groups, *args):
+    def short_on_the_packing(P, column_of, groups, *args):
         groups_seen.append(groups[0])
-        ranks = trial_ranks(shape, column_of, groups, *args)
+        ranks = trial(P, column_of, groups, *args)
         if groups[0] == on_the_packing:
-            ranks = [(trial[0] - 1,) + trial[1:] for trial in ranks]
+            ranks = (ranks[0] - 1,) + ranks[1:]
         return ranks
 
-    monkeypatch.setattr(grassdef.oracle, "_trial_ranks", short_on_the_packing)
+    monkeypatch.setattr(grassdef.oracle, "_trial", short_on_the_packing)
     assert asdict(oracle(shape, h, trials=2)) == asdict(reference)
     assert groups_seen[0] == on_the_packing and groups_seen[-1] == h - 2
 
@@ -671,7 +671,27 @@ DRAW_CASES = [
     # three points per trial.  The first trial reaches both ceilings, so the
     # other two never run
     (tangential_projection_finite, GrassShape(2, 11), 4, 3, 1),
+    # SV(1;60) h40 fills P^60: its two blocks drop 4 columns, and the other
+    # 57 saturate within the 29th point of each trial, the last one drawn;
+    # tangproj at h39 reaches both ceilings at the same 29 points of its
+    # first trial, and draws no point for the h + 1st
+    (secant_dimension, SegreVeroneseShape((1,), (60,)), 40, 3, 87),
+    (tangential_projection_finite, SegreVeroneseShape((1,), (60,)), 39, 3, 29),
 ]
+
+
+def spy_draws(monkeypatch) -> list:
+    """Replace _sample_point by a spy that records the arguments of every
+    draw."""
+    sample = grassdef.oracle._sample_point
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return sample(*args)
+
+    monkeypatch.setattr(grassdef.oracle, "_sample_point", spy)
+    return calls
 
 
 @pytest.mark.parametrize(
@@ -685,18 +705,32 @@ DRAW_CASES = [
     ],
 )
 def test_secant_draws_a_random_point_only_past_alpha(oracle, shape, h, trials, draws, monkeypatch):
-    sample = grassdef.oracle._sample_point
-    calls = []
-
-    def spy(*args):
-        calls.append(args)
-        return sample(*args)
-
-    monkeypatch.setattr(grassdef.oracle, "_sample_point", spy)
+    calls = spy_draws(monkeypatch)
     report = oracle(shape, h, trials=trials)
     assert len(calls) == draws
     if oracle is secant_dimension:
         assert len(set(report.trials)) == 1
+
+
+@pytest.mark.parametrize("oracle", [secant_dimension, tangential_projection_finite], ids=lambda f: f.__name__)
+def test_a_huge_h_stops_drawing_at_saturation(oracle, monkeypatch):
+    # 10^5000 points: every stack saturates after a few, and the points
+    # after that are left, not skipped one by one, so a loop that goes on
+    # checking the accumulator fails here instead of hanging; on G(1,4) the
+    # blocks leave no column at all
+    calls = spy_draws(monkeypatch)
+    saturated, reads = RankAccumulator.saturated.fget, itertools.count(1)
+
+    def counted(acc):
+        if next(reads) > 10_000:
+            raise RuntimeError("the accumulator is still read after saturation")
+        return saturated(acc)
+
+    monkeypatch.setattr(RankAccumulator, "saturated", property(counted))
+    for shape, draws in ((GrassShape(1, 4), 0), (SegreVeroneseShape((1,), (60,)), 29)):
+        calls.clear()
+        oracle(shape, 10**5000, trials=1)
+        assert len(calls) == draws
 
 
 FIBER_CALLS = {
@@ -712,14 +746,7 @@ def test_fiber_evidence_runs_every_trial(argv, prime, trials, monkeypatch, capsy
     # every center is a coordinate point, so a trial draws one fresh point;
     # no trial reaches its ceilings, so none is left out, and over Q each
     # one draws it again for its fraction-free rerun
-    sample = grassdef.oracle._sample_point
-    calls = []
-
-    def spy(*args):
-        calls.append(args)
-        return sample(*args)
-
-    monkeypatch.setattr(grassdef.oracle, "_sample_point", spy)
+    calls = spy_draws(monkeypatch)
     monkeypatch.delenv("GRASSDEF_SEED", raising=False)
     flags = ([] if prime is None else ["--prime", prime]) + ([] if trials is None else ["--trials", str(trials)])
     assert main(argv + flags) == 0
@@ -765,17 +792,23 @@ def test_trials_feed_dim_x_plus_one_rows_per_point(shape, prime, monkeypatch):
     sample = grassdef.oracle._sample_point
     drawn = []
 
-    def spy(*args):
-        drawn.append(sample(*args))
-        return drawn[-1]
+    def spy(P, rng, field):
+        drawn.append((sample(P, rng, field), field))
+        return drawn[-1][0]
 
     monkeypatch.setattr(grassdef.oracle, "_sample_point", spy)
+    P = build_parametrization(shape)
     columns = {c: c for c in range(shape.num_coords)}
-    ranks = grassdef.oracle._trial_ranks(shape, columns, [1], field, 5, range(3))
-    assert ranks == [(shape.dim + 1,)] * 3
+    ceilings = (shape.dim + 1,)
+    # each label is settled at its one point, modulo p for a rational request
+    trial = grassdef.oracle._trial
+    assert [trial(P, columns, [1], field, 5, label, ceilings) for label in range(3)] == [ceilings] * 3
     assert len(drawn) == 3
-    for rows in drawn:
-        assert len(rows) == rank(rows, field) == shape.dim + 1
+    # the reference draws the same labels in the requested field
+    assert [full_column_ranks(P, columns, [1], field, 5, label) for label in range(3)] == [ceilings] * 3
+    assert len(drawn) == 6 and [F for _, F in drawn[3:]] == [field] * 3
+    for rows, F in drawn:
+        assert len(rows) == rank(rows, F) == shape.dim + 1
 
 
 TABLE_MAPS = [
@@ -823,21 +856,14 @@ def test_tangent_tables_are_built_once_per_map_object(monkeypatch):
     secant_dimension(shape, 4)
     assert len(builds) == 2 and builds[0] is not builds[1]
     # a rational defective row runs modulo p and then fraction-free, so two
-    # _trial_ranks calls draw points, both from the one cached map
+    # passes draw points, both from the one cached map
     charts = count_builds(monkeypatch, PlueckerMap, "_chart_table")
-    trial_ranks = grassdef.oracle._trial_ranks
-    calls = []
-
-    def spy(*args):
-        calls.append(args)
-        return trial_ranks(*args)
-
-    monkeypatch.setattr(grassdef.oracle, "_trial_ranks", spy)
+    calls = spy_draws(monkeypatch)
     build_parametrization.cache_clear()
     secant_dimension(GrassShape(2, 8), 4, trials=1, prime="rational")
-    assert len(calls) == 2 and len(charts) == 1
+    assert [field for _, _, field in calls] == [PrimeField(DEFAULT_PRIME), None] and len(charts) == 1
     secant_dimension(GrassShape(2, 8), 4, trials=1, prime="rational")
-    assert len(calls) == 4 and len(charts) == 1
+    assert len(calls) == 4 and len({id(P) for P, _, _ in calls}) == 1 and len(charts) == 1
     build_parametrization.cache_clear()
     secant_dimension(GrassShape(2, 8), 4, trials=1, prime="rational")
     assert len(charts) == 2 and charts[0] is not charts[1]
@@ -948,9 +974,9 @@ def test_secant_escalates_to_a_rational_trial_when_trials_disagree(monkeypatch):
     (coordinate,) = grassdef.oracle._coordinate_points(shape, 4)
     column_of = grassdef.oracle._survivor_columns(shape, coordinate)
     groups = [4 - len(coordinate)]
-    exact = grassdef.oracle._trial_ranks(shape, column_of, groups, None, cert.seed, ["rational"])
+    exact = full_column_ranks(build_parametrization(shape), column_of, groups, None, cert.seed, "rational")
     dropped = shape.num_coords - len(column_of)
-    assert [(cert.trials[-1] + 1 - dropped,)] == exact
+    assert (cert.trials[-1] + 1 - dropped,) == exact
 
 
 def test_secant_is_deterministic_in_seed():
@@ -1013,17 +1039,35 @@ def test_survivor_columns_match_their_definition():
             assert oracle._survivor_columns(shape, coordinate) == killed_by_distance(shape, coordinate)
 
 
+def full_column_ranks(P, column_of, groups, field, seed, label, ceilings=None):
+    """One trial from its definition, with _trial's signature: every row of
+    _sample_point at every point the groups of label draw from
+    random.Random("seed:label"), restricted to the columns in column_of and
+    renumbered by it, in one RankAccumulator over the requested field, with
+    no modular pass and no stop at saturation."""
+    rng = random.Random(f"{seed}:{label}")
+    acc = RankAccumulator(len(column_of), field)
+    ranks = []
+    for points in groups:
+        for _ in range(points):
+            for row in grassdef.oracle._sample_point(P, rng, field):
+                acc.add_row({column_of[c]: v for c, v in row.items() if c in column_of})
+        ranks.append(acc.rank)
+    return tuple(ranks)
+
+
 def full_column_trials(shape, h, trials, prime, seed):
     """The trials tuple of secant_dimension with every trial on all
     survivor columns of the blocks, and one rational trial more when they
     disagree."""
     field = None if prime == "rational" else PrimeField(prime)
+    P = build_parametrization(shape)
     coordinate = grassdef.oracle._coordinate_points(shape, h)[-1]
     column_of = grassdef.oracle._survivor_columns(shape, coordinate)
     groups = [h - len(coordinate)]
-    ranks = grassdef.oracle._trial_ranks(shape, column_of, groups, field, seed, range(trials))
+    ranks = [full_column_ranks(P, column_of, groups, field, seed, label) for label in range(trials)]
     if len(set(ranks)) > 1:
-        ranks += grassdef.oracle._trial_ranks(shape, column_of, groups, None, seed, ["rational"])
+        ranks.append(full_column_ranks(P, column_of, groups, None, seed, "rational"))
     dropped = shape.num_coords - len(column_of)
     return tuple(dropped + rank - 1 for (rank,) in ranks)
 
@@ -1052,12 +1096,6 @@ def test_secant_trials_equal_the_full_column_trials(shape, h, prime):
         assert cert.trials == full_column_trials(shape, h, trials, prime, seed)
 
 
-def full_column_ranks(shape, column_of, groups, field, seed, labels, ceilings):
-    """_target_ranks without its modular pass: every trial on all survivor
-    columns over the requested field."""
-    return grassdef.oracle._trial_ranks(shape, column_of, groups, field, seed, labels)
-
-
 PROJECTION_CASES = [
     (tangential_projection_finite, GrassShape(2, 6), 1, GENERICALLY_FINITE),
     (tangential_projection_finite, GrassShape(2, 11), 4, GENERICALLY_FINITE),
@@ -1082,44 +1120,69 @@ def test_projection_reports_equal_the_full_column_runs(oracle, shape, argument, 
     for seed in (3, 11):
         report = oracle(shape, argument, trials=trials, prime=prime, seed=seed)
         with monkeypatch.context() as patch:
-            patch.setattr(grassdef.oracle, "_target_ranks", full_column_ranks)
+            patch.setattr(grassdef.oracle, "_trial", full_column_ranks)
             reference = oracle(shape, argument, trials=trials, prime=prime, seed=seed)
         assert report.status == status
         assert asdict(report) == asdict(reference)
 
 
+def record_accumulators(patch) -> list:
+    """Replace the oracle's RankAccumulator by a subclass that records the
+    (column count, field) of every accumulator built."""
+    built = []
+
+    class Accumulator(RankAccumulator):
+        def __init__(self, ncols, field=None):
+            built.append((ncols, field))
+            super().__init__(ncols, field)
+
+    patch.setattr(grassdef.oracle, "RankAccumulator", Accumulator)
+    return built
+
+
 class PassSpy:
     """Records, for every oracle call made inside it, the survivor columns
-    of each stack tried and the (column map, field) of each _trial_ranks
-    call."""
+    of each stack tried, the (column map, field, label) of each _trial
+    call, and the (column count, field) of each RankAccumulator built, one
+    per pass over a trial's points."""
 
     def __init__(self, patch):
         self.stacks, self.calls = [], []
-        trial_ranks = grassdef.oracle._trial_ranks
+        trial = grassdef.oracle._trial
         survivor_columns = grassdef.oracle._survivor_columns
 
-        def trials_spy(shape, column_of, groups, field, *args):
-            self.calls.append((column_of, field))
-            return trial_ranks(shape, column_of, groups, field, *args)
+        def trial_spy(P, column_of, groups, field, seed, label, ceilings):
+            self.calls.append((column_of, field, label))
+            return trial(P, column_of, groups, field, seed, label, ceilings)
 
         def survivors_spy(shape, coordinate):
             self.stacks.append(survivor_columns(shape, coordinate))
             return self.stacks[-1]
 
-        patch.setattr(grassdef.oracle, "_trial_ranks", trials_spy)
+        patch.setattr(grassdef.oracle, "_trial", trial_spy)
         patch.setattr(grassdef.oracle, "_survivor_columns", survivors_spy)
+        self.passes = record_accumulators(patch)
 
     def run(self, oracle, *args, **kwargs):
         self.stacks.clear()
         self.calls.clear()
+        self.passes.clear()
         return oracle(*args, **kwargs)
+
+    def one_modular_pass_per_trial(self, labels) -> bool:
+        """Whether every stack tried ran the given labels once each on its
+        survivor columns, each in one pass modulo DEFAULT_PRIME."""
+        prime = PrimeField(DEFAULT_PRIME)
+        calls = [(survivors, prime, label) for survivors in self.stacks for label in labels]
+        return self.calls == calls and self.passes == [(len(survivors), prime) for survivors, _, _ in calls]
 
 
 def test_each_stack_runs_its_trials_once_on_its_survivor_columns(monkeypatch):
     spy = PassSpy(monkeypatch)
-    # modulo p: one call per stack tried, on exactly its survivor columns,
-    # certified or defective; the packing's five balls decide G(3,9) h5
-    # alone, and G(4,9) h8 leaves two random points to its packing of six
+    # modulo p: one modular pass per trial and stack tried, on exactly its
+    # survivor columns, certified or defective; the packing's five balls
+    # decide G(3,9) h5 alone, and G(4,9) h8 leaves two random points to its
+    # packing of six
     prime = PrimeField(DEFAULT_PRIME)
     for shape, h, trials, verdict in (
         (GrassShape(3, 9), 5, 3, CERTIFIED),
@@ -1128,37 +1191,41 @@ def test_each_stack_runs_its_trials_once_on_its_survivor_columns(monkeypatch):
         (GrassShape(3, 7), 4, 3, DEFECT_EVIDENCE),
     ):
         assert spy.run(secant_dimension, shape, h, trials=trials).verdict == verdict
-        assert spy.calls == [(survivors, prime) for survivors in spy.stacks]
+        assert spy.one_modular_pass_per_trial(range(trials))
         assert len(spy.stacks) == 1
+    # the first trial reaches both ceilings, so it is the only one
     report = spy.run(tangential_projection_finite, GrassShape(2, 11), 4)
     assert report.status == GENERICALLY_FINITE
-    assert spy.calls == [(survivors, prime) for survivors in spy.stacks]
-    # over Q: one modular call, and a fraction-free one on the same columns
+    assert spy.one_modular_pass_per_trial([0])
+    # over Q: one modular pass, and a fraction-free one on the same columns
     # only when it falls short
     assert spy.run(secant_dimension, GrassShape(3, 9), 5, trials=1, prime="rational").verdict == CERTIFIED
     (survivors,) = spy.stacks
-    assert spy.calls == [(survivors, prime)]
+    assert spy.calls == [(survivors, None, 0)]
+    assert spy.passes == [(len(survivors), prime)]
     assert spy.run(secant_dimension, GrassShape(2, 8), 4, trials=1, prime="rational").verdict == DEFECT_EVIDENCE
     (survivors,) = spy.stacks
-    assert spy.calls == [(survivors, prime), (survivors, None)]
+    assert spy.calls == [(survivors, None, 0)]
+    assert spy.passes == [(len(survivors), prime), (len(survivors), None)]
 
 
 @pytest.mark.parametrize(
-    "oracle, shape, h, seeds",
+    "oracle, shape, h, seeds, labels",
     [
-        (secant_dimension, GrassShape(2, 7), 3, range(40)),
-        (secant_dimension, GrassShape(3, 8), 4, [*range(40), 1729, *range(1729000, 1729010)]),
-        (tangential_projection_finite, GrassShape(2, 11), 3, [1729]),
+        (secant_dimension, GrassShape(2, 7), 3, range(40), range(DEFAULT_TRIALS)),
+        (secant_dimension, GrassShape(3, 8), 4, [*range(40), 1729, *range(1729000, 1729010)], range(DEFAULT_TRIALS)),
+        (tangential_projection_finite, GrassShape(2, 11), 3, [1729], [0]),
     ],
     ids=["G(2,7)-h3", "G(3,8)-h4", "tangproj-G(2,11)-h3"],
 )
-def test_certified_rows_make_one_trial_pass(oracle, shape, h, seeds, monkeypatch):
-    # one _trial_ranks call per row and seed: every trial reaches its
-    # ceilings on the survivor columns of the first stack
+def test_certified_rows_make_one_trial_pass(oracle, shape, h, seeds, labels, monkeypatch):
+    # one stack per row and seed, and one modular pass per trial on it:
+    # every trial reaches its ceilings on the survivor columns of the first
+    # stack, and a projection's first trial is its only one
     spy = PassSpy(monkeypatch)
     for seed in seeds:
         spy.run(oracle, shape, h, seed=seed)
-        assert len(spy.calls) == 1, seed
+        assert len(spy.stacks) == 1 and spy.one_modular_pass_per_trial(labels), seed
 
 
 @settings(deadline=None)
@@ -1172,7 +1239,7 @@ def test_one_pass_per_stack_gives_the_full_column_trials(shape, h, trials, seed)
     with pytest.MonkeyPatch.context() as patch:
         spy = PassSpy(patch)
         cert = spy.run(secant_dimension, shape, h, trials=trials, seed=seed)
-    assert spy.calls == [(survivors, PrimeField(DEFAULT_PRIME)) for survivors in spy.stacks]
+    assert spy.one_modular_pass_per_trial(range(trials))
     assert cert.trials == full_column_trials(shape, h, trials, DEFAULT_PRIME, seed)
 
 
@@ -1201,8 +1268,8 @@ def projection_calls(draw):
 
 
 def every_trial_at_once(ranks_of, trials, ceilings):
-    # every label in one call and the best tuple kept, which the early stop must match
-    return max(ranks_of(range(trials)))
+    # every label run and the best tuple kept, which the early stop must match
+    return max(ranks_of(label) for label in range(trials))
 
 
 @settings(deadline=None)
@@ -1235,6 +1302,33 @@ def test_a_modular_shortfall_is_never_the_rational_answer(monkeypatch):
     cert = secant_dimension(GrassShape(3, 9), 5, trials=1, prime="rational")
     assert cert.trials == (124,)
     assert cert.verdict == CERTIFIED
+
+
+def test_only_the_label_that_falls_short_reruns_fraction_free(monkeypatch):
+    # each trial of G(2,14) h6 draws one random point; label 1 of 3 loses
+    # the last row of its modular draw, so it alone falls short modulo p.
+    # The other two are settled there, so the one exact RankAccumulator is
+    # label 1's, and the certificate is the unpatched one
+    shape, h, seed = GrassShape(2, 14), 6, 1729
+    reference = secant_dimension(shape, h, prime="rational", seed=seed)
+    starts = {random.Random(f"{seed}:{label}").getstate(): label for label in range(DEFAULT_TRIALS)}
+    label_of, exact_draws = {}, []
+    sample = grassdef.oracle._sample_point
+
+    def short_on_label_1(P, rng, field):
+        if rng not in label_of:
+            label_of[rng] = starts[rng.getstate()]
+        rows = sample(P, rng, field)
+        if field is None:
+            exact_draws.append(label_of[rng])
+            return rows
+        return rows[:-1] if label_of[rng] == 1 else rows
+
+    monkeypatch.setattr(grassdef.oracle, "_sample_point", short_on_label_1)
+    built = record_accumulators(monkeypatch)
+    assert secant_dimension(shape, h, prime="rational", seed=seed) == reference
+    assert [field for _, field in built].count(None) == 1
+    assert exact_draws == [1]
 
 
 def test_a_certified_rational_secant_never_runs_the_exact_branch(monkeypatch):

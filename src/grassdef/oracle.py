@@ -770,16 +770,21 @@ def _coordinate_ranks(shape, points: tuple[int, ...], field, seed, labels) -> li
     each k in points, of a stack that starts at _coordinate_points(shape,
     points[0]), each label run once by _trial on exactly the columns
     outside the balls with the ceilings min(k (dim X + 1), N) - dropped.
-    The first stack on which every label given reaches every ceiling is
-    kept, else the last."""
+    The first stack on which every label reaches every ceiling is kept,
+    else the last; an earlier stack stops at its first shortfall."""
     P = build_parametrization(shape)
-    for coordinate in _coordinate_points(shape, points[0]):
+    stacks = _coordinate_points(shape, points[0])
+    for coordinate in stacks:
         column_of = _survivor_columns(shape, coordinate)
         dropped = shape.num_coords - len(column_of)
         groups = [b - a for a, b in zip((len(coordinate),) + points, points)]
         ceilings = tuple(min(k * (shape.dim + 1), shape.num_coords) - dropped for k in points)
-        ranks = [_trial(P, column_of, groups, field, seed, label, ceilings) for label in labels]
-        if ranks == [ceilings] * len(labels):
+        ranks = []
+        for label in labels:
+            ranks.append(_trial(P, column_of, groups, field, seed, label, ceilings))
+            if ranks[-1] != ceilings and coordinate is not stacks[-1]:
+                break
+        else:
             break
     return [tuple(dropped + rank for rank in trial) for trial in ranks]
 

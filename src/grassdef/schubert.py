@@ -8,8 +8,9 @@ blocks of a block triangular matrix, and evaluates each block of size at
 least 2 by _det, the package's one determinant: fraction-free (Bareiss)
 elimination, in integers throughout.  The formula reads mu only through
 one tuple sigma, so each partition lam keeps the multiplicities it has
-computed, keyed by sigma, and reuses them for every mu that gives the
-same sigma.
+computed, keyed by the counts r + 1 - sigma_c, and reuses them for every
+mu that gives the same sigma.  Containment compares two words of parts
+in fixed-width slots, cached on each partition with the memo's keys.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb, factorial, lgamma, log
-from operator import ge
+from itertools import groupby, repeat, zip_longest
+from math import comb, factorial, lgamma, log, prod
 
 from .indices import GrassShape, _check_digits, _check_ints, _check_size
 
@@ -58,21 +59,39 @@ class Partition:
     def blocks(self) -> list[tuple[int, int]]:
         """Parts grouped as (value, repetition) pairs, largest value first,
         including the zero block when present."""
-        out: list[tuple[int, int]] = []
-        for a in self.parts:
-            if out and out[-1][0] == a:
-                out[-1] = (a, out[-1][1] + 1)
-            else:
-                out.append((a, 1))
-        return out
+        return [(a, len(list(run))) for a, run in groupby(self.parts)]
 
     @cached_property
     def label(self) -> str:
         return "(" + ",".join(str(a) for a in self.parts) + ")"
 
     @cached_property
+    def _word(self) -> int:
+        """The parts in slots of w = (n - r).bit_length() + 1 bits, part i in
+        slot i; pairing adjacent words per round keeps the work near linear."""
+        words, w = self.parts, (self.n - self.r).bit_length() + 1
+        while len(words) > 1:
+            words = [a | b << w for a, b in zip_longest(words[::2], words[1::2], fillvalue=0)]
+            w *= 2
+        return words[0]
+
+    @cached_property
+    def _guard(self) -> int:
+        """The top bit of every slot of _word, by a base 2^w repunit."""
+        w = (self.n - self.r).bit_length() + 1
+        return ((1 << w * (self.r + 1)) - 1) // ((1 << w) - 1) << (w - 1)
+
+    @cached_property
+    def _keys(self) -> list[int]:
+        return [j - b for j, b in enumerate(self.parts, 1)]
+
+    @cached_property
+    def _levels(self) -> list[int]:
+        return [l - self.parts[l - 1] for l in range(self.r + 1, 0, -1)]
+
+    @cached_property
     def _multiplicities(self) -> dict[tuple[int, ...], int]:
-        """multiplicity(self, mu) by the sigma of mu; see multiplicity."""
+        """multiplicity(self, mu) by the counts of mu; see multiplicity."""
         return {}
 
 
@@ -92,11 +111,14 @@ def schubert_codim(p: Partition) -> int:
 
 
 def contains(lam: Partition, mu: Partition) -> bool:
-    """Whether the Schubert variety of lam contains the one of mu; holds
-    exactly when mu dominates lam componentwise."""
+    """Whether the Schubert variety of lam contains the one of mu: whether
+    every mu_i >= lambda_i.  As n - r < 2^(w-1), slot i of mu._word + guard
+    - lam._word is 2^(w-1) + mu_i - lambda_i in [1, 2^w - 1], so no borrow
+    crosses a slot and its top bit is set exactly when mu_i >= lambda_i."""
     if lam.r != mu.r or lam.n != mu.n:
         raise ValueError("partitions must index the same Grassmannian")
-    return all(map(ge, mu.parts, lam.parts))
+    guard = lam._guard
+    return (mu._word + guard - lam._word) & guard == guard
 
 
 def singular_locus(p: Partition) -> list[Partition]:
@@ -118,10 +140,7 @@ def singular_locus(p: Partition) -> list[Partition]:
         if a + 1 > cap:
             continue
         merged = blocks[:i] + [(a + 1, pa + 1)] + ([(b, pb - 1)] if pb > 1 else []) + blocks[i + 2 :]
-        parts: list[int] = []
-        for value, count in merged:
-            parts.extend([value] * count)
-        out.append(Partition(p.r, p.n, tuple(parts)))
+        out.append(Partition(p.r, p.n, tuple(value for value, count in merged for _ in range(count))))
     return out
 
 
@@ -146,21 +165,20 @@ def multiplicity(lam: Partition, mu: Partition) -> int:
 
     The entries of M depend on t, which lam alone fixes, and on sigma, so
     two mu with the same sigma have the same multiplicity along lam.  Each
-    result is kept on lam, keyed by sigma, and later calls with that sigma
-    read it back after the containment check.  The memo holds at most the
-    Catalan number C_{r+1} of weakly increasing tuples with 0 <= sigma_c <= c
-    (42 on G(4, 9)), and never more entries than calls made on lam.
+    result is kept on lam, keyed by the counts r + 1 - sigma_c: bisections
+    of mu._keys (j - mu_j) at lam._levels (l - lambda_l, l = r+1..1), both
+    cached; sigma and t are built only on a miss.  The memo holds at most
+    the Catalan number C_{r+1} of weakly increasing tuples with 0 <= sigma_c
+    <= c (42 on G(4, 9)), and never more entries than calls made on lam.
     """
     if not contains(lam, mu):
         raise ValueError("multiplicity needs mu componentwise above lam")
+    key = tuple(map(bisect_right, repeat(mu._keys), lam._levels))
+    if key in lam._multiplicities:
+        return lam._multiplicities[key]
     size = lam.r + 1
-    keys = [j - b for j, b in enumerate(mu.parts, 1)]
-    columns = range(size, 0, -1)
-    sigma = tuple([size - bisect_right(keys, l - lam.parts[l - 1]) for l in columns])
-    memo = lam._multiplicities
-    if sigma in memo:
-        return memo[sigma]
-    t = [lam.n - lam.r + l - lam.parts[l - 1] for l in columns]
+    sigma = [size - count for count in key]
+    t = [lam.n - lam.r + level for level in lam._levels]
     result, start = 1, 0
     for q in range(1, size + 1):
         if q == size or sigma[q] == q:
@@ -169,7 +187,7 @@ def multiplicity(lam: Partition, mu: Partition) -> int:
                 block = [[comb(t[c], k - sigma[c]) if k >= sigma[c] else 0 for c in rows] for k in rows]
                 result *= abs(_det(block))
             start = q
-    memo[sigma] = result
+    lam._multiplicities[key] = result
     return result
 
 
@@ -211,10 +229,7 @@ def grass_degree(r: int, n: int) -> int:
     rows, cols = shape.r + 1, shape.n - shape.r
     ln = lgamma(rows * cols + 1) - sum(lgamma(cols + i) - lgamma(i) for i in range(1, rows + 1))
     _check_digits(f"the degree of {shape.label}", ln / log(10))
-    hooks = 1
-    for i in range(rows):
-        for j in range(cols):
-            hooks *= (rows - i) + (cols - j) - 1
+    hooks = prod(i + j - 1 for i in range(1, rows + 1) for j in range(1, cols + 1))
     degree, remainder = divmod(factorial(rows * cols), hooks)
     if remainder:
         raise ArithmeticError(f"the hook product {hooks} does not divide ({rows * cols})!")

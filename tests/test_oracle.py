@@ -567,8 +567,11 @@ def test_coordinate_points_keep_the_stacked_rank(shape, h, prime, monkeypatch):
 def test_a_packed_deficit_reruns_on_the_blocks(oracle, monkeypatch):
     # every trial on the packing of G(4,9) h8 (six balls, two random points)
     # loses one rank; a deficit there proves nothing, so the answer must be
-    # the one the two blocks and six random points give
+    # the one the two blocks and six random points give.  The packing stops
+    # at its first shortfall; the blocks run both secant trials, and the
+    # first projection trial reaches its ceilings there, so it is the only one
     shape, h = GrassShape(4, 9), 8
+    on_the_blocks = 2 if oracle is secant_dimension else 1
     reference = oracle(shape, h, trials=2)
     trial = grassdef.oracle._trial
     on_the_packing = h - len(coordinate_packing(shape, h))
@@ -582,8 +585,22 @@ def test_a_packed_deficit_reruns_on_the_blocks(oracle, monkeypatch):
         return ranks
 
     monkeypatch.setattr(grassdef.oracle, "_trial", short_on_the_packing)
-    assert asdict(oracle(shape, h, trials=2)) == asdict(reference)
-    assert groups_seen[0] == on_the_packing and groups_seen[-1] == h - 2
+    spy = PassSpy(monkeypatch)
+    assert asdict(spy.run(oracle, shape, h, trials=2)) == asdict(reference)
+    assert groups_seen == [on_the_packing] + [h - 2] * on_the_blocks
+    assert len(spy.stacks) == 2 and spy.one_modular_pass_per_trial(range(on_the_blocks))
+
+
+def test_the_last_stack_runs_every_label(monkeypatch):
+    # every trial of G(4,9) h8 loses one rank on both stacks: the packing
+    # stops at its first trial, and the blocks, the last stack, run all three
+    trial = grassdef.oracle._trial
+    monkeypatch.setattr(grassdef.oracle, "_trial", lambda *args: (trial(*args)[0] - 1,))
+    spy = PassSpy(monkeypatch)
+    cert = spy.run(secant_dimension, GrassShape(4, 9), 8, trials=3)
+    assert cert.verdict == DEFECT_EVIDENCE and len(cert.trials) == 3
+    assert len(spy.stacks) == 2 and spy.one_modular_pass_per_trial(range(3))
+    assert [label for _, _, label in spy.calls] == [0, 0, 1, 2]
 
 
 # every Grassmannian G(r, n) with r <= 4 and n <= 11, normalized, and the
@@ -1143,17 +1160,20 @@ def record_accumulators(patch) -> list:
 class PassSpy:
     """Records, for every oracle call made inside it, the survivor columns
     of each stack tried, the (column map, field, label) of each _trial
-    call, and the (column count, field) of each RankAccumulator built, one
-    per pass over a trial's points."""
+    call and whether it fell short of its ceilings, and the (column count,
+    field) of each RankAccumulator built, one per pass over a trial's
+    points."""
 
     def __init__(self, patch):
-        self.stacks, self.calls = [], []
+        self.stacks, self.calls, self.short = [], [], []
         trial = grassdef.oracle._trial
         survivor_columns = grassdef.oracle._survivor_columns
 
         def trial_spy(P, column_of, groups, field, seed, label, ceilings):
             self.calls.append((column_of, field, label))
-            return trial(P, column_of, groups, field, seed, label, ceilings)
+            ranks = trial(P, column_of, groups, field, seed, label, ceilings)
+            self.short.append(ranks != ceilings)
+            return ranks
 
         def survivors_spy(shape, coordinate):
             self.stacks.append(survivor_columns(shape, coordinate))
@@ -1166,14 +1186,22 @@ class PassSpy:
     def run(self, oracle, *args, **kwargs):
         self.stacks.clear()
         self.calls.clear()
+        self.short.clear()
         self.passes.clear()
         return oracle(*args, **kwargs)
 
     def one_modular_pass_per_trial(self, labels) -> bool:
-        """Whether every stack tried ran the given labels once each on its
-        survivor columns, each in one pass modulo DEFAULT_PRIME."""
+        """Whether every stack tried ran the given labels in order on its
+        survivor columns, each once in one pass modulo DEFAULT_PRIME: the
+        last stack every label, a stack before it up to its first label
+        that fell short, since that stack can no longer be kept."""
         prime = PrimeField(DEFAULT_PRIME)
-        calls = [(survivors, prime, label) for survivors in self.stacks for label in labels]
+        calls, short, last = [], iter(self.short), len(self.stacks) - 1
+        for i, survivors in enumerate(self.stacks):
+            for label in labels:
+                calls.append((survivors, prime, label))
+                if next(short, False) and i < last:
+                    break
         return self.calls == calls and self.passes == [(len(survivors), prime) for survivors, _, _ in calls]
 
 

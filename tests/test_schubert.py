@@ -5,6 +5,7 @@ partition's memo are checked against the whole determinant of the
 docstring formula, eliminated with no block split and no memo."""
 
 import dataclasses
+import time
 from math import comb
 
 import pytest
@@ -53,6 +54,27 @@ def containing_lists(draw, max_r: int = 5, max_n: int = 13):
             parts.append(top)
         mus.append(Partition(lam.r, lam.n, tuple(parts)))
     return lam, mus
+
+
+@st.composite
+def slot_pairs(draw):
+    """Two partitions of G(r, n), r <= 6, whose n - r sits at either side
+    of a power of two, so that the slot width (n - r).bit_length() + 1 has
+    no bit to spare; half the pairs differ by the full range n - r in one
+    slot, as 0 against n - r in either order."""
+    r = draw(st.integers(0, 6))
+    cap = draw(st.sampled_from([1, 2, 3, 4, 7, 8, 15, 16, 31, 32]))
+
+    def parts():
+        return sorted(draw(st.lists(st.integers(0, cap), min_size=r + 1, max_size=r + 1)), reverse=True)
+
+    lam, mu = parts(), parts()
+    if draw(st.booleans()):
+        i = draw(st.integers(0, r))
+        mu[: i + 1], lam[i:] = [cap] * (i + 1), [0] * (r + 1 - i)
+        if draw(st.booleans()):
+            lam, mu = mu, lam
+    return Partition(r, r + cap, tuple(lam)), Partition(r, r + cap, tuple(mu))
 
 
 def unsplit_multiplicity(lam, mu):
@@ -152,6 +174,22 @@ def test_contains_is_reverse_componentwise():
     assert not contains(Partition(2, 5, (2, 2, 0)), lam)
     with pytest.raises(ValueError):
         contains(lam, Partition(2, 6, (1, 0, 0)))
+
+
+@given(slot_pairs())
+def test_contains_is_componentwise_at_every_slot_width(pair):
+    lam, mu = pair
+    assert contains(lam, mu) == all(m >= l for m, l in zip(mu.parts, lam.parts))
+
+
+def test_words_are_built_in_linear_time():
+    # 4 * 10^5 slots of 20 bits: a word summed from shifted parts copies a
+    # growing integer once per nonzero part, so q alone would take minutes
+    k = 4 * 10**5
+    p, q = Partition(k - 1, 2 * k, ()), Partition(k - 1, 2 * k, (k + 1,) * k)
+    start = time.perf_counter()
+    assert contains(p, p) and contains(p, q) and not contains(q, p)
+    assert time.perf_counter() - start < 1
 
 
 def test_singular_locus_worked_values():
@@ -297,9 +335,15 @@ def test_label_is_cached_outside_equality_hash_and_repr():
     before = (repr(p), hash(p), dataclasses.asdict(p))
     assert p.label == "(2,2,2,1,0)"
     assert p.label is p.label
-    # so is the multiplicity memo
+    # so are the containment words (4-bit slots, part 1 lowest) and the
+    # multiplicity memo with its keys
+    assert (p._word, p._guard) == (0x01222, 0x88888)
+    assert (p._keys, p._levels) == ([-1, 0, 1, 3, 5], [5, 3, 1, 0, -1])
     assert multiplicity(p, Partition(4, 9, (3, 3, 3, 3, 2))) == 14
     assert p._multiplicities is p._multiplicities and list(p._multiplicities.values()) == [14]
+    for name in ("_word", "_guard", "_keys", "_levels"):
+        assert getattr(p, name) is getattr(p, name)
+        assert getattr(fresh, name) == getattr(p, name)
     assert (repr(p), hash(p), dataclasses.asdict(p)) == before
     assert p == fresh and hash(p) == hash(fresh)
     assert dataclasses.asdict(p) == {"r": 4, "n": 9, "parts": (2, 2, 2, 1, 0)}

@@ -17,7 +17,7 @@ import bisect
 import itertools
 import random
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from math import comb, gcd, perm, prod
 from operator import mul
 
@@ -765,41 +765,40 @@ def _trial(P: PolynomialMap, column_of: dict, groups: list[int], field, seed: in
     return tuple(ranks)
 
 
-def _coordinate_ranks(shape, points: tuple[int, ...], field, seed, labels) -> list[tuple[int, ...]]:
-    """One tuple per trial label: the ranks after the first k points, for
-    each k in points, of a stack that starts at _coordinate_points(shape,
-    points[0]), each label run once by _trial on exactly the columns
-    outside the balls with the ceilings min(k (dim X + 1), N) - dropped.
-    The first stack on which every label reaches every ceiling is kept,
-    else the last; an earlier stack stops at its first shortfall."""
+def _coordinate_ranks(shape, points: tuple[int, ...], field, seed, labels):
+    """Yield one tuple per trial label: the ranks after the first k points,
+    for each k in points, of a stack that starts at _coordinate_points(shape,
+    points[0]), run by _trial on exactly the columns outside the balls with
+    the ceilings min(k (dim X + 1), N) - dropped.  Each label runs on the
+    first stack no earlier label fell short on, and moves to the next while
+    it falls short on one before the last, which is then dropped for good.
+    A stack's survivor columns are built when it is first reached."""
     P = build_parametrization(shape)
     stacks = _coordinate_points(shape, points[0])
-    for coordinate in stacks:
-        column_of = _survivor_columns(shape, coordinate)
-        dropped = shape.num_coords - len(column_of)
-        groups = [b - a for a, b in zip((len(coordinate),) + points, points)]
-        ceilings = tuple(min(k * (shape.dim + 1), shape.num_coords) - dropped for k in points)
-        ranks = []
-        for label in labels:
-            ranks.append(_trial(P, column_of, groups, field, seed, label, ceilings))
-            if ranks[-1] != ceilings and coordinate is not stacks[-1]:
+    column_of = None
+    for label in labels:
+        while True:
+            if column_of is None:
+                coordinate = stacks.pop(0)
+                column_of = _survivor_columns(shape, coordinate)
+                dropped = shape.num_coords - len(column_of)
+                groups = [b - a for a, b in zip((len(coordinate),) + points, points)]
+                ceilings = tuple(min(k * (shape.dim + 1), shape.num_coords) - dropped for k in points)
+            ranks = _trial(P, column_of, groups, field, seed, label, ceilings)
+            if ranks == ceilings or not stacks:
                 break
-        else:
-            break
-    return [tuple(dropped + rank for rank in trial) for trial in ranks]
+            column_of = None
+        yield tuple(dropped + rank for rank in ranks)
 
 
-def _best_trial(ranks_of, trials: int, ceilings: tuple[int, ...]) -> tuple[int, ...]:
-    """The best of the rank tuples ranks_of(label) of the labels 0, 1, ...,
-    trials - 1, run in order up to the first whose tuple is the ceilings,
-    which no trial exceeds, so the labels left out cannot change the best
-    one.  Each label is run alone, so through _coordinate_ranks it keeps a
-    packing on which it reaches both ceilings whatever the other labels
-    reach there."""
+def _best_trial(ranks, ceilings: tuple[int, ...]) -> tuple[int, ...]:
+    """The best of the rank tuples in the iterable ranks, consumed in order
+    up to the first equal to the ceilings, which no trial exceeds, so the
+    tuples left out cannot change the best one."""
     ran = []
-    for label in range(trials):
-        ran.append(ranks_of(label))
-        if ran[-1] == ceilings:
+    for trial in ranks:
+        ran.append(trial)
+        if trial == ceilings:
             break
     return max(ran)
 
@@ -851,14 +850,13 @@ def secant_dimension(
 ) -> DefectivityCertificate:
     """Dimension of the h-secant variety of the shape, by stacking the
     affine tangent spaces of the cone at h points (Terracini's lemma): the
-    first are coordinate points whose tangent spaces drop columns, on the
-    packing if every trial reaches the expected dimension there and else
-    on the min(h, alpha) blocks (_coordinate_points), the others random,
-    each contributing the order 1 jet rows of _sample_point, at a point
-    [I | A] on a Grassmannian.  For h <= alpha no point is random, every
-    trial stacks nothing on the survivor columns, and the computed
-    dimension is the exact generic one; a deficit there still reads
-    DefectEvidence.
+    first are coordinate points whose tangent spaces drop columns, on a
+    stack of _coordinate_points chosen per trial by _coordinate_ranks, the
+    others random, each contributing the order 1 jet rows of _sample_point,
+    at a point [I | A] on a Grassmannian.  For h <= alpha no point is
+    random, every trial stacks nothing on the survivor columns, and the
+    computed dimension is the exact generic one; a deficit there still
+    reads DefectEvidence.
 
     The expected dimension is min(h (dim X + 1), N + 1) - 1.  Each trial is
     deterministic in (seed, trial index); if the trials disagree one extra
@@ -869,7 +867,7 @@ def secant_dimension(
     field = _oracle_field(prime, trials, h)
     _check_terracini_size(shape, h)
     expected = min(h * (shape.dim + 1), shape.ambient_dim + 1) - 1
-    ranks = _coordinate_ranks(shape, (h,), field, seed, range(trials))
+    ranks = list(_coordinate_ranks(shape, (h,), field, seed, range(trials)))
     note = ""
     if len(set(ranks)) > 1:
         ranks += _coordinate_ranks(shape, (h,), None, seed, ["rational"])
@@ -931,18 +929,16 @@ def tangential_projection_finite(
     otherwise the report status is HypothesisViolated.  Finiteness holds
     exactly when a fresh general tangent space meets the span only in the
     expected way, so the joint rank exceeds the center rank by dim X + 1.
-    The first centers are coordinate points; _best_trial runs the trials
-    through _coordinate_ranks for k = h and h + 1 points, up to the first at
-    both ceilings.  Packed centers are kept for a trial only when it reaches
-    both there, and then both ranks are the generic ones.
+    The first centers are coordinate points; _best_trial reads the trials
+    of one _coordinate_ranks stream for k = h and h + 1 points up to the
+    first at both ceilings.  A trial at both ceilings on any stack has the
+    generic ranks, and a deficit is read only on the last stack.
     """
     field = _oracle_field(prime, trials, h)
     _check_terracini_size(shape, h + 1)
     dim_x, ambient = shape.dim, shape.ambient_dim
     ceilings = tuple(min(k * (dim_x + 1), shape.num_coords) for k in (h, h + 1))
-    center, joint = _best_trial(
-        lambda label: _coordinate_ranks(shape, (h, h + 1), field, seed, [label])[0], trials, ceilings
-    )
+    center, joint = _best_trial(_coordinate_ranks(shape, (h, h + 1), field, seed, range(trials)), ceilings)
     if ambient - center < dim_x:
         status = HYPOTHESIS_VIOLATED
         note = (
@@ -1063,8 +1059,9 @@ def osculating_projection_finite(
         base.note = "every coordinate lies in the span of the osculating centers"
         return base
     ceilings = (min(dim_x + 1, len(survivors)),)
-    ranks_of = partial(_trial, build_parametrization(shape), survivors, [1], field, seed, ceilings=ceilings)
-    best = base.restricted_rank = _best_trial(ranks_of, trials, ceilings)[0]
+    P = build_parametrization(shape)
+    ranks = (_trial(P, survivors, [1], field, seed, label, ceilings) for label in range(trials))
+    best = base.restricted_rank = _best_trial(ranks, ceilings)[0]
     if best == dim_x + 1:
         base.status = GENERICALLY_FINITE
     elif best <= 1:

@@ -603,6 +603,55 @@ def test_the_last_stack_runs_every_label(monkeypatch):
     assert [label for _, _, label in spy.calls] == [0, 0, 1, 2]
 
 
+@pytest.mark.parametrize("seed", [1729, 7])
+@pytest.mark.parametrize("h, ranks", [(6, (24, 26)), (7, (26, 27))])
+def test_a_dropped_stack_is_not_tried_by_later_labels(h, ranks, seed, monkeypatch):
+    # the 4-center packing of SV(1,1,1;2,2,2) falls short for label 0; the
+    # labels after it start on the 2 blocks, so each stack's survivor
+    # columns are built once and four trials run, not six
+    shape = SegreVeroneseShape((1, 1, 1), (2, 2, 2))
+    stacks = grassdef.oracle._coordinate_points(shape, h)
+    assert [len(coordinate) for coordinate in stacks] == [4, 2]
+    packing, blocks = [grassdef.oracle._survivor_columns(shape, coordinate) for coordinate in stacks]
+    spy = PassSpy(monkeypatch)
+    report = spy.run(tangential_projection_finite, shape, h, seed=seed)
+    assert report.status == HYPOTHESIS_VIOLATED and (report.center_rank, report.joint_rank) == ranks
+    assert spy.stacks == [packing, blocks]
+    assert [(column_of, label) for column_of, _, label in spy.calls] == [
+        (packing, 0),
+        (blocks, 0),
+        (blocks, 1),
+        (blocks, 2),
+    ]
+    assert spy.one_modular_pass_per_trial(range(DEFAULT_TRIALS))
+
+
+def test_a_label_short_on_the_packing_drops_it_for_the_labels_after_it(monkeypatch):
+    # only label 1 loses a rank on the packing of G(4,9) h8: label 0 is
+    # kept there, label 1 moves on to the blocks, and label 2 starts there
+    shape, h = GrassShape(4, 9), 8
+    reference = secant_dimension(shape, h, trials=3)
+    assert reference.trials == (207, 207, 207)
+    trial = grassdef.oracle._trial
+    on_the_packing = h - len(coordinate_packing(shape, h))
+
+    def label_1_short_on_the_packing(P, column_of, groups, field, seed, label, ceilings):
+        ranks = trial(P, column_of, groups, field, seed, label, ceilings)
+        return (ranks[0] - 1,) if groups[0] == on_the_packing and label == 1 else ranks
+
+    monkeypatch.setattr(grassdef.oracle, "_trial", label_1_short_on_the_packing)
+    spy = PassSpy(monkeypatch)
+    assert asdict(spy.run(secant_dimension, shape, h, trials=3)) == asdict(reference)
+    packing, blocks = spy.stacks
+    assert [(column_of, label) for column_of, _, label in spy.calls] == [
+        (packing, 0),
+        (packing, 1),
+        (blocks, 1),
+        (blocks, 2),
+    ]
+    assert spy.one_modular_pass_per_trial(range(3))
+
+
 # every Grassmannian G(r, n) with r <= 4 and n <= 11, normalized, and the
 # (r, n, h) from which on a packing stack comes first, for every h <= 12:
 # on each of these shapes the packing has more than alpha centers
@@ -1191,17 +1240,18 @@ class PassSpy:
         return oracle(*args, **kwargs)
 
     def one_modular_pass_per_trial(self, labels) -> bool:
-        """Whether every stack tried ran the given labels in order on its
-        survivor columns, each once in one pass modulo DEFAULT_PRIME: the
-        last stack every label, a stack before it up to its first label
-        that fell short, since that stack can no longer be kept."""
+        """Whether the given labels ran in order, each once in one pass
+        modulo DEFAULT_PRIME on the survivor columns of every stack it
+        tried: a label starts on the first stack no earlier label fell
+        short on, and moves to the next stack while it falls short on one
+        before the last, which is then dropped for the labels after it."""
         prime = PrimeField(DEFAULT_PRIME)
-        calls, short, last = [], iter(self.short), len(self.stacks) - 1
-        for i, survivors in enumerate(self.stacks):
-            for label in labels:
-                calls.append((survivors, prime, label))
-                if next(short, False) and i < last:
-                    break
+        calls, short, stack, last = [], iter(self.short), 0, len(self.stacks) - 1
+        for label in labels:
+            calls.append((self.stacks[stack], prime, label))
+            while next(short, False) and stack < last:
+                stack += 1
+                calls.append((self.stacks[stack], prime, label))
         return self.calls == calls and self.passes == [(len(survivors), prime) for survivors, _, _ in calls]
 
 
@@ -1295,9 +1345,9 @@ def projection_calls(draw):
     return osculating_projection_finite, shape, [(I, draw(st.integers(0, 2))) for I in indices[:count]]
 
 
-def every_trial_at_once(ranks_of, trials, ceilings):
+def every_trial_at_once(ranks, ceilings):
     # every label run and the best tuple kept, which the early stop must match
-    return max(ranks_of(label) for label in range(trials))
+    return max(ranks)
 
 
 @settings(deadline=None)
